@@ -12,7 +12,8 @@ from .complexes import ChainMap, Complex, HomologySpace
 from .errors import InputError, ShapeMismatch
 from .linalg import SparseMatrix, rank, vec_axpy
 from .presheaf import (TOP, CechComplex, CoverPresheaf, TotComplex, TwComplex,
-                       cech, tot, tw, tw_to_tot)
+                       _tensor_positions, _transport, cech, tot, tw,
+                       tw_to_tot)
 from .scalars import QQ
 
 
@@ -136,43 +137,20 @@ def cech_unit(C: CechComplex, prod: ValueProduct):
 # product on the forms totalization
 
 
-def _tensor_positions(tensor, n):
-    """Reverse lookup col -> (form degree, form index, level index)."""
-    out = {}
-    for (deg, i, a, b), col in tensor._pos.items():
-        if deg == n:
-            out[col] = (i, a, b)
-    return out
-
-
 def tw_include(small: TwComplex, big: TwComplex) -> ChainMap:
     """Canonical inclusion between forms totalizations, small cutoff into
     large: form monomials are sent to themselves."""
     if big.weight_cutoff < small.weight_cutoff:
         raise ShapeMismatch("target cutoff is smaller than the source's")
-    mats = {}
-    for n in small.cx.degrees():
-        m = SparseMatrix(big.cx.dim(n), small.cx.dim(n))
-        for j in range(small.cx.dim(n)):
-            vec = small.ambient_vector(n, j)
-            amb = {}
-            for p in range(small.F.n_sets):
-                lv = small.level_component(n, vec, p)
-                if not lv:
-                    continue
-                rev = _tensor_positions(small.tensors[p], n)
-                inc = big._amb_inc[p].mat(n)
-                for col, val in lv.items():
-                    i, a, b = rev[col]
-                    key = small.models[p].basis(i)[a]
-                    a2 = big.models[p]._index[i][key]
-                    bigcol = big.tensors[p]._pos[(n, i, a2, b)]
-                    for r, w in inc.column(bigcol).items():
-                        amb[r] = amb.get(r, Fraction(0)) + w * val
-            for r, v in big.represent(n, {k: v for k, v in amb.items() if v}).items():
-                m.rows[r][j] = v
-        mats[n] = m
-    return ChainMap(small.cx, big.cx, mats)
+    blocks = {}
+    for p in range(small.F.n_sets):
+        ms, mb = small.models[p], big.models[p]
+        for s in range(p + 1):
+            blocks[(p, s)] = SparseMatrix.from_entries(
+                len(mb.basis(s)), len(ms.basis(s)),
+                [(mb._index[s][key], a, Fraction(1))
+                 for a, key in enumerate(ms.basis(s))])
+    return _transport(small, big, blocks)
 
 
 def tw_product(small: TwComplex, big: TwComplex, prod: ValueProduct,
@@ -207,7 +185,6 @@ def tw_product(small: TwComplex, big: TwComplex, prod: ValueProduct,
         rev1 = _tensor_positions(small.tensors[p], n1)
         rev2 = _tensor_positions(small.tensors[p], n2)
         model_s, model_b = small.models[p], big.models[p]
-        inc = big._amb_inc[p].mat(n)
         # block offsets of each overlap inside the level, per internal degree
         offsets = {}
         for col1, c1 in lv1.items():
@@ -239,11 +216,9 @@ def tw_product(small: TwComplex, big: TwComplex, prod: ValueProduct,
                 fvec = model_b.to_vec(i1 + i2, wprod)
                 for aout, cw in fvec.items():
                     for locout, cv in piece.items():
-                        bigcol = big.tensors[p]._pos[(n, i1 + i2, aout,
-                                                      base + locout)]
-                        coeff = cw * cv * sign
-                        for r, w in inc.column(bigcol).items():
-                            amb[r] = amb.get(r, Fraction(0)) + w * coeff
+                        r = big._offsets[n][p] + big.tensors[p]._pos[
+                            (n, i1 + i2, aout, base + locout)]
+                        amb[r] = amb.get(r, Fraction(0)) + cw * cv * sign
     return big.represent(n, {k: v for k, v in amb.items() if v})
 
 
@@ -254,15 +229,14 @@ def tw_unit(W: TwComplex, prod: ValueProduct):
     for p in range(W.F.n_sets):
         model = W.models[p]
         aidx = model._index[0][((0,) * p, ())]
-        inc = W._amb_inc[p].mat(0)
+        off = W._offsets[0][p]
         row = 0
         for J in _level_subsets(W.F.n_sets, p):
             uvec = prod.unit(J)
             dim0 = W.F.value(J).dim(0)
             for loc, v in uvec.items():
-                col = W.tensors[p]._pos[(0, 0, aidx, row + loc)]
-                for r, w in inc.column(col).items():
-                    amb[r] = amb.get(r, Fraction(0)) + w * v
+                r = off + W.tensors[p]._pos[(0, 0, aidx, row + loc)]
+                amb[r] = amb.get(r, Fraction(0)) + v
             row += dim0
     return W.represent(0, {k: v for k, v in amb.items() if v})
 

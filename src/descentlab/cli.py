@@ -316,6 +316,8 @@ def _cmd_telescope(job):
                     for i, m in enumerate(data["maps"])]
         except (KeyError, TypeError, IndexError) as exc:
             raise InputError(f"malformed telescope diagram: {exc}") from exc
+        for f in maps:
+            f.validate()
         tel = telescope(terms, maps)
         if terms[0].ring == QQ:
             tb = betti_numbers(tel.cx)

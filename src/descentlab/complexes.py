@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotAComplex, RingMismatch, ShapeMismatch, UnsupportedRing
+from .errors import (InputError, NotAComplex, RingMismatch, ShapeMismatch,
+                     UnsupportedRing)
 from .linalg import (Echelon, SparseMatrix, TrackedEchelon, kernel_basis,
                      matrix_from_columns, rank, vec_axpy, vec_scale)
 from .scalars import (QQ, NovikovElem, NovikovRing, coerce_scalar,
@@ -136,9 +137,7 @@ class ChainMap:
             raise ShapeMismatch("composition target/source mismatch")
         mats = {}
         for n in other.source.degrees():
-            m = self.mat(n + other.shift) @ other.mat(n)
-            if not m.is_zero() or True:
-                mats[n] = m
+            mats[n] = self.mat(n + other.shift) @ other.mat(n)
         return ChainMap(other.source, self.target, mats, self.shift + other.shift)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
@@ -786,15 +785,27 @@ def complex_to_json(c: Complex):
 
 
 def complex_from_json(obj) -> Complex:
-    ring = ring_from_json(obj["coeff"])
-    support = tuple(obj["support"])
-    dims = {int(n): int(d) for n, d in obj["dims"].items()}
-    diff = {}
-    for n_str, triples in obj.get("diff", {}).items():
-        n = int(n_str)
-        entries = [(int(r), int(col), parse_scalar(ring, v)) for r, col, v in triples]
-        diff[n] = SparseMatrix.from_entries(dims.get(n + 1, 0), dims.get(n, 0), entries)
-    return Complex(ring, dims, diff, support=support)
+    """Load a complex and validate it: shapes, and d^2 = 0.
+
+    Raises InputError on a malformed description (missing keys, bad
+    scalars) and NotAComplex when d^2 != 0; both are input faults.
+    """
+    try:
+        ring = ring_from_json(obj["coeff"])
+        lo, hi = obj["support"]
+        support = (int(lo), int(hi))
+        dims = {int(n): int(d) for n, d in obj["dims"].items()}
+        diff = {}
+        for n_str, triples in obj.get("diff", {}).items():
+            n = int(n_str)
+            entries = [(int(r), int(col), parse_scalar(ring, v)) for r, col, v in triples]
+            diff[n] = SparseMatrix.from_entries(dims.get(n + 1, 0), dims.get(n, 0), entries)
+    except (KeyError, ValueError, TypeError, ZeroDivisionError,
+            AttributeError) as exc:
+        raise InputError(f"malformed complex description: {exc!r}") from exc
+    c = Complex(ring, dims, diff, support=support)
+    c.validate()
+    return c
 
 
 def chain_map_to_json(f: ChainMap):
@@ -806,10 +817,15 @@ def chain_map_to_json(f: ChainMap):
 
 
 def chain_map_from_json(source: Complex, target: Complex, obj) -> ChainMap:
-    s = int(obj.get("shift", 0))
-    mats = {}
-    for n_str, triples in obj.get("mats", {}).items():
-        n = int(n_str)
-        entries = [(int(r), int(c), parse_scalar(source.ring, v)) for r, c, v in triples]
-        mats[n] = SparseMatrix.from_entries(target.dim(n + s), source.dim(n), entries)
+    """Load a chain map between given complexes; InputError when malformed."""
+    try:
+        s = int(obj.get("shift", 0))
+        mats = {}
+        for n_str, triples in obj.get("mats", {}).items():
+            n = int(n_str)
+            entries = [(int(r), int(c), parse_scalar(source.ring, v)) for r, c, v in triples]
+            mats[n] = SparseMatrix.from_entries(target.dim(n + s), source.dim(n), entries)
+    except (KeyError, ValueError, TypeError, ZeroDivisionError,
+            AttributeError) as exc:
+        raise InputError(f"malformed chain map description: {exc!r}") from exc
     return ChainMap(source, target, mats, s)

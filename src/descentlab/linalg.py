@@ -249,7 +249,11 @@ def rank(mat: SparseMatrix) -> int:
 def kernel_basis(mat: SparseMatrix):
     """Basis of the right kernel, one dict-vector per free column.
 
-    Deterministic: vectors are indexed by ascending free column.
+    Deterministic: vectors are indexed by ascending free column.  Each
+    vector is in RREF free-column form: its first key is its own free
+    column, where it is 1, and it is 0 at every other vector's free column
+    (its remaining keys are pivot columns).  So the coordinates of any
+    kernel vector in this basis are its entries at the free columns.
     """
     pivots = rref(mat)
     pivot_cols = {c: row for c, row in pivots}

@@ -349,6 +349,15 @@ def cech(F: CoverPresheaf) -> CechComplex:
 # totalizations
 
 
+def _tensor_positions(tensor: TensorComplex, n):
+    """Reverse lookup col -> (form degree, form index, level index)."""
+    out = {}
+    for (deg, i, a, b), col in tensor._pos.items():
+        if deg == n:
+            out[col] = (i, a, b)
+    return out
+
+
 def _tensor_map(tsrc: TensorComplex, ttgt: TensorComplex, f: ChainMap,
                 g: ChainMap) -> ChainMap:
     """f (x) g on tensor complexes, for degree-0 f and g (no Koszul signs)."""
@@ -376,18 +385,53 @@ def _tensor_map(tsrc: TensorComplex, ttgt: TensorComplex, f: ChainMap,
     return ChainMap(tsrc.cx, ttgt.cx, mats)
 
 
+def _forms_pullback(f: InjMap):
+    """Pullback of forms monomials along f, one wedge per monomial.
+
+    Pullback is an algebra map, so t^a dt_I pulls back to the pullback of
+    the monomial with its last generator removed (the last dt, or else one
+    power of the last t present) wedged with that generator's pullback.  The
+    memo lives only as long as the returned function.
+    """
+    q = f.q
+    flat = (0,) * q
+    memo = {(flat, ()): PolyForm.const(f.p)}
+    gens = {}
+
+    def generator(key):
+        got = gens.get(key)
+        if got is None:
+            got = gens[key] = pf_pullback(f, PolyForm(q, {key: Fraction(1)}))
+        return got
+
+    def pull(key):
+        got = memo.get(key)
+        if got is None:
+            exps, I = key
+            if I:
+                parent, gen = (exps, I[:-1]), (flat, I[-1:])
+            else:
+                j = max(i for i, e in enumerate(exps) if e)
+                parent = (exps[:j] + (exps[j] - 1,) + exps[j + 1:], ())
+                gen = (flat[:j] + (1,) + flat[j + 1:], ())
+            got = memo[key] = pull(parent).wedge(generator(gen))
+        return got
+
+    return pull
+
+
 def _model_pullback(m_to, m_from, f: InjMap) -> ChainMap:
     """Pullback along f as a chain map of simplex models (NC or forms)."""
+    if isinstance(m_from, NCModel):
+        def pull(key):
+            return nc_pullback(f, {key: Fraction(1)})
+    else:
+        pull = _forms_pullback(f)
     mats = {}
     for s in range(f.q + 1):
         entries = []
         for col, key in enumerate(m_from.basis(s)):
-            if isinstance(m_from, NCModel):
-                vec = m_to.to_vec(s, nc_pullback(f, {key: Fraction(1)}))
-            else:
-                form = pf_pullback(f, PolyForm(f.q, {key: Fraction(1)}))
-                vec = m_to.to_vec(s, form)
-            for r, v in vec.items():
+            for r, v in m_to.to_vec(s, pull(key)).items():
                 entries.append((r, col, v))
         mats[s] = SparseMatrix.from_entries(
             len(m_to.basis(s)), len(m_from.basis(s)), entries)
@@ -397,7 +441,17 @@ def _model_pullback(m_to, m_from, f: InjMap) -> ChainMap:
 class EqualizerTotalization:
     """Kernel, levelwise, of the coface-compatibility constraints inside
     direct_sum_p (model_p (x) nerve level p); the simplex factor is written
-    first, which is what makes top-face evaluation a sign-free chain map."""
+    first, which is what makes top-face evaluation a sign-free chain map.
+
+    Kernel coordinates are read off, not solved for.  ``kernel_basis``
+    returns each vector in free-column form, so the ambient coordinates are
+    reindexed with the free columns first (the k-th free column at position
+    k) and the reindexed basis is loaded into a TrackedEchelon in which
+    every vector already leads with its own pivot: loading does no
+    elimination, and ``represent`` subtracts one basis vector per free entry
+    of its argument.  Whatever is left over is nonzero exactly when the
+    argument is outside the kernel, which keeps the membership check.
+    """
 
     def __init__(self, F: CoverPresheaf, models):
         if F.ring != QQ:
@@ -410,8 +464,15 @@ class EqualizerTotalization:
                         for p in range(N)]
         amb = direct_sum([t.cx for t in self.tensors])
         self.ambient = amb.cx
-        self._amb_inc = amb.inclusions
         self._amb_proj = amb.projections
+        # direct-sum offset of each level, per degree
+        self._offsets = {}
+        for n in self.ambient.degrees():
+            offs, acc = [], 0
+            for t in self.tensors:
+                offs.append(acc)
+                acc += t.cx.dim(n)
+            self._offsets[n] = offs
         # cross tensors and the two legs of each constraint
         constraints = []   # list of ChainMap from ambient
         for p in range(N - 1):
@@ -426,7 +487,7 @@ class EqualizerTotalization:
                 constraints.append(
                     legA.compose(self._amb_proj[p + 1]) +
                     legB.compose(self._amb_proj[p]).scale(-1))
-        self.kernel, self._kte = {}, {}
+        self.kernel, self._kte, self._reindex = {}, {}, {}
         dims = {}
         for n in self.ambient.degrees():
             rows_total = sum(c.target.dim(n) for c in constraints)
@@ -437,9 +498,13 @@ class EqualizerTotalization:
                 off += c.target.dim(n)
             basis = kernel_basis(mat) if self.ambient.dim(n) else []
             self.kernel[n] = basis
+            free = [next(iter(vec)) for vec in basis]
+            taken = set(free)
+            order = free + [c for c in range(mat.ncols) if c not in taken]
+            pos = self._reindex[n] = {c: k for k, c in enumerate(order)}
             te = TrackedEchelon()
             for j, vec in enumerate(basis):
-                te.add(vec, j)
+                te.add({pos[c]: v for c, v in vec.items()}, j)
             self._kte[n] = te
             dims[n] = len(basis)
         diff = {}
@@ -457,7 +522,12 @@ class EqualizerTotalization:
         """Coordinates of an ambient vector in the kernel basis."""
         if not ambient_vec:
             return {}
-        coords = self._kte.get(n, TrackedEchelon()).represent(ambient_vec)
+        try:
+            pos = self._reindex[n]
+            coords = self._kte[n].represent(
+                {pos[i]: v for i, v in ambient_vec.items()})
+        except KeyError:    # a degree or a position outside the ambient
+            coords = None
         if coords is None:
             raise ShapeMismatch("vector does not satisfy the coface constraints")
         return coords
@@ -467,7 +537,22 @@ class EqualizerTotalization:
 
     def level_component(self, n, ambient_vec, p):
         """The level-p tensor component of an ambient degree-n vector."""
-        return self._amb_proj[p].mat(n).matvec(ambient_vec)
+        offs = self._offsets.get(n)
+        if offs is None:
+            return {}
+        lo = offs[p]
+        hi = lo + self.tensors[p].cx.dim(n)
+        return {i - lo: v for i, v in ambient_vec.items() if lo <= i < hi}
+
+    def _positions(self, n):
+        """Reverse table of the degree-n ambient space: position ->
+        (level p, model degree s, model index a, nerve index b)."""
+        rev = [None] * self.ambient.dim(n)
+        for p, t in enumerate(self.tensors):
+            off = self._offsets[n][p]
+            for col, (s, a, b) in _tensor_positions(t, n).items():
+                rev[off + col] = (p, s, a, b)
+        return rev
 
     def augmentation(self) -> ChainMap:
         """Top value -> totalization: constant simplex unit tensor the
@@ -480,22 +565,23 @@ class EqualizerTotalization:
         mats = {}
         for n in top.degrees():
             m = SparseMatrix(self.cx.dim(n), top.dim(n))
+            offs = self._offsets.get(n)
+            levels = [augs[p].mat(n).transpose().rows for p in range(N)]
             for col in range(top.dim(n)):
                 amb = {}
                 for p in range(N):
-                    lvl = augs[p].mat(n).column(col)
+                    lvl = levels[p][col]
                     if not lvl:
                         continue
-                    t = self.tensors[p]
-                    inc = self._amb_inc[p]
+                    tpos = self.tensors[p]._pos
                     for unit_key in self._unit_keys(p):
                         uidx = self.models[p]._index[0][unit_key]
                         for b, v in lvl.items():
-                            pos_ = t._pos.get((n, 0, uidx, b))
+                            pos_ = tpos.get((n, 0, uidx, b))
                             if pos_ is None:
                                 continue
-                            for r, w in inc.mat(n).column(pos_).items():
-                                amb[r] = amb.get(r, Fraction(0)) + w * v
+                            r = offs[p] + pos_
+                            amb[r] = amb.get(r, Fraction(0)) + v
                 amb = {r: v for r, v in amb.items() if v}
                 for r, v in self.represent(n, amb).items():
                     m.rows[r][col] = v
@@ -507,6 +593,39 @@ class EqualizerTotalization:
         if isinstance(self.models[p], NCModel):
             return [(v,) for v in range(p + 1)]
         return [((0,) * p, ())]
+
+
+def _transport(src: EqualizerTotalization, tgt: EqualizerTotalization,
+               blocks) -> ChainMap:
+    """A levelwise map of models, tensored with the identity of the nerve,
+    as a chain map of totalizations in kernel coordinates.
+
+    ``blocks[(p, s)]`` is the matrix, in form degree s, of the map from
+    src's level-p simplex model to tgt's.  Each entry of a src kernel vector
+    is located by src's reverse position table as (p, s, a, b), sent
+    through column a of block (p, s) with the nerve index b kept, placed at
+    tgt's direct-sum offset for level p, and the image is read back in
+    tgt's kernel coordinates.
+    """
+    columns = {key: blk.transpose().rows for key, blk in blocks.items()}
+    mats = {}
+    for n in src.cx.degrees():
+        m = SparseMatrix(tgt.cx.dim(n), src.cx.dim(n))
+        rev = src._positions(n)
+        offs = tgt._offsets[n]
+        for j, vec in enumerate(src.kernel[n]):
+            amb = {}
+            for idx, v in vec.items():
+                p, s, a, b = rev[idx]
+                tpos, off = tgt.tensors[p]._pos, offs[p]
+                for a2, w in columns[(p, s)][a].items():
+                    r = off + tpos[(n, s, a2, b)]
+                    amb[r] = amb.get(r, 0) + w * v
+            amb = {r: v for r, v in amb.items() if v}
+            for r, v in tgt.represent(n, amb).items():
+                m.rows[r][j] = v
+        mats[n] = m
+    return ChainMap(src.cx, tgt.cx, mats)
 
 
 class TotComplex(EqualizerTotalization):
@@ -564,11 +683,8 @@ def tw(F: CoverPresheaf, weight_cutoff: int) -> TwComplex:
 
 def tw_to_tot(twc: TwComplex, totc: TotComplex) -> ChainMap:
     """Levelwise elementwise integration, expressed kernel-to-kernel."""
-    N = twc.F.n_sets
-    mats = {}
-    # per level and form degree: integration matrices Omega^s -> NC^s
-    imats = {}
-    for p in range(N):
+    blocks = {}
+    for p in range(twc.F.n_sets):
         om, nc = twc.models[p], totc.models[p]
         for s in range(p + 1):
             entries = []
@@ -576,40 +692,15 @@ def tw_to_tot(twc: TwComplex, totc: TotComplex) -> ChainMap:
                 coch = integration_cochain(PolyForm(p, {key: Fraction(1)}))
                 for F_face, v in coch.items():
                     entries.append((nc._index[s][F_face], col, v))
-            imats[(p, s)] = SparseMatrix.from_entries(
+            blocks[(p, s)] = SparseMatrix.from_entries(
                 len(nc.basis(s)), len(om.basis(s)), entries)
-    for n in twc.cx.degrees():
-        m = SparseMatrix(totc.cx.dim(n), twc.cx.dim(n))
-        for j, vec in enumerate(twc.kernel[n]):
-            amb = {}
-            for p in range(N):
-                comp = twc.level_component(n, vec, p)
-                if not comp:
-                    continue
-                t_om, t_nc = twc.tensors[p], totc.tensors[p]
-                for (nn, s, a, b), pos_ in t_om._pos.items():
-                    if nn != n:
-                        continue
-                    v = comp.get(pos_)
-                    if v is None:
-                        continue
-                    for a2, w in imats[(p, s)].column(a).items():
-                        idx = t_nc.pos(n, s, a2, b)
-                        vec2 = totc._amb_inc[p].mat(n).column(idx)
-                        for r, u in vec2.items():
-                            amb[r] = amb.get(r, Fraction(0)) + u * w * v
-            amb = {r: v for r, v in amb.items() if v}
-            for r, v in totc.represent(n, amb).items():
-                m.rows[r][j] = v
-        mats[n] = m
-    return ChainMap(twc.cx, totc.cx, mats)
+    return _transport(twc, totc, blocks)
 
 
 def whitney_section(totc: TotComplex, twc: TwComplex) -> ChainMap:
     """The Whitney map levelwise; a right inverse of tw_to_tot on the nose."""
-    N = totc.F.n_sets
-    emats = {}
-    for p in range(N):
+    blocks = {}
+    for p in range(totc.F.n_sets):
         nc, om = totc.models[p], twc.models[p]
         for s in range(p + 1):
             entries = []
@@ -617,34 +708,9 @@ def whitney_section(totc: TotComplex, twc: TwComplex) -> ChainMap:
                 form = whitney(p, {F_face: Fraction(1)})
                 for key, v in form.terms.items():
                     entries.append((om._index[s][key], col, v))
-            emats[(p, s)] = SparseMatrix.from_entries(
+            blocks[(p, s)] = SparseMatrix.from_entries(
                 len(om.basis(s)), len(nc.basis(s)), entries)
-    mats = {}
-    for n in totc.cx.degrees():
-        m = SparseMatrix(twc.cx.dim(n), totc.cx.dim(n))
-        for j, vec in enumerate(totc.kernel[n]):
-            amb = {}
-            for p in range(N):
-                comp = totc.level_component(n, vec, p)
-                if not comp:
-                    continue
-                t_nc, t_om = totc.tensors[p], twc.tensors[p]
-                for (nn, s, a, b), pos_ in t_nc._pos.items():
-                    if nn != n:
-                        continue
-                    v = comp.get(pos_)
-                    if v is None:
-                        continue
-                    for a2, w in emats[(p, s)].column(a).items():
-                        idx = t_om.pos(n, s, a2, b)
-                        vec2 = twc._amb_inc[p].mat(n).column(idx)
-                        for r, u in vec2.items():
-                            amb[r] = amb.get(r, Fraction(0)) + u * w * v
-            amb = {r: v for r, v in amb.items() if v}
-            for r, v in twc.represent(n, amb).items():
-                m.rows[r][j] = v
-        mats[n] = m
-    return ChainMap(totc.cx, twc.cx, mats)
+    return _transport(totc, twc, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -33,20 +33,6 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-def rational_arith(a, b, op):
-    """Field arithmetic on rationals. op in {'+','-','*','/'}."""
-    a, b = as_fraction(a), as_fraction(b)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b  # ZeroDivisionError propagates
-    raise ValueError(f"unknown op {op!r}")
-
-
 def format_rational(q: Fraction) -> str:
     q = as_fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -191,17 +177,6 @@ class NovikovElem:
         return format_novikov(self)
 
     __repr__ = __str__
-
-
-def novikov_arith(a: NovikovElem, b: NovikovElem, op):
-    """Ring arithmetic on truncated Novikov elements. op in {'+','-','*'}."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def format_novikov(x: NovikovElem) -> str:

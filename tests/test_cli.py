@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from descentlab import cli
-from descentlab.complexes import (ChainMap, betti_numbers, chain_map_to_json,
-                                  complex_to_json, single)
+from descentlab import fixtures as fx
+from descentlab.complexes import (ChainMap, Complex, betti_numbers,
+                                  chain_map_to_json, complex_to_json, single)
 from descentlab.linalg import SparseMatrix
 from descentlab.presheaf import presheaf_from_json, verify_descent
 from descentlab.scalars import QQ
@@ -73,6 +74,68 @@ def test_unknown_fixture_is_an_input_error(capsys):
 def test_small_weight_cutoff_is_an_option_error(capsys):
     code, _, err = run_cli(capsys, "tw", "--weight-cutoff", "1")
     assert code == 2 and "cutoff" in err
+
+
+# ---------------------------------------------------------------------------
+# load-time validation: unusable complexes exit 2 with a message
+
+
+def _q_complex(diff, dims=None, support=(0, 2)):
+    return {"coeff": "Q", "support": list(support),
+            "dims": dims or {"0": 1, "1": 1, "2": 1}, "diff": diff}
+
+
+@pytest.mark.parametrize("blob", [
+    # d o d != 0: both differentials are [1]
+    _q_complex({"0": [[0, 0, "1"]], "1": [[0, 0, "1"]]}),
+    # a scalar that is not a rational
+    _q_complex({"0": [[0, 0, "1/x"]]}),
+    # no "support" key
+    {"coeff": "Q", "dims": {"0": 1}, "diff": {}},
+    # Novikov text the parser does not accept
+    {"coeff": {"novikov": {"den": 1, "cutoff": "3"}}, "support": [0, 1],
+     "dims": {"0": 1, "1": 1}, "diff": {"0": [[0, 0, "1 - 3*T^(1)"]]}},
+], ids=["d-squared-nonzero", "bad-scalar", "missing-support",
+        "novikov-minus"])
+def test_unusable_complex_is_an_input_error(tmp_path, capsys, blob):
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "homology", "--input", str(path))
+    assert code == 2 and not out
+    assert err.startswith("descentlab: ") and "Traceback" not in err
+
+
+def _bundled_q_complexes():
+    """The default homology input and every value of the bundled presheaf
+    fixtures."""
+    yield "circle", None
+    for name in ("triangle-boundary", "three-edge", "torus-square",
+                 "disjoint", "constant", "random"):
+        F = fx.emit_fixture(name)
+        for key in sorted(F.values, key=str):
+            yield f"{name}:{key}", F.values[key]
+
+
+def test_homology_betti_numbers_are_consistent(tmp_path, capsys):
+    checked = 0
+    for label, cx in _bundled_q_complexes():
+        argv = ["homology"]
+        if cx is None:
+            cx = fx.circle_complex()
+        else:
+            path = tmp_path / "cx.json"
+            path.write_text(json.dumps(complex_to_json(cx)))
+            argv += ["--input", str(path)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, label
+        betti = {int(n): b for n, b in
+                 json.loads(out)["checks"][0]["betti"].items()}
+        assert all(b >= 0 for b in betti.values()), label
+        euler = sum((-1) ** (n % 2) * cx.dim(n) for n in cx.degrees())
+        assert sum((-1) ** (n % 2) * b for n, b in betti.items()) == euler, \
+            label
+        checked += 1
+    assert checked > 20
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +274,19 @@ def test_q_telescope_input(tmp_path, capsys):
     assert code == 0
     check = json.loads(out)["checks"][0]
     assert check["telescope_betti"] == check["last_term_betti"] == {"0": 1}
+
+
+def test_telescope_map_must_be_a_chain_map(tmp_path, capsys):
+    # on C: Q -> Q (d = 1), the identity in degree 0 and zero in degree 1
+    # does not commute with d
+    C = Complex(QQ, {0: 1, 1: 1}, {0: SparseMatrix.identity(1)})
+    f = ChainMap(C, C, {0: SparseMatrix.identity(1)})
+    blob = {"terms": [complex_to_json(C), complex_to_json(C)],
+            "maps": [chain_map_to_json(f)]}
+    path = tmp_path / "tel.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "telescope", "--input", str(path))
+    assert code == 2 and not out and "commute" in err
 
 
 def test_covers_check_reports_violations(tmp_path, capsys):

@@ -102,6 +102,19 @@ class TestElimination:
             assert e.add(v)
 
     @given(matrices())
+    def test_kernel_basis_free_column_form(self, m):
+        # each vector leads with its own free column, holds 1 there, and
+        # is 0 at every other free column (its other keys are pivots)
+        ker = kernel_basis(m)
+        free = [next(iter(v)) for v in ker]
+        assert free == sorted(set(free))
+        pivot_cols = {pc for pc, _ in rref(m)}
+        assert not pivot_cols & set(free)
+        for v, f in zip(ker, free):
+            assert v[f] == 1
+            assert all(c == f or c in pivot_cols for c in v)
+
+    @given(matrices())
     def test_rref_structure(self, m):
         pivots = rref(m)
         cols = [pc for pc, _ in pivots]
