@@ -11,9 +11,8 @@ from fractions import Fraction
 from .complexes import ChainMap, Complex, HomologySpace
 from .errors import InputError, ShapeMismatch
 from .linalg import SparseMatrix, rank, vec_axpy
-from .presheaf import (TOP, CechComplex, CoverPresheaf, TotComplex, TwComplex,
-                       _tensor_positions, _transport, cech, tot, tw,
-                       tw_to_tot)
+from .presheaf import (TOP, CechComplex, CoverPresheaf, TwComplex,
+                       _tensor_positions, _transport, tot, tw, tw_to_tot)
 from .scalars import QQ
 
 
@@ -231,7 +230,7 @@ def tw_unit(W: TwComplex, prod: ValueProduct):
         aidx = model._index[0][((0,) * p, ())]
         off = W._offsets[0][p]
         row = 0
-        for J in _level_subsets(W.F.n_sets, p):
+        for J in nerve.level_subsets[p]:
             uvec = prod.unit(J)
             dim0 = W.F.value(J).dim(0)
             for loc, v in uvec.items():
@@ -239,11 +238,6 @@ def tw_unit(W: TwComplex, prod: ValueProduct):
                 amb[r] = amb.get(r, Fraction(0)) + v
             row += dim0
     return W.represent(0, {k: v for k, v in amb.items() if v})
-
-
-def _level_subsets(n_sets, p):
-    from itertools import combinations
-    return [tuple(s) for s in combinations(range(1, n_sets + 1), p + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +256,7 @@ def product_homology_agreement(F: CoverPresheaf, cutoff: int,
     W = tw(F, cutoff)
     W2 = tw(F, 2 * cutoff)
     T = tot(F)
-    C = cech(F)
+    C = T.cech
     to_tot_s = tw_to_tot(W, T)
     to_tot_b = tw_to_tot(W2, T)
     to_cech = T.to_cech()

@@ -22,7 +22,7 @@ from .complexes import (Complex, betti_numbers, chain_map_from_json,
                         homology_map, is_quasi_iso, novikov_q_expansion_complex,
                         novikov_q_expansion_map, telescope,
                         telescope_comparison)
-from .linalg import rank
+from .linalg import SparseMatrix, rank
 from .errors import (AxiomFailure, BadSequence, CosimplicialIdentityFailure,
                      CutoffTooSmall, FunctorialityFailure, InputError,
                      NotAComplex, RingMismatch, ShapeMismatch, UnknownFixture,
@@ -98,8 +98,13 @@ def _check(check_id, ok, **detail):
     return {"id": check_id, "ok": bool(ok), **detail}
 
 
-def _maps_agree(f_mat, g_mat):
-    return (f_mat - g_mat).is_zero()
+def _homology_check(check_id, c, win):
+    """The homology table of c as one check, Betti numbers windowed."""
+    rep = homology(c)
+    body = rep.to_json()
+    if rep.kind == "betti":
+        body["betti"] = _betti_json(rep.betti, win)
+    return _check(check_id, True, **body)
 
 
 # ---------------------------------------------------------------------------
@@ -129,82 +134,67 @@ def _cmd_homology(job):
         c = fx.circle_complex()
     else:
         c = complex_from_json(_load_json(job.input_path))
-    rep = homology(c)
-    body = rep.to_json()
-    if rep.kind == "betti":
-        body["betti"] = _betti_json(
-            {int(k): v for k, v in body["betti"].items()}, job.degree_window)
     return ({"degree_window": list(job.degree_window)}
             if job.degree_window else {}), \
-        [_check("homology-table", True, **body)], None
+        [_homology_check("homology-table", c, job.degree_window)], None
 
 
 def _cmd_cech(job):
     F = _load_presheaf(job)
-    C = cech(F)
-    rep = homology(C.cx)
-    body = rep.to_json()
-    if rep.kind == "betti":
-        body["betti"] = _betti_json(
-            {int(k): v for k, v in body["betti"].items()}, job.degree_window)
-    return {}, [_check("cech-table", True, **body)], None
+    return {}, [_homology_check("cech-table", cech(F).cx,
+                                job.degree_window)], None
 
 
-def _tot_checks(F):
-    C, T = cech(F), tot(F)
+def _tot_checks(F, T):
+    C = T.cech
     to_cech = T.to_cech()
     cert = is_quasi_iso(to_cech)
-    same = betti_numbers(T.cx) == betti_numbers(C.cx)
-    checks = [_check("totalization-iso", cert.ok and same,
-                     tot_betti=_betti_json(betti_numbers(T.cx)),
-                     cech_betti=_betti_json(betti_numbers(C.cx)))]
+    tb, cb = betti_numbers(T.cx), betti_numbers(C.cx)
+    checks = [_check("totalization-iso", cert.ok and tb == cb,
+                     tot_betti=_betti_json(tb), cech_betti=_betti_json(cb))]
     if F.has_top:
         taug, caug = T.augmentation(), C.augmentation()
-        ok = all(_maps_agree(to_cech.mat(n) @ taug.mat(n), caug.mat(n))
+        ok = all((to_cech.mat(n) @ taug.mat(n) - caug.mat(n)).is_zero()
                  for n in F.value(TOP).degrees())
         checks.append(_check("tot-augmentation-intertwines", ok))
     return checks
 
 
-def _tw_checks(F, cutoff):
-    T = tot(F)
+def _tw_checks(F, T, cutoff):
     W = tw(F, cutoff)
     integ = tw_to_tot(W, T)
     cert = is_quasi_iso(integ)
     checks = [_check("integration-quasi-iso", cert.ok,
                      witness_degree=cert.witness_degree)]
     section = whitney_section(T, W)
-    exact = True
-    for n in T.cx.degrees():
-        m = integ.mat(n) @ section.mat(n)
-        for j in range(T.cx.dim(n)):
-            col = m.column(j)
-            if col != {j: Fraction(1)}:
-                exact = False
+    exact = all(integ.mat(n) @ section.mat(n)
+                == SparseMatrix.identity(T.cx.dim(n))
+                for n in T.cx.degrees())
     checks.append(_check("whitney-section-exact", exact))
-    stable = betti_numbers(W.cx) == betti_numbers(tw(F, cutoff + 1).cx)
-    checks.append(_check("betti-stability", stable,
-                         weight_cutoff=cutoff,
-                         betti=_betti_json(betti_numbers(W.cx))))
+    wb = betti_numbers(W.cx)
+    checks.append(_check("betti-stability",
+                         wb == betti_numbers(tw(F, cutoff + 1).cx),
+                         weight_cutoff=cutoff, betti=_betti_json(wb)))
     return checks
 
 
 def _cmd_tot(job):
     F = _load_presheaf(job)
-    return {}, _tot_checks(F), None
+    return {}, _tot_checks(F, tot(F)), None
 
 
 def _cmd_tw(job):
     F = _load_presheaf(job)
     cutoff = job.weight_cutoff if job.weight_cutoff is not None else F.n_sets
-    return {"weight_cutoff": cutoff}, _tw_checks(F, cutoff), None
+    return {"weight_cutoff": cutoff}, _tw_checks(F, tot(F), cutoff), None
 
 
 def _cmd_compare(job):
     F = _load_presheaf(job)
     cutoff = job.weight_cutoff if job.weight_cutoff is not None else F.n_sets
+    T = tot(F)
     return {"weight_cutoff": cutoff}, \
-        _tot_checks(F) + _tw_checks(F, cutoff), None
+        _tot_checks(F, T) + _tw_checks(F, T, cutoff), None
 
 
 def _cmd_descent(job):
@@ -348,10 +338,10 @@ def _cmd_telescope(job):
     q1 = novikov_q_expansion_complex(t1.cx)
     q2 = novikov_q_expansion_complex(t2.cx)
     induced, _, _ = homology_map(novikov_q_expansion_map(comp, q1, q2), 0)
-    pure = rank(induced) == 0
+    induced_rank = rank(induced)
     return {"novikov_den": den, "novikov_e": str(exp), "length": length}, \
-        [_check("telescope-pure-torsion", pure,
-                induced_rank=rank(induced), **rep.to_json())], None
+        [_check("telescope-pure-torsion", induced_rank == 0,
+                induced_rank=induced_rank, **rep.to_json())], None
 
 
 def _cmd_emit_fixture(job):

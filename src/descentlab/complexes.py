@@ -11,16 +11,14 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InputError, NotAComplex, RingMismatch, ShapeMismatch,
                      UnsupportedRing)
-from .linalg import (Echelon, SparseMatrix, TrackedEchelon, kernel_basis,
-                     matrix_from_columns, rank, vec_axpy, vec_scale)
-from .scalars import (QQ, NovikovElem, NovikovRing, coerce_scalar,
-                      format_novikov, format_rational, parse_novikov,
-                      scalar_is_zero)
+from .linalg import SparseMatrix, TrackedEchelon, kernel_basis, rank
+from .scalars import (QQ, NovikovElem, NovikovRing, format_novikov,
+                      format_rational, parse_novikov, scalar_is_zero)
 
 
 class Complex:
@@ -462,16 +460,11 @@ def telescope_comparison(terms, maps, L1: int, L2: int):
     mats = {}
     for n in t1.cx.degrees():
         m = SparseMatrix(t2.cx.dim(n), t1.cx.dim(n))
-        if L1 == 1:
-            # t1 is the bare first term, sitting inside the B-block of t2
-            head2 = sum(terms[i].dim(n + 1) for i in range(L2 - 1))
-            m.paste(SparseMatrix.identity(terms[0].dim(n)), head2, 0)
-        else:
-            head2 = sum(terms[i].dim(n + 1) for i in range(L2 - 1))
-            head1 = sum(terms[i].dim(n + 1) for i in range(L1 - 1))
-            m.paste(SparseMatrix.identity(head1), 0, 0)
-            tail1 = sum(terms[i].dim(n) for i in range(L1))
-            m.paste(SparseMatrix.identity(tail1), head2, head1)
+        head2 = sum(terms[i].dim(n + 1) for i in range(L2 - 1))
+        head1 = sum(terms[i].dim(n + 1) for i in range(L1 - 1))
+        m.paste(SparseMatrix.identity(head1), 0, 0)
+        tail1 = sum(terms[i].dim(n) for i in range(L1))
+        m.paste(SparseMatrix.identity(tail1), head2, head1)
         mats[n] = m
     return t1, t2, ChainMap(t1.cx, t2.cx, mats)
 
@@ -553,6 +546,20 @@ def _novikov_terms(elem):
     return [(Fraction(0), Fraction(elem))]
 
 
+def _q_block(blk: SparseMatrix, nrows: int, ncols: int, ring) -> SparseMatrix:
+    """The Q-matrix of a Novikov matrix in the bases e_j (x) u^t, 0 <= t < m:
+    a term coeff*u^s at (r, c) sends e_c (x) u^t to coeff e_r (x) u^(t+s)."""
+    m, den = ring.truncation_order, ring.den
+    q = SparseMatrix(nrows, ncols)
+    for r, row in enumerate(blk.rows):
+        for c, elem in row.items():
+            for a, coeff in _novikov_terms(elem):
+                s = int(a * den)
+                for t in range(m - s):
+                    q.rows[r * m + t + s][c * m + t] = coeff
+    return q
+
+
 def novikov_q_expansion(c: Complex):
     """Flatten a truncated-Novikov complex to Q, with the u-action matrices.
 
@@ -561,19 +568,10 @@ def novikov_q_expansion(c: Complex):
     """
     ring: NovikovRing = c.ring
     m = ring.truncation_order
-    den = ring.den
     qdims = {n: c.dim(n) * m for n in c.degrees()}
     qdiff, uact = {}, {}
     for n in c.degrees():
-        dm = c.d(n)
-        q = SparseMatrix(qdims.get(n + 1, 0), qdims[n])
-        for r, crow in enumerate(dm.rows):
-            for ccol, elem in crow.items():
-                for a, coeff in _novikov_terms(elem):
-                    s = int(a * den)
-                    for t in range(m - s):
-                        q.rows[r * m + t + s][ccol * m + t] = coeff
-        qdiff[n] = q
+        qdiff[n] = _q_block(c.d(n), qdims.get(n + 1, 0), qdims[n], ring)
         u = SparseMatrix(qdims[n], qdims[n])
         for j in range(c.dim(n)):
             for t in range(m - 1):
@@ -593,19 +591,9 @@ def novikov_q_expansion_map(f: ChainMap, qsrc: Complex, qtgt: Complex) -> ChainM
 
     qsrc and qtgt must be the expansions of f's source and target.
     """
-    ring: NovikovRing = f.source.ring
-    m, den = ring.truncation_order, ring.den
-    mats = {}
-    for n in f.source.degrees():
-        blk = f.mat(n)
-        q = SparseMatrix(qtgt.dim(n + f.shift), qsrc.dim(n))
-        for r, row in enumerate(blk.rows):
-            for c, elem in row.items():
-                for a, coeff in _novikov_terms(elem):
-                    s = int(a * den)
-                    for t in range(m - s):
-                        q.rows[r * m + t + s][c * m + t] = coeff
-        mats[n] = q
+    mats = {n: _q_block(f.mat(n), qtgt.dim(n + f.shift), qsrc.dim(n),
+                        f.source.ring)
+            for n in f.source.degrees()}
     return ChainMap(qsrc, qtgt, mats, f.shift)
 
 
@@ -627,42 +615,28 @@ def _nilpotent_partition(mat: SparseMatrix, dim: int):
 
 
 def homology(c: Complex) -> HomologyReport:
-    """Homology invariants; see HomologyReport for the two shapes."""
+    """Homology invariants; see HomologyReport for the two shapes.
+
+    Over a truncated Novikov ring the complex is expanded to Q, where each
+    degree's HomologySpace gives the cycle representatives and the matrix
+    of the u-action on homology; its Jordan blocks are the u-orders.
+    """
     if c.ring == QQ:
         return HomologyReport("Q", "betti", betti=betti_numbers(c))
     ring: NovikovRing = c.ring
-    m = ring.truncation_order
     qdims, qdiff, uact = novikov_q_expansion(c)
+    qc = Complex(QQ, qdims, qdiff, support=c.support)
     torsion = {}
     for n in c.degrees():
-        cycles = kernel_basis(qdiff[n]) if qdims[n] else []
-        prev = qdiff.get(n - 1)
-        te = TrackedEchelon()
-        nb = 0
-        if prev is not None:
-            for j in range(prev.ncols):
-                if te.add(prev.column(j), ("b", nb)):
-                    pass
-                nb += 1
-        reps = []
-        for z in cycles:
-            if te.add(z, ("h", len(reps))):
-                reps.append(z)
-        h = len(reps)
-        if h == 0:
-            torsion[n] = []
-            continue
-        u = uact[n]
-        umat = SparseMatrix(h, h)
-        for j, z in enumerate(reps):
-            coords = te.represent(u.matvec(z))
-            for (tag, i), v in coords.items():
-                if tag == "h":
-                    umat.rows[i][j] = v
-        torsion[n] = _nilpotent_partition(umat, h)
+        hs = HomologySpace(qc, n)
+        umat = SparseMatrix(hs.dim, hs.dim)
+        for j, z in enumerate(hs.reps):
+            for i, v in hs.project(uact[n].matvec(z)).items():
+                umat.rows[i][j] = v
+        torsion[n] = _nilpotent_partition(umat, hs.dim)
     desc = f"Novikov(den={ring.den}, cutoff={format_rational(ring.cutoff)})"
     return HomologyReport(desc, "torsion", torsion=torsion, den=ring.den,
-                          truncation_order=m)
+                          truncation_order=ring.truncation_order)
 
 
 class HomologySpace:
@@ -747,7 +721,6 @@ def change_basis(c: Complex, mats: dict, inv: dict) -> Complex:
 
 
 def scalar_to_str(x) -> str:
-    from .scalars import NovikovElem
     if isinstance(x, NovikovElem):
         return format_novikov(x)
     return format_rational(x)
@@ -784,26 +757,47 @@ def complex_to_json(c: Complex):
     }
 
 
+def _check_shape(lo, hi, dims, diff_degrees):
+    """InputError, naming the degree, unless the support is an interval
+    holding every dimension (none negative) and every nonzero
+    differential d_n (n and n + 1 both in it)."""
+    if lo > hi:
+        raise InputError(f"support [{lo}, {hi}] is empty: {lo} > {hi}")
+    for n, d in sorted(dims.items()):
+        if not lo <= n <= hi:
+            raise InputError(f"dimension given at degree {n}, outside the "
+                             f"support [{lo}, {hi}]")
+        if d < 0:
+            raise InputError(f"negative dimension {d} at degree {n}")
+    for n in sorted(diff_degrees):
+        if not lo <= n < hi:
+            raise InputError(f"differential at degree {n} leaves the "
+                             f"support [{lo}, {hi}]")
+
+
 def complex_from_json(obj) -> Complex:
-    """Load a complex and validate it: shapes, and d^2 = 0.
+    """Load a complex and validate it: support, dimensions, shapes, and
+    d^2 = 0.
 
     Raises InputError on a malformed description (missing keys, bad
-    scalars) and NotAComplex when d^2 != 0; both are input faults.
+    scalars, a shape outside the support) and NotAComplex when d^2 != 0;
+    both are input faults.
     """
     try:
         ring = ring_from_json(obj["coeff"])
         lo, hi = obj["support"]
-        support = (int(lo), int(hi))
+        lo, hi = int(lo), int(hi)
         dims = {int(n): int(d) for n, d in obj["dims"].items()}
+        triples_at = {int(n): t for n, t in obj.get("diff", {}).items()}
+        _check_shape(lo, hi, dims, [n for n, t in triples_at.items() if t])
         diff = {}
-        for n_str, triples in obj.get("diff", {}).items():
-            n = int(n_str)
+        for n, triples in triples_at.items():
             entries = [(int(r), int(col), parse_scalar(ring, v)) for r, col, v in triples]
             diff[n] = SparseMatrix.from_entries(dims.get(n + 1, 0), dims.get(n, 0), entries)
     except (KeyError, ValueError, TypeError, ZeroDivisionError,
             AttributeError) as exc:
         raise InputError(f"malformed complex description: {exc!r}") from exc
-    c = Complex(ring, dims, diff, support=support)
+    c = Complex(ring, dims, diff, support=(lo, hi))
     c.validate()
     return c
 

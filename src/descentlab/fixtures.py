@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .complexes import ChainMap, Complex, change_basis, direct_sum, single
 from .errors import UnknownFixture
-from .linalg import SparseMatrix, kernel_basis, vec_axpy
+from .linalg import SparseMatrix, kernel_basis
 from .scalars import QQ
 
 

@@ -40,10 +40,6 @@ def vec_scale(a: dict, s) -> dict:
     return {i: v * s for i, v in a.items()}
 
 
-def vec_sub(a: dict, b: dict) -> dict:
-    return vec_add(a, vec_scale(b, -1))
-
-
 def vec_axpy(a: dict, b: dict, s) -> dict:
     """a + s*b without building an intermediate."""
     if scalar_is_zero(s):
@@ -105,9 +101,6 @@ class SparseMatrix:
 
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows)
-
-    def copy(self) -> "SparseMatrix":
-        return SparseMatrix(self.nrows, self.ncols, [dict(r) for r in self.rows])
 
     def transpose(self) -> "SparseMatrix":
         t = SparseMatrix(self.ncols, self.nrows)

@@ -158,17 +158,6 @@ class CoverPresheaf:
                         raise FunctorialityFailure(witness=(TOP, format_key(Jj)))
         return True
 
-    @classmethod
-    def from_full(cls, n_sets, values, restrictions, check=True):
-        """Build from a possibly-overcomplete family of restriction maps."""
-        adjacent = {}
-        for (src, dst), f in restrictions.items():
-            if src == TOP and len(dst) == 1:
-                adjacent[(src, dst)] = f
-            elif src != TOP and len(dst) == len(src) + 1:
-                adjacent[(src, dst)] = f
-        return cls(n_sets, values, adjacent, check=check)
-
 
 # ---------------------------------------------------------------------------
 # nerve
@@ -717,10 +706,10 @@ def whitney_section(totc: TotComplex, twc: TwComplex) -> ChainMap:
 # two-set decomposition and inclusion-exclusion
 
 
-def drop_first_restrict(F: CoverPresheaf) -> CoverPresheaf:
-    """The presheaf on {2..N}, relabeled to {1..N-1}."""
+def _relabel(F: CoverPresheaf, sh) -> CoverPresheaf:
+    """The presheaf J -> F(sh(J)) on {1..N-1}, for an inclusion-preserving
+    relabeling sh of its subsets into those of {1..N}."""
     n = F.n_sets - 1
-    sh = lambda J: tuple(j + 1 for j in J)
     values = {J: F.value(sh(J)) for J in all_subsets(n)}
     adjacent = {}
     for J in all_subsets(n):
@@ -730,21 +719,16 @@ def drop_first_restrict(F: CoverPresheaf) -> CoverPresheaf:
             J2 = tuple(sorted(J + (j,)))
             adjacent[(J, J2)] = F.adjacent[(sh(J), sh(J2))]
     return CoverPresheaf(n, values, adjacent, check=False)
+
+
+def drop_first_restrict(F: CoverPresheaf) -> CoverPresheaf:
+    """The presheaf on {2..N}, relabeled to {1..N-1}."""
+    return _relabel(F, lambda J: tuple(j + 1 for j in J))
 
 
 def first_intersections(F: CoverPresheaf) -> CoverPresheaf:
     """J' -> F({1} u shifted J') on {1..N-1} index labels."""
-    n = F.n_sets - 1
-    sh = lambda J: tuple(sorted((1,) + tuple(j + 1 for j in J)))
-    values = {J: F.value(sh(J)) for J in all_subsets(n)}
-    adjacent = {}
-    for J in all_subsets(n):
-        for j in range(1, n + 1):
-            if j in J:
-                continue
-            J2 = tuple(sorted(J + (j,)))
-            adjacent[(J, J2)] = F.adjacent[(sh(J), sh(J2))]
-    return CoverPresheaf(n, values, adjacent, check=False)
+    return _relabel(F, lambda J: (1,) + tuple(j + 1 for j in J))
 
 
 @dataclass
@@ -872,15 +856,13 @@ def induction_pipeline(F: CoverPresheaf, G: CoverPresheaf, aug_rest: ChainMap,
         raise InputError("the coarse cover must have exactly two sets")
     dec = inclusion_exclusion(F)
     cG = CechComplex(G)
-    c2 = CechComplex(drop_first_restrict(F))
-    cI = CechComplex(first_intersections(F))
     first = F.value((1,))
     mats = {}
     for n in cG.cx.degrees():
         m = SparseMatrix(dec.cocone_cx.dim(n), cG.cx.dim(n))
-        # slot sizes inside the cocone: first (+) cech2 (+) cechI[1]
+        # slots inside the cocone: first (+) cech2 (the source of phi),
+        # then cechI[1]
         d_first = first.dim(n)
-        d_c2 = c2.cx.dim(n)
         off = cG._pos.get((n, 0, (1,)))
         if off is not None:
             m.paste(SparseMatrix.identity(d_first), 0, off)
@@ -889,7 +871,7 @@ def induction_pipeline(F: CoverPresheaf, G: CoverPresheaf, aug_rest: ChainMap,
             m.paste(aug_rest.mat(n), d_first, off)
         off = cG._pos.get((n, 1, (1, 2)))
         if off is not None:
-            m.paste(aug_int.mat(n - 1), d_first + d_c2, off)
+            m.paste(aug_int.mat(n - 1), dec.phi.source.dim(n), off)
         mats[n] = m
     theta = ChainMap(cG.cx, dec.cocone_cx, mats)
     theta_ok = True
@@ -963,4 +945,11 @@ def presheaf_from_json(obj, check=True) -> CoverPresheaf:
             adjacent[(src, dst)] = chain_map_from_json(values[src], values[dst], blob)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed presheaf description: {exc}") from exc
+    if n < 1:
+        raise InputError(f"n_sets is {n}; a cover has at least one set")
+    for key in values:
+        if key != TOP and (len(set(key)) < len(key) or key[0] < 1
+                           or key[-1] > n):
+            raise InputError(f"value on {format_key(key)}, which is not a "
+                             f"subset of 1..{n}")
     return CoverPresheaf(n, values, adjacent, check=check)

@@ -213,30 +213,8 @@ def parse_novikov(ring: NovikovRing, text: str) -> NovikovElem:
     return ring.elem(terms)
 
 
-def scalar_zero(ring):
-    return Fraction(0) if ring == QQ else ring.zero()
-
-
-def scalar_one(ring):
-    return Fraction(1) if ring == QQ else ring.one()
-
-
 def scalar_is_zero(x) -> bool:
     if isinstance(x, NovikovElem):
         return x.is_zero()
     return x == 0
 
-
-def ring_of(x):
-    return x.ring if isinstance(x, NovikovElem) else QQ
-
-
-def coerce_scalar(ring, x):
-    """Bring ints/Fractions into the given coefficient ring."""
-    if ring == QQ:
-        return as_fraction(x)
-    if isinstance(x, NovikovElem):
-        if x.ring != ring:
-            raise RingMismatch(f"{x.ring} vs {ring}")
-        return x
-    return ring.scalar(as_fraction(x))

@@ -326,10 +326,6 @@ class PolyForm:
                     acc.pop(key, None)
         return PolyForm(self.p, acc)
 
-    def weight_truncate(self, P: int) -> "PolyForm":
-        return PolyForm(self.p, {k: c for k, c in self.terms.items()
-                                 if sum(k[0]) + len(k[1]) <= P})
-
     def max_weight(self):
         return max((sum(e) + len(I) for (e, I) in self.terms), default=0)
 

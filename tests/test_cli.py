@@ -13,7 +13,8 @@ from descentlab import fixtures as fx
 from descentlab.complexes import (ChainMap, Complex, betti_numbers,
                                   chain_map_to_json, complex_to_json, single)
 from descentlab.linalg import SparseMatrix
-from descentlab.presheaf import presheaf_from_json, verify_descent
+from descentlab.presheaf import (presheaf_from_json, presheaf_to_json,
+                                 verify_descent)
 from descentlab.scalars import QQ
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -85,6 +86,13 @@ def _q_complex(diff, dims=None, support=(0, 2)):
             "dims": dims or {"0": 1, "1": 1, "2": 1}, "diff": diff}
 
 
+def _narrowed_novikov_telescope():
+    """The emitted Novikov telescope with its support cut to degree -1."""
+    blob = complex_to_json(fx.emit_fixture("novikov-telescope"))
+    blob["support"] = [-1, -1]
+    return blob
+
+
 @pytest.mark.parametrize("blob", [
     # d o d != 0: both differentials are [1]
     _q_complex({"0": [[0, 0, "1"]], "1": [[0, 0, "1"]]}),
@@ -95,14 +103,56 @@ def _q_complex(diff, dims=None, support=(0, 2)):
     # Novikov text the parser does not accept
     {"coeff": {"novikov": {"den": 1, "cutoff": "3"}}, "support": [0, 1],
      "dims": {"0": 1, "1": 1}, "diff": {"0": [[0, 0, "1 - 3*T^(1)"]]}},
+    # a negative dimension, in the top or the bottom degree
+    _q_complex({}, dims={"0": 1, "1": -1}, support=(0, 1)),
+    _q_complex({}, dims={"0": -2, "1": 1}, support=(0, 1)),
+    # a support with lo > hi
+    _q_complex({}, dims={"0": 1}, support=(2, 0)),
+    # a dimension outside the support
+    _q_complex({}, dims={"0": 1, "3": 1}),
+    # a differential whose target degree lies outside the support
+    _q_complex({"2": [[0, 0, "1"]]}),
+    # the emitted Novikov telescope, support narrowed below its dims
+    _narrowed_novikov_telescope(),
 ], ids=["d-squared-nonzero", "bad-scalar", "missing-support",
-        "novikov-minus"])
+        "novikov-minus", "negative-dim-top", "negative-dim-bottom",
+        "reversed-support", "dim-outside-support", "diff-outside-support",
+        "novikov-narrowed-support"])
 def test_unusable_complex_is_an_input_error(tmp_path, capsys, blob):
     path = tmp_path / "cx.json"
     path.write_text(json.dumps(blob))
     code, out, err = run_cli(capsys, "homology", "--input", str(path))
     assert code == 2 and not out
     assert err.startswith("descentlab: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("blob,degree", [
+    (_q_complex({}, dims={"0": 1, "1": -1}, support=(0, 1)), "degree 1"),
+    (_q_complex({}, dims={"0": 1}, support=(2, 0)), "[2, 0]"),
+    (_q_complex({}, dims={"0": 1, "3": 1}), "degree 3"),
+    (_q_complex({"2": [[0, 0, "1"]]}), "degree 2"),
+    (_narrowed_novikov_telescope(), "degree 0"),
+], ids=["negative-dim", "reversed-support", "dim-outside-support",
+        "diff-outside-support", "novikov-narrowed-support"])
+def test_shape_fault_names_the_degree(tmp_path, capsys, blob, degree):
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "homology", "--input", str(path))
+    assert code == 2 and not out and degree in err
+
+
+@pytest.mark.parametrize("n_sets,key", [(0, None), (-1, None),
+                                        (2, "1,2,3"), (3, "1,1")])
+def test_presheaf_index_set_is_checked(tmp_path, capsys, n_sets, key):
+    blob = presheaf_to_json(fx.emit_fixture("three-edge"))
+    blob["n_sets"] = n_sets
+    if key is not None:
+        blob["values"][key] = blob["values"]["1"]
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps(blob))
+    for command in ("cech", "descent"):
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 2 and not out and err.startswith("descentlab: ")
 
 
 def _bundled_q_complexes():
@@ -215,11 +265,23 @@ def test_reports_are_byte_identical_across_runs(capsys):
     ("descent_triangle.txt", ("descent", "--format", "text")),
     ("telescope_novikov.json", ("telescope",)),
     ("incl_excl_triangle.txt", ("incl-excl", "--format", "text")),
+    ("compare_triangle.txt", ("compare", "--format", "text")),
+    ("tot_triangle.json", ("tot",)),
 ])
 def test_golden_reports(capsys, golden, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_golden_novikov_homology(tmp_path, capsys):
+    path = tmp_path / "novikov.json"
+    assert cli.main(["emit-fixture", "novikov-telescope",
+                     "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "homology", "--input", str(path))
+    assert code == 0
+    assert out == (GOLDEN / "homology_novikov_telescope.json").read_text()
 
 
 # ---------------------------------------------------------------------------
