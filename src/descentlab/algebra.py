@@ -12,7 +12,7 @@ from .complexes import ChainMap, Complex, HomologySpace
 from .errors import InputError, ShapeMismatch
 from .linalg import SparseMatrix, rank, vec_axpy
 from .presheaf import (TOP, CechComplex, CoverPresheaf, TwComplex,
-                       _tensor_positions, _transport, tot, tw, tw_to_tot)
+                       _transport, tot, tw, tw_to_tot)
 from .scalars import QQ
 
 
@@ -181,18 +181,15 @@ def tw_product(small: TwComplex, big: TwComplex, prod: ValueProduct,
         lv2 = small.level_component(n2, ay, p)
         if not lv1 or not lv2:
             continue
-        rev1 = _tensor_positions(small.tensors[p], n1)
-        rev2 = _tensor_positions(small.tensors[p], n2)
+        tensor = small.tensors[p]
         model_s, model_b = small.models[p], big.models[p]
-        # block offsets of each overlap inside the level, per internal degree
-        offsets = {}
         for col1, c1 in lv1.items():
-            i1, a1, b1 = rev1[col1]
+            i1, a1, b1 = tensor.locate(n1, col1)
             q1 = n1 - i1
             J1, loc1 = nerve.locate(p, q1, b1)
             w1 = model_s.from_vec(i1, {a1: Fraction(1)})
             for col2, c2 in lv2.items():
-                i2, a2, b2 = rev2[col2]
+                i2, a2, b2 = tensor.locate(n2, col2)
                 q2 = n2 - i2
                 J2, loc2 = nerve.locate(p, q2, b2)
                 if J1 != J2:
@@ -204,19 +201,12 @@ def tw_product(small: TwComplex, big: TwComplex, prod: ValueProduct,
                 piece = prod.mult(J1, q1, {loc1: c1}, q2, {loc2: c2})
                 if not piece:
                     continue
-                okey = (J1, q1 + q2)
-                if okey not in offsets:
-                    col0 = nerve.include(p, J1).mat(q1 + q2).column(0)
-                    offsets[okey] = next(iter(col0)) if col0 else None
-                base = offsets[okey]
-                if base is None:
-                    continue
                 sign = -1 if (q1 * i2) % 2 else 1
                 fvec = model_b.to_vec(i1 + i2, wprod)
                 for aout, cw in fvec.items():
                     for locout, cv in piece.items():
-                        r = big._offsets[n][p] + big.tensors[p]._pos[
-                            (n, i1 + i2, aout, base + locout)]
+                        b = nerve.pos(p, q1 + q2, J1, locout)
+                        r = big.ambient_pos(n, p, i1 + i2, aout, b)
                         amb[r] = amb.get(r, Fraction(0)) + cw * cv * sign
     return big.represent(n, {k: v for k, v in amb.items() if v})
 
@@ -226,17 +216,11 @@ def tw_unit(W: TwComplex, prod: ValueProduct):
     nerve = W.nerve
     amb = {}
     for p in range(W.F.n_sets):
-        model = W.models[p]
-        aidx = model._index[0][((0,) * p, ())]
-        off = W._offsets[0][p]
-        row = 0
+        aidx = W.models[p]._index[0][((0,) * p, ())]
         for J in nerve.level_subsets[p]:
-            uvec = prod.unit(J)
-            dim0 = W.F.value(J).dim(0)
-            for loc, v in uvec.items():
-                r = off + W.tensors[p]._pos[(0, 0, aidx, row + loc)]
+            for loc, v in prod.unit(J).items():
+                r = W.ambient_pos(0, p, 0, aidx, nerve.pos(p, 0, J, loc))
                 amb[r] = amb.get(r, Fraction(0)) + v
-            row += dim0
     return W.represent(0, {k: v for k, v in amb.items() if v})
 
 

@@ -8,6 +8,7 @@ options were unusable.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -440,7 +441,10 @@ def _fraction_arg(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on first use and shared by every main()
+    call in the process (parsing keeps no state in it)."""
     top = argparse.ArgumentParser(
         prog="descentlab",
         description="exact homological-algebra constructions and checks")

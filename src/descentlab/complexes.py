@@ -11,8 +11,10 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (InputError, NotAComplex, RingMismatch, ShapeMismatch,
                      UnsupportedRing)
@@ -125,9 +127,6 @@ class ChainMap:
             if lhs != rhs:
                 raise ShapeMismatch(f"does not commute with differentials at degree {n}")
         return True
-
-    def apply(self, n, vec: dict) -> dict:
-        return self.mat(n).matvec(vec)
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self after other (other then self)."""
@@ -253,9 +252,42 @@ def cocone(f: ChainMap) -> MappingCocone:
 
 @dataclass
 class DirectSum:
+    """P_0 (+) ... (+) P_{k-1} with the parts stacked in order.
+
+    In degree n, coordinate j of part i sits at offsets[n][i] + j, where
+    offsets[n][i] is the sum of P_m.dim(n) over m < i.
+    """
+
     cx: Complex
-    inclusions: list
-    projections: list
+    offsets: dict    # n -> [offset of each part]
+
+    def locate(self, n, index):
+        """(part i, coordinate j) of a degree-n index."""
+        if not 0 <= index < self.cx.dim(n):
+            raise ShapeMismatch(f"index {index} outside degree {n} of the sum")
+        i = bisect_right(self.offsets[n], index) - 1
+        return i, index - self.offsets[n][i]
+
+    def inject(self, i, f: ChainMap) -> ChainMap:
+        """iota_i o f, for f landing in part i."""
+        mats = {}
+        for n in f.source.degrees():
+            blk = f.mat(n)
+            m = SparseMatrix(self.cx.dim(n + f.shift), blk.ncols)
+            if blk.nrows:
+                m.paste(blk, self.offsets[n + f.shift][i], 0)
+            mats[n] = m
+        return ChainMap(f.source, self.cx, mats, f.shift)
+
+    def extract(self, i, f: ChainMap) -> ChainMap:
+        """f o pi_i, for f leaving part i."""
+        mats = {}
+        for n in self.cx.degrees():
+            blk = f.mat(n)
+            m = SparseMatrix(blk.nrows, self.cx.dim(n))
+            m.paste(blk, 0, self.offsets[n][i])
+            mats[n] = m
+        return ChainMap(self.cx, f.target, mats, f.shift)
 
 
 def direct_sum(parts) -> DirectSum:
@@ -285,26 +317,16 @@ def direct_sum(parts) -> DirectSum:
             m.paste(p.d(n), offs[n + 1][i], offs[n][i])
         diff[n] = m
     cx = Complex(ring, dims, diff, labels=labels, support=(lo, hi))
-    incs, projs = [], []
-    for i, p in enumerate(parts):
-        inc, proj = {}, {}
-        for n in range(lo, hi + 1):
-            mi = SparseMatrix(dims[n], p.dim(n))
-            mi.paste(SparseMatrix.identity(p.dim(n)), offs[n][i], 0)
-            inc[n] = mi
-            mp = SparseMatrix(p.dim(n), dims[n])
-            mp.paste(SparseMatrix.identity(p.dim(n)), 0, offs[n][i])
-            proj[n] = mp
-        incs.append(ChainMap(p, cx, inc))
-        projs.append(ChainMap(cx, p, proj))
-    return DirectSum(cx, incs, projs)
+    return DirectSum(cx, offs)
 
 
 class TensorComplex:
     """Tensor product A (x) B with basis bookkeeping.
 
     Degree-n basis elements are triples (i, a, b): a runs over the basis of
-    A^i and b over B^{n-i}, ordered by ascending i then a then b.
+    A^i and b over B^{n-i}, ordered by ascending i then a then b.  Block i
+    of degree n is present when A^i and B^{n-i} are both nonzero, and
+    (i, a, b) sits at pos(n, i, a, b) = start of block i + a dim B^{n-i} + b.
     """
 
     def __init__(self, A: Complex, B: Complex):
@@ -313,51 +335,55 @@ class TensorComplex:
         self.A, self.B = A, B
         lo = A.support[0] + B.support[0]
         hi = A.support[1] + B.support[1]
-        dims, labels, self._pos = {}, {}, {}
+        self._starts = {}   # n -> [(start, i)] of the present blocks
+        self._start = {}    # (n, i) -> start of block i in degree n
+        dims, labels = {}, {}
         for n in range(lo, hi + 1):
-            basis = []
+            starts, basis = [], []
             for i in A.degrees():
                 j = n - i
                 if B.dim(j) == 0 or A.dim(i) == 0:
                     continue
-                for a in range(A.dim(i)):
-                    for b in range(B.dim(j)):
-                        self._pos[(n, i, a, b)] = len(basis)
-                        basis.append((i, A.label(i, a), B.label(j, b)))
+                starts.append((len(basis), i))
+                self._start[(n, i)] = len(basis)
+                basis.extend((i, A.label(i, a), B.label(j, b))
+                             for a in range(A.dim(i)) for b in range(B.dim(j)))
+            self._starts[n] = starts
             dims[n] = len(basis)
             labels[n] = basis
         diff = {}
         for n in range(lo, hi):
             m = SparseMatrix(dims[n + 1], dims[n])
-            for (nn, i, a, b), col in self._pos.items():
-                if nn != n:
-                    continue
-                j = n - i
+            for i, j in self.blocks(n):
                 sign = -1 if i % 2 else 1
-                for r, v in self.A.d(i).column(a).items():
-                    m.rows[self._pos[(n + 1, i + 1, r, b)]][col] = v
-                for r, v in self.B.d(j).column(b).items():
-                    row = self._pos[(n + 1, i, a, r)]
-                    w = m.rows[row].get(col)
-                    w = v * sign if w is None else w + v * sign
-                    if scalar_is_zero(w):
-                        m.rows[row].pop(col, None)
-                    else:
-                        m.rows[row][col] = w
+                da = [A.d(i).column(a) for a in range(A.dim(i))]
+                db = [B.d(j).column(b) for b in range(B.dim(j))]
+                col = self.pos(n, i, 0, 0)
+                for a, da_a in enumerate(da):
+                    for b, db_b in enumerate(db):
+                        for r, v in da_a.items():
+                            m.rows[self.pos(n + 1, i + 1, r, b)][col] = v
+                        for r, v in db_b.items():
+                            m.rows[self.pos(n + 1, i, a, r)][col] = v * sign
+                        col += 1
             diff[n] = m
         self.cx = Complex(A.ring, dims, diff, labels=labels, support=(lo, hi))
 
     def pos(self, n, i, a, b):
-        return self._pos[(n, i, a, b)]
+        return self._start[(n, i)] + a * self.B.dim(n - i) + b
+
+    def locate(self, n, index):
+        """(i, a, b) of a degree-n index; the inverse of pos."""
+        if not 0 <= index < self.cx.dim(n):
+            raise ShapeMismatch(f"index {index} outside degree {n} of the tensor")
+        starts = self._starts[n]
+        start, i = starts[bisect_right(starts, index, key=itemgetter(0)) - 1]
+        a, b = divmod(index - start, self.B.dim(n - i))
+        return i, a, b
 
     def blocks(self, n):
         """Pairs (i, j) with nonzero contribution in degree n."""
-        seen = []
-        for i in self.A.degrees():
-            j = n - i
-            if self.A.dim(i) and self.B.dim(j):
-                seen.append((i, j))
-        return seen
+        return [(i, n - i) for _, i in self._starts.get(n, ())]
 
 
 def tensor(A: Complex, B: Complex) -> TensorComplex:
@@ -409,14 +435,14 @@ def telescope(terms, maps) -> Telescope:
         cx = terms[0]
         return Telescope(cx, ChainMap.identity(cx))
     head = direct_sum(terms[:-1])
+    kappa = [tail.inject(i + 1, head.extract(i, maps[i])) for i in range(L - 1)]
+    incl = [tail.inject(i, head.extract(i, ChainMap.identity(terms[i])))
+            for i in range(L - 1)]
     mats = {}
     for n in head.cx.degrees():
         m = SparseMatrix(tail.cx.dim(n), head.cx.dim(n))
-        for i in range(L - 1):
-            blk_in = head.projections[i].mat(n)
-            m_k = tail.inclusions[i + 1].mat(n) @ maps[i].mat(n) @ blk_in
-            m_i = tail.inclusions[i].mat(n) @ blk_in
-            m = m + m_k - m_i
+        for k, inc in zip(kappa, incl):
+            m = m + k.mat(n) - inc.mat(n)
         mats[n] = m
     g = ChainMap(head.cx, tail.cx, mats)
     mc = cone(g)
@@ -428,22 +454,13 @@ def telescope(terms, maps) -> Telescope:
             f = maps[L - 2]
             for j in range(L - 3, i - 1, -1):
                 f = f.compose(maps[j])
-        push.append(f)
+        push.append(tail.extract(i, f))
     mats = {}
     last = terms[-1]
     for n in mc.cx.degrees():
         m = SparseMatrix(last.dim(n), mc.cx.dim(n))
-        cs = head.cx.dim(n + 1)
-        for i in range(L):
-            blk = push[i].mat(n) @ tail.projections[i].mat(n)
-            for r, row in enumerate(blk.rows):
-                for c, v in row.items():
-                    w = m.rows[r].get(c + cs)
-                    w = v if w is None else w + v
-                    if scalar_is_zero(w):
-                        m.rows[r].pop(c + cs, None)
-                    else:
-                        m.rows[r][c + cs] = w
+        for f in push:
+            m.paste(f.mat(n), 0, head.cx.dim(n + 1))
         mats[n] = m
     return Telescope(mc.cx, ChainMap(mc.cx, last, mats))
 

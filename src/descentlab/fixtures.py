@@ -347,10 +347,9 @@ def triangle_pipeline_data():
     for n in y_cx.degrees():
         m = SparseMatrix(c2.cx.dim(n), y_cx.dim(n))
         for new_j, old in ((1, (2,)), (2, (3,))):
-            off = c2._pos.get((n, 0, (new_j,)))
-            if off is None:
-                continue
-            m.paste(graph_restriction(y_cx, F.value(old)).mat(n), off, 0)
+            off = c2.offset(n, 0, (new_j,))
+            if off is not None:
+                m.paste(graph_restriction(y_cx, F.value(old)).mat(n), off, 0)
         mats[n] = m
     aug_rest = ChainMap(y_cx, c2.cx, mats)
     i_cx = G.value((1, 2))
@@ -358,10 +357,9 @@ def triangle_pipeline_data():
     for n in i_cx.degrees():
         m = SparseMatrix(cI.cx.dim(n), i_cx.dim(n))
         for new_j, old in ((1, (1, 2)), (2, (1, 3))):
-            off = cI._pos.get((n, 0, (new_j,)))
-            if off is None:
-                continue
-            m.paste(graph_restriction(i_cx, F.value(old)).mat(n), off, 0)
+            off = cI.offset(n, 0, (new_j,))
+            if off is not None:
+                m.paste(graph_restriction(i_cx, F.value(old)).mat(n), off, 0)
         mats[n] = m
     aug_int = ChainMap(i_cx, cI.cx, mats)
     return F, G, aug_rest, aug_int
@@ -427,14 +425,16 @@ def random_presheaf(rng: random.Random, n_sets: int, max_dim=3, width=3):
         ds_s, ss_s, u_s, uinv_s = sums[src]
         ds_d, ss_d, u_d, uinv_d = sums[dst]
         srccx, dstcx = gauges[src], gauges[dst]
+        # the summands of dst, each carried from its slot in src to its own
+        keep = [ds_d.inject(k, ds_s.extract(ss_s.index(S),
+                                            ChainMap.identity(blocks[S])))
+                for k, S in enumerate(ss_d)]
         mats = {}
         for n in srccx.degrees():
             m = SparseMatrix(dstcx.dim(n), srccx.dim(n))
-            if dstcx.dim(n) and srccx.dim(n) and ds_s is not None:
-                for S in ss_d:
-                    blk = ds_d.inclusions[ss_d.index(S)].mat(n) @ \
-                        ds_s.projections[ss_s.index(S)].mat(n)
-                    m = m + blk
+            if dstcx.dim(n) and srccx.dim(n):
+                for piece in keep:
+                    m = m + piece.mat(n)
                 m = u_d[n] @ m @ uinv_s[n]
             mats[n] = m
         return ChainMap(srccx, dstcx, mats)

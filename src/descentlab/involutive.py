@@ -64,9 +64,6 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def _check(self, other):
         if not isinstance(other, Poly) or other.nvars != self.nvars:
             raise ShapeMismatch("polynomials in different variable sets")

@@ -299,9 +299,6 @@ class Echelon:
         self.pivots[p] = vec_scale(res, 1 / res[p])
         return True
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
     @property
     def dim(self) -> int:
         return len(self.pivots)

@@ -104,9 +104,6 @@ class Polyvector:
         degs = {len(xis) for (_, xis) in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
-    def poly_degree(self):
-        return max((sum(e) for (e, _) in self.terms), default=None)
-
     # -- linear ops -------------------------------------------------------
     def __add__(self, other):
         out = dict(self.terms)

@@ -29,7 +29,7 @@ from .errors import (CosimplicialIdentityFailure, CutoffTooSmall,
                      FunctorialityFailure, InputError, RingMismatch,
                      ShapeMismatch, UnsupportedRing)
 from .linalg import SparseMatrix, TrackedEchelon, kernel_basis
-from .scalars import QQ, scalar_is_zero
+from .scalars import QQ
 from .simplex import (InjMap, NCModel, OmegaModel, PolyForm, coface,
                       integration_cochain, nc_pullback, pf_pullback, whitney)
 
@@ -179,21 +179,15 @@ class Nerve:
     def level(self, p) -> Complex:
         return self._sums[p].cx
 
-    def include(self, p, J) -> ChainMap:
-        return self._sums[p].inclusions[self.level_subsets[p].index(J)]
-
-    def project(self, p, J) -> ChainMap:
-        return self._sums[p].projections[self.level_subsets[p].index(J)]
-
     def locate(self, p, degree, index):
         """(J, local index) for a level-p coordinate in the given degree."""
-        off = 0
-        for J in self.level_subsets[p]:
-            d = self.F.value(J).dim(degree)
-            if index < off + d:
-                return J, index - off
-            off += d
-        raise ShapeMismatch("index out of range in nerve level")
+        k, loc = self._sums[p].locate(degree, index)
+        return self.level_subsets[p][k], loc
+
+    def pos(self, p, degree, J, loc):
+        """The level-p coordinate of F(J)'s loc-th basis vector; inverse of
+        locate."""
+        return self._sums[p].offsets[degree][self.level_subsets[p].index(J)] + loc
 
     def dmap(self, f: InjMap) -> ChainMap:
         """The map of levels induced by an injection [p] -> [q]:
@@ -201,10 +195,11 @@ class Nerve:
         picked out by the image of f."""
         p, q = f.p, f.q
         out = None
-        for J2 in self.level_subsets[q]:
+        for k2, J2 in enumerate(self.level_subsets[q]):
             J1 = tuple(sorted(J2[v] for v in f.verts))
-            piece = self.include(q, J2).compose(
-                self.F.res(J1, J2).compose(self.project(p, J1)))
+            k1 = self.level_subsets[p].index(J1)
+            piece = self._sums[q].inject(
+                k2, self._sums[p].extract(k1, self.F.res(J1, J2)))
             out = piece if out is None else out + piece
         return out
 
@@ -224,8 +219,8 @@ class Nerve:
     def augmentation_to_level(self, p) -> ChainMap:
         """F(top) -> level p, restricting into every component."""
         out = None
-        for J in self.level_subsets[p]:
-            piece = self.include(p, J).compose(self.F.res(TOP, J))
+        for k, J in enumerate(self.level_subsets[p]):
+            piece = self._sums[p].inject(k, self.F.res(TOP, J))
             out = piece if out is None else out + piece
         return out
 
@@ -294,6 +289,10 @@ class CechComplex:
             diff[n] = m
         self.cx = Complex(F.ring, dims, diff, support=(lo, hi))
 
+    def offset(self, n, p, J):
+        """Where the (p, J) block of degree n starts; None if it is empty."""
+        return self._pos.get((n, p, J))
+
     def pos(self, n, p, J, i=0):
         return self._pos[(n, p, J)] + i
 
@@ -302,7 +301,7 @@ class CechComplex:
 
     def component(self, n, vec: dict, p, J) -> dict:
         """Extract the (p, J) component of a degree-n vector."""
-        off = self._pos.get((n, p, J))
+        off = self.offset(n, p, J)
         if off is None:
             return {}
         d = self.F.value(J).dim(n - p)
@@ -321,11 +320,9 @@ class CechComplex:
         for n in top.degrees():
             m = SparseMatrix(self.cx.dim(n), top.dim(n))
             for j in range(1, self.F.n_sets + 1):
-                J = (j,)
-                off = self._pos.get((n, 0, J))
-                if off is None:
-                    continue
-                m.paste(self.F.res(TOP, J).mat(n), off, 0)
+                off = self.offset(n, 0, (j,))
+                if off is not None:
+                    m.paste(self.F.res(TOP, (j,)).mat(n), off, 0)
             mats[n] = m
         return ChainMap(top, self.cx, mats)
 
@@ -338,39 +335,22 @@ def cech(F: CoverPresheaf) -> CechComplex:
 # totalizations
 
 
-def _tensor_positions(tensor: TensorComplex, n):
-    """Reverse lookup col -> (form degree, form index, level index)."""
-    out = {}
-    for (deg, i, a, b), col in tensor._pos.items():
-        if deg == n:
-            out[col] = (i, a, b)
-    return out
-
-
 def _tensor_map(tsrc: TensorComplex, ttgt: TensorComplex, f: ChainMap,
                 g: ChainMap) -> ChainMap:
     """f (x) g on tensor complexes, for degree-0 f and g (no Koszul signs)."""
     mats = {}
     for n in tsrc.cx.degrees():
-        mats[n] = SparseMatrix(ttgt.cx.dim(n), tsrc.cx.dim(n))
-    for (n, i, a, b), col in tsrc._pos.items():
-        m = mats.get(n)
-        if m is None:
-            continue
-        fa = f.mat(i).column(a)
-        if not fa:
-            continue
-        gb = g.mat(n - i).column(b)
-        for a2, va in fa.items():
-            for b2, vb in gb.items():
-                row = ttgt.pos(n, i, a2, b2)
-                w = m.rows[row].get(col)
-                prod = va * vb
-                w = prod if w is None else w + prod
-                if scalar_is_zero(w):
-                    m.rows[row].pop(col, None)
-                else:
-                    m.rows[row][col] = w
+        m = mats[n] = SparseMatrix(ttgt.cx.dim(n), tsrc.cx.dim(n))
+        for i, j in tsrc.blocks(n):
+            fcols = [f.mat(i).column(a) for a in range(tsrc.A.dim(i))]
+            gcols = [g.mat(j).column(b) for b in range(tsrc.B.dim(j))]
+            col = tsrc.pos(n, i, 0, 0)
+            for fa in fcols:
+                for gb in gcols:
+                    for a2, va in fa.items():
+                        for b2, vb in gb.items():
+                            m.rows[ttgt.pos(n, i, a2, b2)][col] = va * vb
+                    col += 1
     return ChainMap(tsrc.cx, ttgt.cx, mats)
 
 
@@ -451,17 +431,8 @@ class EqualizerTotalization:
         N = F.n_sets
         self.tensors = [TensorComplex(models[p].cx, self.nerve.level(p))
                         for p in range(N)]
-        amb = direct_sum([t.cx for t in self.tensors])
-        self.ambient = amb.cx
-        self._amb_proj = amb.projections
-        # direct-sum offset of each level, per degree
-        self._offsets = {}
-        for n in self.ambient.degrees():
-            offs, acc = [], 0
-            for t in self.tensors:
-                offs.append(acc)
-                acc += t.cx.dim(n)
-            self._offsets[n] = offs
+        self._levels = direct_sum([t.cx for t in self.tensors])
+        self.ambient = self._levels.cx
         # cross tensors and the two legs of each constraint
         constraints = []   # list of ChainMap from ambient
         for p in range(N - 1):
@@ -474,8 +445,8 @@ class EqualizerTotalization:
                 legB = _tensor_map(self.tensors[p], cross, id_model,
                                    self.nerve.coface(p, i))
                 constraints.append(
-                    legA.compose(self._amb_proj[p + 1]) +
-                    legB.compose(self._amb_proj[p]).scale(-1))
+                    self._levels.extract(p + 1, legA) +
+                    self._levels.extract(p, legB).scale(-1))
         self.kernel, self._kte, self._reindex = {}, {}, {}
         dims = {}
         for n in self.ambient.degrees():
@@ -526,22 +497,23 @@ class EqualizerTotalization:
 
     def level_component(self, n, ambient_vec, p):
         """The level-p tensor component of an ambient degree-n vector."""
-        offs = self._offsets.get(n)
+        offs = self._levels.offsets.get(n)
         if offs is None:
             return {}
         lo = offs[p]
         hi = lo + self.tensors[p].cx.dim(n)
         return {i - lo: v for i, v in ambient_vec.items() if lo <= i < hi}
 
-    def _positions(self, n):
-        """Reverse table of the degree-n ambient space: position ->
-        (level p, model degree s, model index a, nerve index b)."""
-        rev = [None] * self.ambient.dim(n)
-        for p, t in enumerate(self.tensors):
-            off = self._offsets[n][p]
-            for col, (s, a, b) in _tensor_positions(t, n).items():
-                rev[off + col] = (p, s, a, b)
-        return rev
+    def ambient_pos(self, n, p, s, a, b):
+        """Ambient degree-n index of model basis vector a (form degree s)
+        tensor level-p nerve basis vector b."""
+        return self._levels.offsets[n][p] + self.tensors[p].pos(n, s, a, b)
+
+    def ambient_locate(self, n, index):
+        """(level p, form degree s, model index a, nerve index b) of an
+        ambient degree-n index; the inverse of ambient_pos."""
+        p, loc = self._levels.locate(n, index)
+        return (p,) + self.tensors[p].locate(n, loc)
 
     def augmentation(self) -> ChainMap:
         """Top value -> totalization: constant simplex unit tensor the
@@ -554,7 +526,6 @@ class EqualizerTotalization:
         mats = {}
         for n in top.degrees():
             m = SparseMatrix(self.cx.dim(n), top.dim(n))
-            offs = self._offsets.get(n)
             levels = [augs[p].mat(n).transpose().rows for p in range(N)]
             for col in range(top.dim(n)):
                 amb = {}
@@ -562,14 +533,10 @@ class EqualizerTotalization:
                     lvl = levels[p][col]
                     if not lvl:
                         continue
-                    tpos = self.tensors[p]._pos
                     for unit_key in self._unit_keys(p):
                         uidx = self.models[p]._index[0][unit_key]
                         for b, v in lvl.items():
-                            pos_ = tpos.get((n, 0, uidx, b))
-                            if pos_ is None:
-                                continue
-                            r = offs[p] + pos_
+                            r = self.ambient_pos(n, p, 0, uidx, b)
                             amb[r] = amb.get(r, Fraction(0)) + v
                 amb = {r: v for r, v in amb.items() if v}
                 for r, v in self.represent(n, amb).items():
@@ -591,24 +558,21 @@ def _transport(src: EqualizerTotalization, tgt: EqualizerTotalization,
 
     ``blocks[(p, s)]`` is the matrix, in form degree s, of the map from
     src's level-p simplex model to tgt's.  Each entry of a src kernel vector
-    is located by src's reverse position table as (p, s, a, b), sent
-    through column a of block (p, s) with the nerve index b kept, placed at
-    tgt's direct-sum offset for level p, and the image is read back in
-    tgt's kernel coordinates.
+    is located in src's ambient space as (p, s, a, b), sent through column a
+    of block (p, s) with the nerve index b kept, placed at the same (p, s, .,
+    b) in tgt's ambient space, and the image is read back in tgt's kernel
+    coordinates.
     """
     columns = {key: blk.transpose().rows for key, blk in blocks.items()}
     mats = {}
     for n in src.cx.degrees():
         m = SparseMatrix(tgt.cx.dim(n), src.cx.dim(n))
-        rev = src._positions(n)
-        offs = tgt._offsets[n]
         for j, vec in enumerate(src.kernel[n]):
             amb = {}
             for idx, v in vec.items():
-                p, s, a, b = rev[idx]
-                tpos, off = tgt.tensors[p]._pos, offs[p]
+                p, s, a, b = src.ambient_locate(n, idx)
                 for a2, w in columns[(p, s)][a].items():
-                    r = off + tpos[(n, s, a2, b)]
+                    r = tgt.ambient_pos(n, p, s, a2, b)
                     amb[r] = amb.get(r, 0) + w * v
             amb = {r: v for r, v in amb.items() if v}
             for r, v in tgt.represent(n, amb).items():
@@ -639,10 +603,7 @@ class TotComplex(EqualizerTotalization):
                     t = self.tensors[p]
                     top_idx = self.models[p]._index[p][tuple(range(p + 1))]
                     for b in range(self.nerve.level(p).dim(n - p)):
-                        pos_ = t._pos.get((n, p, top_idx, b))
-                        if pos_ is None:
-                            continue
-                        v = comp.get(pos_)
+                        v = comp.get(t.pos(n, p, top_idx, b))
                         if v is None:
                             continue
                         J, loc = self.nerve.locate(p, n - p, b)
@@ -746,6 +707,7 @@ class TwoSetDecomposition:
     aug_first: ChainMap
     rho: ChainMap
     ok: bool
+    cech: CechComplex      # Cech(F), the target of psi
 
 
 def inclusion_exclusion(F: CoverPresheaf) -> TwoSetDecomposition:
@@ -762,11 +724,9 @@ def inclusion_exclusion(F: CoverPresheaf) -> TwoSetDecomposition:
     for n in first.degrees():
         m = SparseMatrix(B.dim(n), first.dim(n))
         for j in range(1, FI.n_sets + 1):
-            off = cI._pos.get((n, 0, (j,)))
-            if off is None:
-                continue
-            old = tuple(sorted((1, j + 1)))
-            m.paste(F.res((1,), old).mat(n), off, 0)
+            off = cI.offset(n, 0, (j,))
+            if off is not None:
+                m.paste(F.res((1,), (1, j + 1)).mat(n), off, 0)
         mats[n] = m
     aug_first = ChainMap(first, B, mats)
     # rho : Cech(F2) -> Cech(FI), levelwise restriction J' -> {1} u J'
@@ -774,7 +734,7 @@ def inclusion_exclusion(F: CoverPresheaf) -> TwoSetDecomposition:
     for n in c2.cx.degrees():
         m = SparseMatrix(B.dim(n), c2.cx.dim(n))
         for p, J, off, q in c2.blocks(n):
-            tgt = cI._pos.get((n, p, J))
+            tgt = cI.offset(n, p, J)
             if tgt is None:
                 continue
             src_old = tuple(j + 1 for j in J)
@@ -782,7 +742,7 @@ def inclusion_exclusion(F: CoverPresheaf) -> TwoSetDecomposition:
             m.paste(F.res(src_old, dst_old).mat(q), tgt, off)
         mats[n] = m
     rho = ChainMap(c2.cx, B, mats)
-    phi = rho.compose(A.projections[1]) + aug_first.compose(A.projections[0]).scale(-1)
+    phi = A.extract(1, rho) + A.extract(0, aug_first).scale(-1)
     cc = cocone(phi)
     # psi : cocone -> Cech(F), identity reindexing without signs
     mats = {}
@@ -790,19 +750,19 @@ def inclusion_exclusion(F: CoverPresheaf) -> TwoSetDecomposition:
         m = SparseMatrix(cF.cx.dim(n), cc.cx.dim(n))
         off_first = 0
         d_first = first.dim(n)
-        tgt = cF._pos.get((n, 0, (1,)))
+        tgt = cF.offset(n, 0, (1,))
         if tgt is not None:
             m.paste(SparseMatrix.identity(d_first), tgt, off_first)
         off_c2 = d_first
         for p, J, off, q in c2.blocks(n):
             J_old = tuple(j + 1 for j in J)
-            tgt = cF._pos.get((n, p, J_old))
+            tgt = cF.offset(n, p, J_old)
             if tgt is not None:
                 m.paste(SparseMatrix.identity(F.value(J_old).dim(q)), tgt, off_c2 + off)
         off_B = A.cx.dim(n)
         for p, J, off, q in cI.blocks(n - 1):
             J_old = tuple(sorted((1,) + tuple(j + 1 for j in J)))
-            tgt = cF._pos.get((n, p + 1, J_old))
+            tgt = cF.offset(n, p + 1, J_old)
             if tgt is not None:
                 m.paste(SparseMatrix.identity(F.value(J_old).dim(q)), tgt, off_B + off)
         mats[n] = m
@@ -828,7 +788,7 @@ def inclusion_exclusion(F: CoverPresheaf) -> TwoSetDecomposition:
             if not ok or sorted(rows_hit) != list(range(mm.nrows)):
                 ok = False
                 break
-    return TwoSetDecomposition(cc.cx, psi, phi, aug_first, rho, ok)
+    return TwoSetDecomposition(cc.cx, psi, phi, aug_first, rho, ok, cF)
 
 
 @dataclass
@@ -863,13 +823,13 @@ def induction_pipeline(F: CoverPresheaf, G: CoverPresheaf, aug_rest: ChainMap,
         # slots inside the cocone: first (+) cech2 (the source of phi),
         # then cechI[1]
         d_first = first.dim(n)
-        off = cG._pos.get((n, 0, (1,)))
+        off = cG.offset(n, 0, (1,))
         if off is not None:
             m.paste(SparseMatrix.identity(d_first), 0, off)
-        off = cG._pos.get((n, 0, (2,)))
+        off = cG.offset(n, 0, (2,))
         if off is not None:
             m.paste(aug_rest.mat(n), d_first, off)
-        off = cG._pos.get((n, 1, (1, 2)))
+        off = cG.offset(n, 1, (1, 2))
         if off is not None:
             m.paste(aug_int.mat(n - 1), dec.phi.source.dim(n), off)
         mats[n] = m
@@ -882,7 +842,7 @@ def induction_pipeline(F: CoverPresheaf, G: CoverPresheaf, aug_rest: ChainMap,
     composite_ok = False
     if theta_ok and F.has_top and G.has_top:
         lhs = dec.psi.compose(theta.compose(cG.augmentation()))
-        rhs = CechComplex(F).augmentation()
+        rhs = dec.cech.augmentation()
         composite_ok = lhs == rhs
     return InductionPipelineReport(theta_ok, composite_ok)
 

@@ -390,3 +390,14 @@ def test_module_entrypoint_subprocess():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"]
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli._parser() is cli._parser()
+    code, out, _ = run_cli(capsys, "tw", "--weight-cutoff", "5")
+    assert code == 0
+    assert json.loads(out)["options"] == {"weight_cutoff": 5}
+    code, out, _ = run_cli(capsys, "tw")
+    assert code == 0
+    # the bundled triangle has two sets, the default cutoff
+    assert json.loads(out)["options"] == {"weight_cutoff": 2}

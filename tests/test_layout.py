@@ -1,0 +1,197 @@
+"""Block layout of direct sums and tensor products.
+
+``DirectSum`` and ``TensorComplex`` own where each block sits in each
+degree; everything else asks them through ``locate``/``pos``/``inject``/
+``extract``.  These tests check the layout against the basis labels and
+against identity-matrix inclusions and projections built here from the
+part dimensions alone.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from descentlab import fixtures as fx
+from descentlab.complexes import (ChainMap, Complex, TensorComplex,
+                                  direct_sum, single)
+from descentlab.errors import ShapeMismatch
+from descentlab.linalg import SparseMatrix
+from descentlab.presheaf import CechComplex, Nerve, tot
+from descentlab.scalars import QQ
+
+seeds = st.integers(0, 10**6)
+
+
+def gappy(rng, lo=None):
+    """A complex with random dimensions 0..2 (gaps included) over a short
+    support, labelled, with zero differential; or a twisted random complex."""
+    if rng.random() < 0.4:
+        return fx.random_complex(rng, 0, rng.randrange(3))[0]
+    lo = rng.randrange(-1, 2) if lo is None else lo
+    hi = lo + rng.randrange(4)
+    dims = {n: rng.randrange(3) for n in range(lo, hi + 1)}
+    labels = {n: [f"e{n}.{k}" for k in range(d)] for n, d in dims.items()}
+    return Complex(QQ, dims, {}, labels=labels, support=(lo, hi))
+
+
+def random_matrix(rng, nrows, ncols):
+    return SparseMatrix.from_entries(nrows, ncols, [
+        (r, c, Fraction(rng.randint(-2, 2)))
+        for r in range(nrows) for c in range(ncols) if rng.random() < 0.5])
+
+
+def random_map(rng, source, target, s):
+    """Any degreewise matrices source^n -> target^(n+s); the layout does not
+    need a chain map."""
+    mats = {n: random_matrix(rng, target.dim(n + s), source.dim(n))
+            for n in source.degrees()}
+    return ChainMap(source, target, mats, s)
+
+
+# ---------------------------------------------------------------------------
+# tensor products
+
+
+def check_tensor_layout(A, B):
+    tc = TensorComplex(A, B)
+    for n in tc.cx.degrees():
+        order, blocks = [], []
+        for i in A.degrees():
+            j = n - i
+            if A.dim(i) and B.dim(j):
+                blocks.append((i, j))
+            for a in range(A.dim(i)):
+                for b in range(B.dim(j)):
+                    k = tc.pos(n, i, a, b)
+                    assert tc.locate(n, k) == (i, a, b)
+                    assert tc.cx.labels[n][k] == (i, A.label(i, a),
+                                                  B.label(j, b))
+                    order.append(k)
+        # ascending (i, a, b) is ascending position, covering the degree
+        assert order == list(range(tc.cx.dim(n)))
+        assert tc.blocks(n) == blocks
+        for bad in (-1, tc.cx.dim(n)):
+            with pytest.raises(ShapeMismatch):
+                tc.locate(n, bad)
+    tc.cx.validate()
+
+
+def test_tensor_layout_with_empty_factors():
+    A = Complex(QQ, {0: 2, 1: 0, 2: 1}, {}, support=(0, 2))
+    B = Complex(QQ, {0: 1, 1: 2}, {}, support=(0, 1))
+    check_tensor_layout(A, B)
+    tc = TensorComplex(A, B)
+    # degree 2: i = 0 meets B^2 = 0 and i = 1 meets A^1 = 0
+    assert tc.blocks(2) == [(2, 0)]
+    assert tc.pos(2, 2, 0, 0) == 0
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_tensor_pos_locate_roundtrip(seed):
+    rng = random.Random(seed)
+    check_tensor_layout(gappy(rng), gappy(rng))
+
+
+# ---------------------------------------------------------------------------
+# direct sums
+
+
+def random_parts(rng):
+    """Three to five parts, with an empty complex and a part missing whole
+    degrees somewhere in the middle."""
+    parts = [gappy(rng) for _ in range(rng.randrange(2, 4))]
+    parts.insert(1, Complex(QQ, {0: 0, 1: 0}, {}))
+    parts.insert(rng.randrange(1, len(parts)), single(QQ, 3, 2))
+    return parts
+
+
+def part_offset(parts, i, n):
+    return sum(p.dim(n) for p in parts[:i])
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_direct_sum_locate_roundtrip(seed):
+    parts = random_parts(random.Random(seed))
+    ds = direct_sum(parts)
+    for n in ds.cx.degrees():
+        for i, p in enumerate(parts):
+            assert ds.offsets[n][i] == part_offset(parts, i, n)
+        for index in range(ds.cx.dim(n)):
+            i, j = ds.locate(n, index)
+            assert 0 <= j < parts[i].dim(n)
+            assert ds.offsets[n][i] + j == index
+            assert ds.cx.labels[n][index] == (i, parts[i].label(n, j))
+        for bad in (-1, ds.cx.dim(n)):
+            with pytest.raises(ShapeMismatch):
+                ds.locate(n, bad)
+
+
+def inclusion(parts, total, i, n):
+    m = SparseMatrix(total.dim(n), parts[i].dim(n))
+    m.paste(SparseMatrix.identity(parts[i].dim(n)), part_offset(parts, i, n), 0)
+    return m
+
+
+def projection(parts, total, i, n):
+    m = SparseMatrix(parts[i].dim(n), total.dim(n))
+    m.paste(SparseMatrix.identity(parts[i].dim(n)), 0, part_offset(parts, i, n))
+    return m
+
+
+@given(seeds, st.integers(-1, 1))
+@settings(max_examples=40, deadline=None)
+def test_inject_extract_are_identity_composites(seed, s):
+    rng = random.Random(seed)
+    parts = random_parts(rng)
+    ds = direct_sum(parts)
+    other = gappy(rng)
+    for i, p in enumerate(parts):
+        f = random_map(rng, other, p, s)
+        got = ds.inject(i, f)
+        assert (got.source, got.target, got.shift) == (other, ds.cx, s)
+        for n in other.degrees():
+            assert got.mat(n) == inclusion(parts, ds.cx, i, n + s) @ f.mat(n)
+        g = random_map(rng, p, other, s)
+        got = ds.extract(i, g)
+        assert (got.source, got.target, got.shift) == (ds.cx, other, s)
+        for n in ds.cx.degrees():
+            assert got.mat(n) == g.mat(n) @ projection(parts, ds.cx, i, n)
+
+
+# ---------------------------------------------------------------------------
+# the layouts the descent code builds on them
+
+
+def test_nerve_pos_inverts_locate():
+    F = fx.triangle_three_edge_presheaf()
+    nerve = Nerve(F)
+    for p in range(nerve.n_levels):
+        level = nerve.level(p)
+        for q in level.degrees():
+            for index in range(level.dim(q)):
+                J, loc = nerve.locate(p, q, index)
+                assert loc < F.value(J).dim(q)
+                assert nerve.pos(p, q, J, loc) == index
+
+
+def test_cech_offset_is_none_for_an_empty_block():
+    F = fx.triangle_three_edge_presheaf()
+    C = CechComplex(F)
+    for n in C.cx.degrees():
+        for p, J, off, q in C.blocks(n):
+            assert C.offset(n, p, J) == off == C.pos(n, p, J)
+    # pairwise overlaps of the three edges are points: nothing in degree 1
+    assert C.offset(2, 1, (1, 2)) is None
+
+
+def test_ambient_pos_inverts_ambient_locate():
+    T = tot(fx.random_presheaf(random.Random(3), 3)[0])
+    for n in T.ambient.degrees():
+        for index in range(T.ambient.dim(n)):
+            p, s, a, b = T.ambient_locate(n, index)
+            assert T.ambient_pos(n, p, s, a, b) == index
