@@ -7,12 +7,18 @@ elimination (rank, kernels, solving) requires field scalars, i.e. Fractions.
 
 Pivots during elimination are chosen Markowitz-style, preferring entries
 whose row and column are sparsest, which keeps fill-in tolerable on the
-equalizer systems produced by the descent machinery.
+equalizer systems produced by the descent machinery.  Elimination runs on
+primitive integer rows (fraction-free, with the gcd divided out after each
+combination, as in Bareiss, Math. Comp. 22, 1968) and turns the pivot rows
+into Fractions only at the end; its pivots and outputs are those of
+elimination over Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .errors import ShapeMismatch
 from .scalars import scalar_is_zero
@@ -158,10 +164,13 @@ class SparseMatrix:
 
     def paste(self, other: "SparseMatrix", roff: int, coff: int, factor=1):
         """Add factor*other into self at the given offset (in place)."""
+        scaled = factor != 1
         for r, c, v in other.entries():
             rr, cc = r + roff, c + coff
+            if scaled:
+                v = v * factor
             w = self.rows[rr].get(cc)
-            w = v * factor if w is None else w + v * factor
+            w = v if w is None else w + v
             if scalar_is_zero(w):
                 self.rows[rr].pop(cc, None)
             else:
@@ -178,61 +187,126 @@ class SparseMatrix:
 # elimination over Q
 
 
-def _eliminate(rows, ncols):
-    """Markowitz-flavored Gaussian elimination.
+def _divide_content(row: dict) -> dict:
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
+    return row
 
-    rows: dict row_id -> row dict (consumed).  Returns (pivots, reduced) where
-    pivots is a list of (col, row dict) with pivot entry normalized to 1 and
-    the pivot column eliminated from every other pivot row (full RREF among
-    pivot rows).
+
+def _primitive(row: dict) -> dict:
+    """The coprime-integer multiple of a rational row: same keys, same order."""
+    den = 1
+    for v in row.values():
+        if v.denominator != 1:
+            den = lcm(den, v.denominator)
+    return _divide_content({c: v.numerator * (den // v.denominator)
+                            for c, v in row.items()})
+
+
+def _cancel(orow: dict, oid, row: dict, pc, col_rows):
+    """orow <- (pv*orow - s*row) / content, in place, where pv and s are the
+    entries of row and orow at pc; col_rows follows orow's support."""
+    pv, s = row[pc], orow[pc]
+    g = gcd(pv, s)
+    a, b = pv // g, s // g
+    if a != 1:
+        for c in orow:
+            orow[c] *= a
+    for c, v in row.items():
+        w = orow.get(c)
+        if w is None:
+            orow[c] = -b * v
+            col_rows[c].add(oid)
+        else:
+            w -= b * v
+            if w:
+                orow[c] = w
+            else:
+                del orow[c]
+                col_rows[c].discard(oid)
+    if orow:
+        _divide_content(orow)
+
+
+def _eliminate(rows, ncols):
+    """Markowitz-flavored Gauss-Jordan elimination, fraction-free.
+
+    rows: dict row_id -> row dict of rationals.  Returns the pivots as a
+    list of (col, row dict) sorted by column: the RREF of the row space,
+    each row 1 at its own pivot and 0 at every other pivot column.
+
+    Each row is kept as its primitive integer multiple, and a pivot row
+    (pivot value pv) cancels its column from another row (entry s there)
+    as pv*orow - s*row with the gcd divided out.  That row is a nonzero
+    multiple of the one Fraction elimination would produce, with the same
+    support, so the Markowitz choices (sparsest row, ties by id, then its
+    sparsest column, ties by index) are those of Fraction elimination and
+    the output is the same.  The sparsest row comes from a lazy heap keyed
+    by (len, id).  Pivot rows are reduced against the pivots found after
+    them once, at the end, newest first, and made Fractions only then.
     """
+    rows = {rid: _primitive(row) for rid, row in rows.items()}
     col_rows = {}
     for rid, row in rows.items():
         for c in row:
             col_rows.setdefault(c, set()).add(rid)
-    pivots = []
-    while rows:
-        # pick the sparsest available row, then its sparsest column
-        rid = min(rows, key=lambda r: (len(rows[r]), r))
-        row = rows.pop(rid)
-        if not row:
-            continue
-        pc = min(row, key=lambda c: (len(col_rows.get(c, ())), c))
-        pv = row[pc]
-        row = {c: v / pv for c, v in row.items()}
+    heap = [(len(row), rid) for rid, row in rows.items() if row]
+    heapify(heap)
+    found = []   # (pivot col, integer row), in the order the pivots are found
+    while heap:
+        n, rid = heappop(heap)
+        row = rows.get(rid)
+        if row is None or len(row) != n:
+            continue    # superseded by a later entry for the same row
+        del rows[rid]
+        pc = min(row, key=lambda c: (len(col_rows[c]), c))
         for c in row:
-            col_rows.get(c, set()).discard(rid)
-        # eliminate pc from remaining rows
-        for other_id in list(col_rows.get(pc, ())):
-            if other_id not in rows:
-                continue
-            orow = rows[other_id]
-            s = orow.get(pc)
-            if s is None:
-                continue
-            for c in orow:
-                col_rows.get(c, set()).discard(other_id)
-            orow = vec_axpy(orow, row, -s)
-            rows[other_id] = orow
-            for c in orow:
-                col_rows.setdefault(c, set()).add(other_id)
-        # eliminate pc from existing pivot rows (back substitution as we go)
-        new_pivots = []
-        for qc, qrow in pivots:
-            s = qrow.get(pc)
-            if s is not None:
-                qrow = vec_axpy(qrow, row, -s)
-            new_pivots.append((qc, qrow))
-        pivots = new_pivots
-        pivots.append((pc, row))
+            col_rows[c].discard(rid)
+        for oid in list(col_rows[pc]):
+            orow = rows[oid]
+            _cancel(orow, oid, row, pc, col_rows)
+            if orow:
+                heappush(heap, (len(orow), oid))
+            else:
+                del rows[oid]
+        found.append((pc, row))
+    # back substitution: a pivot row holds no earlier pivot column, and the
+    # later pivot rows it holds are already reduced, so one common multiple
+    # clears them all
+    where = {pc: i for i, (pc, _) in enumerate(found)}
+    for i in range(len(found) - 1, -1, -1):
+        pc, row = found[i]
+        later = [(c, s) for c, s in row.items() if c != pc and c in where]
+        if not later:
+            continue
+        m = lcm(*(found[where[c]][1][c] for c, _ in later))
+        row = {c: v * m for c, v in row.items() if c == pc or c not in where}
+        for c, s in later:
+            urow = found[where[c]][1]
+            f = s * (m // urow[c])
+            for k, w in urow.items():
+                if k != c:
+                    x = row.get(k, 0) - f * w
+                    if x:
+                        row[k] = x
+                    else:
+                        del row[k]
+        found[i] = (pc, _divide_content(row))
+    pivots = []
+    for pc, row in found:
+        pv = row[pc]
+        pivots.append((pc, {c: Fraction(v) for c, v in row.items()} if pv == 1
+                       else {c: Fraction(v, pv) for c, v in row.items()}))
     pivots.sort(key=lambda t: t[0])
     return pivots
 
 
 def rref(mat: SparseMatrix):
     """Reduced row echelon data: list of (pivot_col, row dict)."""
-    rows = {i: dict(r) for i, r in enumerate(mat.rows) if r}
-    return _eliminate(rows, mat.ncols)
+    return _eliminate({i: r for i, r in enumerate(mat.rows) if r}, mat.ncols)
 
 
 def rank(mat: SparseMatrix) -> int:
@@ -245,22 +319,17 @@ def kernel_basis(mat: SparseMatrix):
     Deterministic: vectors are indexed by ascending free column.  Each
     vector is in RREF free-column form: its first key is its own free
     column, where it is 1, and it is 0 at every other vector's free column
-    (its remaining keys are pivot columns).  So the coordinates of any
-    kernel vector in this basis are its entries at the free columns.
+    (its remaining keys are pivot columns, ascending).  So the coordinates
+    of any kernel vector in this basis are its entries at the free columns.
     """
     pivots = rref(mat)
-    pivot_cols = {c: row for c, row in pivots}
-    basis = []
-    for j in range(mat.ncols):
-        if j in pivot_cols:
-            continue
-        vec = {j: Fraction(1)}
-        for c, row in pivots:
-            v = row.get(j)
-            if v is not None:
-                vec[c] = -v
-        basis.append(vec)
-    return basis
+    pivot_cols = {c for c, _ in pivots}
+    basis = {j: {j: Fraction(1)} for j in range(mat.ncols) if j not in pivot_cols}
+    for c, row in pivots:
+        for j, v in row.items():
+            if j != c:
+                basis[j][c] = -v
+    return list(basis.values())
 
 
 def image_basis(mat: SparseMatrix):
@@ -309,44 +378,72 @@ class TrackedEchelon:
 
     Supports expressing arbitrary vectors as combinations of the generators,
     which is how induced differentials on kernels and homology classes get
-    their coordinates.
+    their coordinates.  Each stored vector is 1 at its pivot, its smallest
+    index.
     """
 
     def __init__(self):
         self.pivots = {}  # pivot index -> (vector, coords dict gen_id -> scalar)
         self.ngens = 0
 
+    def _reduce(self, vec: dict, coords: dict, sign):
+        """Clear vec at its pivot positions in increasing order, in place,
+        adding sign * vec[p] * (the pivot's coords) to coords for each
+        pivot p cleared.  Returns the first position left without a pivot,
+        or None once vec is zero."""
+        pivots = self.pivots
+        heap = list(vec)
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            s = vec.get(p)
+            if s is None:
+                continue    # cleared since it was pushed
+            hit = pivots.get(p)
+            if hit is None:
+                return p
+            prow, pcoords = hit
+            for k, v in prow.items():    # every k >= p; k = p is cleared
+                w = vec.get(k)
+                if w is None:
+                    vec[k] = -s * v
+                    heappush(heap, k)
+                else:
+                    w -= s * v
+                    if w:
+                        vec[k] = w
+                    else:
+                        del vec[k]
+            s = sign * s
+            for k, v in pcoords.items():
+                w = coords.get(k)
+                w = v * s if w is None else w + v * s
+                if w:
+                    coords[k] = w
+                else:
+                    del coords[k]
+        return None
+
     def add(self, vec: dict, gen_id=None) -> bool:
         if gen_id is None:
             gen_id = self.ngens
-        vec, coords = dict(vec), {gen_id: Fraction(1)}
-        while vec:
-            p = min(vec)
-            hit = self.pivots.get(p)
-            if hit is None:
-                s = 1 / vec[p]
-                self.pivots[p] = (vec_scale(vec, s), vec_scale(coords, s))
-                self.ngens += 1
-                return True
-            prow, pcoords = hit
-            s = -vec[p]
-            vec = vec_axpy(vec, prow, s)
-            coords = vec_axpy(coords, pcoords, s)
         self.ngens += 1
-        return False
+        vec, coords = dict(vec), {gen_id: Fraction(1)}
+        p = self._reduce(vec, coords, -1)
+        if p is None:
+            return False
+        if vec[p] != 1:
+            s = 1 / vec[p]
+            vec, coords = vec_scale(vec, s), vec_scale(coords, s)
+        self.pivots[p] = (vec, coords)
+        return True
 
     def represent(self, vec: dict):
-        """Coordinates of vec in the generators, or None if outside the span."""
+        """Coordinates of vec in the generators, or None if outside the span.
+        The argument is not changed."""
         vec, coords = dict(vec), {}
-        while vec:
-            p = min(vec)
-            hit = self.pivots.get(p)
-            if hit is None:
-                return None
-            prow, pcoords = hit
-            s = vec[p]
-            vec = vec_axpy(vec, prow, -s)
-            coords = vec_axpy(coords, pcoords, s)
+        if self._reduce(vec, coords, 1) is not None:
+            return None
         return coords
 
 

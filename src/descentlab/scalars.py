@@ -193,23 +193,32 @@ def format_novikov(x: NovikovElem) -> str:
 
 
 _TERM = re.compile(r"^\s*(?:(?P<coeff>-?\d+(?:/\d+)?)\s*\*\s*)?T\^\((?P<exp>-?\d+(?:/\d+)?)\)\s*$")
+# a term separator: any '+', or a '-' right after a term (a digit or ')')
+_SEP = re.compile(r"\+|(?<=[\d)])\s*-")
 
 
 def parse_novikov(ring: NovikovRing, text: str) -> NovikovElem:
-    """Parse the canonical 'c1*T^(a1) + c2*T^(a2) + c0' form."""
+    """Parse the canonical 'c1*T^(a1) + c2*T^(a2) + c0' form.
+
+    A minus between two terms subtracts the second, so '1 - 3*T^(1)' is
+    '1 + -3*T^(1)'; a minus anywhere else belongs to the number after it.
+    """
     text = text.strip()
     if text == "0":
         return ring.zero()
     terms = {}
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
+    start, sign = 0, 1
+    for sep in [*_SEP.finditer(text), None]:
+        chunk = text[start:sep.start() if sep else len(text)].strip()
         m = _TERM.match(chunk)
         if m:
             coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
             exp = Fraction(m.group("exp"))
         else:
             coeff, exp = Fraction(chunk), Fraction(0)
-        terms[exp] = terms.get(exp, Fraction(0)) + coeff
+        terms[exp] = terms.get(exp, Fraction(0)) + sign * coeff
+        if sep:
+            start, sign = sep.end(), -1 if sep.group().endswith("-") else 1
     return ring.elem(terms)
 
 

@@ -408,9 +408,37 @@ def pf_pullback(f: InjMap, form: PolyForm) -> PolyForm:
 
 
 def integrate_over_face(form: PolyForm, F) -> Fraction:
-    """Integral of the form's restriction to the face with vertex set F."""
-    inc = face_inclusion(F, form.p)
-    return pf_pullback(inc, form).integrate_top()
+    """Integral of the form's restriction to the face with vertex set F.
+
+    In closed form, with no pullback.  With F = (v_0 < ... < v_k), the
+    monomial t^a dt_I integrates to
+
+        (-1)^m * prod_{v in F, v >= 1} a_v! / (k + |a|)!
+
+    when a is supported on F and I = F minus {v_m}, and to 0 otherwise:
+    the coordinates t_{v_0}, ..., t_{v_k} restrict to the face's barycentric
+    coordinates (the Dirichlet integral), and dt_I to (-1)^m times its
+    volume form.  When v_0 = 0 only m = 0 occurs, since dt_0 is not a
+    generator (t_0 = 1 - sum t is eliminated).
+    """
+    F = tuple(sorted(F))
+    k = len(F) - 1
+    on_face = set(F)
+    total = Fraction(0)
+    for (exps, I), c in form.terms.items():
+        if len(I) != k or not on_face.issuperset(I):
+            continue
+        num, deg = 1, k
+        for j, a in enumerate(exps, 1):
+            if a:
+                if j not in on_face:
+                    break
+                num *= factorial(a)
+                deg += a
+        else:
+            m = next(i for i, v in enumerate(F) if i == k or I[i] != v)
+            total += c * Fraction(-num if m % 2 else num, factorial(deg))
+    return total
 
 
 def integration_cochain(form: PolyForm) -> dict:

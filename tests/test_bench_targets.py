@@ -1,23 +1,29 @@
-"""Every wrap target of the traced benchmark run exists in the package.
+"""Every wrap target of the traced benchmark run exists and is reached.
 
 ``perfbench/spans.py`` names its targets as "module:attribute path"; a
 renamed or deleted function would otherwise surface only when a traced
-benchmark run fails with WrapTargetMissing.  The file is loaded by path and
-only read.
+benchmark run fails with WrapTargetMissing, and a target that the ``forms``
+workload no longer calls only when its traced run reports it unreached.
+The benchmark files are loaded by path and only read.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def _targets():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return [target for _, target, _, _ in mod.TARGETS]
+    return [target for _, target, _, _ in _load("spans").TARGETS]
 
 
 def test_every_span_target_resolves():
@@ -33,3 +39,22 @@ def test_every_span_target_resolves():
                 missing.append(target)
                 break
     assert not missing, missing
+
+
+def test_forms_tour_reaches_every_forms_target(tmp_path):
+    # the tour of the forms workload, run in process under the span
+    # wrappers as a traced benchmark run does (seed 1)
+    spans, workloads = _load("spans"), _load("workloads")
+    work = workloads.WORKLOADS["forms"]()
+    work.plan(1)
+    work.setup(1, str(tmp_path))
+    tracer = spans.Tracer()
+    for i, job in enumerate(work.tour()):
+        inp = work.fresh(job)
+        tracer.install(i)
+        try:
+            ok, detail = work.run(job, inp)
+        finally:
+            tracer.uninstall()
+        assert ok, detail
+    assert tracer.unreached("forms") == []

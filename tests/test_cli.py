@@ -93,6 +93,26 @@ def _narrowed_novikov_telescope():
     return blob
 
 
+def _novikov_edge(text):
+    """One Novikov-valued differential C^0 -> C^1 with the entry ``text``."""
+    return {"coeff": {"novikov": {"den": 1, "cutoff": "3"}}, "support": [0, 1],
+            "dims": {"0": 1, "1": 1}, "diff": {"0": [[0, 0, text]]}}
+
+
+@pytest.mark.parametrize("text", ["1 - 3*T^(1)", "1-3*T^(1)",
+                                  "-3*T^(1) + 1"])
+def test_novikov_binary_minus(tmp_path, capsys, text):
+    # a minus between terms reads as adding the negated term
+    reports = []
+    for entry in (text, "1 + -3*T^(1)"):
+        path = tmp_path / "cx.json"
+        path.write_text(json.dumps(_novikov_edge(entry)))
+        code, out, err = run_cli(capsys, "homology", "--input", str(path))
+        assert code == 0 and not err
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("blob", [
     # d o d != 0: both differentials are [1]
     _q_complex({"0": [[0, 0, "1"]], "1": [[0, 0, "1"]]}),
@@ -101,8 +121,8 @@ def _narrowed_novikov_telescope():
     # no "support" key
     {"coeff": "Q", "dims": {"0": 1}, "diff": {}},
     # Novikov text the parser does not accept
-    {"coeff": {"novikov": {"den": 1, "cutoff": "3"}}, "support": [0, 1],
-     "dims": {"0": 1, "1": 1}, "diff": {"0": [[0, 0, "1 - 3*T^(1)"]]}},
+    _novikov_edge("1 -"),
+    _novikov_edge("- - 3"),
     # a negative dimension, in the top or the bottom degree
     _q_complex({}, dims={"0": 1, "1": -1}, support=(0, 1)),
     _q_complex({}, dims={"0": -2, "1": 1}, support=(0, 1)),
@@ -115,7 +135,7 @@ def _narrowed_novikov_telescope():
     # the emitted Novikov telescope, support narrowed below its dims
     _narrowed_novikov_telescope(),
 ], ids=["d-squared-nonzero", "bad-scalar", "missing-support",
-        "novikov-minus", "negative-dim-top", "negative-dim-bottom",
+        "novikov-trailing-minus", "novikov-double-minus", "negative-dim-top", "negative-dim-bottom",
         "reversed-support", "dim-outside-support", "diff-outside-support",
         "novikov-narrowed-support"])
 def test_unusable_complex_is_an_input_error(tmp_path, capsys, blob):

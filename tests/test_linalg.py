@@ -186,3 +186,172 @@ class TestTrackedEchelon:
         for j, s in coords.items():
             rebuilt = vec_axpy(rebuilt, cols[j], s)
         assert rebuilt == combo
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination against Fraction elimination
+#
+# The oracle is the elimination this package used before it went
+# fraction-free: Markowitz pivots (sparsest row by (len, id), then its
+# sparsest column), every row a dict of Fractions, each pivot row scaled to
+# 1 and cancelled from the other rows and from the earlier pivot rows.  It
+# lives only here; rref, rank and kernel_basis must reproduce it exactly.
+
+
+def _oracle_eliminate(rows):
+    col_rows = {}
+    for rid, row in rows.items():
+        for c in row:
+            col_rows.setdefault(c, set()).add(rid)
+    pivots = []
+    while rows:
+        rid = min(rows, key=lambda r: (len(rows[r]), r))
+        row = rows.pop(rid)
+        if not row:
+            continue
+        pc = min(row, key=lambda c: (len(col_rows.get(c, ())), c))
+        pv = row[pc]
+        row = {c: v / pv for c, v in row.items()}
+        for c in row:
+            col_rows.get(c, set()).discard(rid)
+        for other_id in list(col_rows.get(pc, ())):
+            if other_id not in rows:
+                continue
+            orow = rows[other_id]
+            s = orow.get(pc)
+            if s is None:
+                continue
+            for c in orow:
+                col_rows.get(c, set()).discard(other_id)
+            orow = vec_axpy(orow, row, -s)
+            rows[other_id] = orow
+            for c in orow:
+                col_rows.setdefault(c, set()).add(other_id)
+        new_pivots = []
+        for qc, qrow in pivots:
+            s = qrow.get(pc)
+            if s is not None:
+                qrow = vec_axpy(qrow, row, -s)
+            new_pivots.append((qc, qrow))
+        pivots = new_pivots
+        pivots.append((pc, row))
+    pivots.sort(key=lambda t: t[0])
+    return pivots
+
+
+def oracle_rref(mat):
+    """Fraction elimination of mat; int entries are read as Fractions (the
+    oracle would divide ints into floats)."""
+    return _oracle_eliminate({i: {c: Fraction(v) for c, v in r.items()}
+                              for i, r in enumerate(mat.rows) if r})
+
+
+def oracle_kernel_basis(mat, pivots):
+    """kernel_basis as it was built from the oracle's pivots."""
+    pivot_cols = {c: row for c, row in pivots}
+    basis = []
+    for j in range(mat.ncols):
+        if j in pivot_cols:
+            continue
+        vec = {j: Fraction(1)}
+        for c, row in pivots:
+            v = row.get(j)
+            if v is not None:
+                vec[c] = -v
+        basis.append(vec)
+    return basis
+
+
+def _entry(rng, kind):
+    """A nonzero scalar: small Fraction, int, or one whose numerator or
+    denominator has more than 100 bits."""
+    if kind == "int":
+        return rng.choice([-3, -2, -1, 1, 2, 5])
+    if kind == "big":
+        num = rng.getrandbits(rng.choice([8, 110, 140])) + 1
+        den = rng.getrandbits(rng.choice([1, 105, 130])) + 1
+        return Fraction(rng.choice([-1, 1]) * num, den)
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
+
+
+def oracle_matrix(rng):
+    """A seeded sparse matrix with zero rows, repeated and scaled rows and
+    a mix of entry kinds."""
+    nrows, ncols = rng.randint(1, 24), rng.randint(1, 24)
+    density = rng.choice([0.08, 0.2, 0.4])
+    kinds = rng.choice([["small"], ["int"], ["big"], ["small", "int", "big"]])
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append({})
+        elif roll < 0.25 and rows:
+            s = _entry(rng, rng.choice(kinds))
+            rows.append({c: v * s for c, v in rng.choice(rows).items()})
+        else:
+            rows.append({c: _entry(rng, rng.choice(kinds))
+                         for c in range(ncols) if rng.random() < density})
+    if rng.random() < 0.3:     # one row the sum of two others
+        a, b = rng.choice(rows), rng.choice(rows)
+        rows.append(vec_add(a, b))
+    return SparseMatrix(len(rows), ncols, rows)
+
+
+class TestEliminationOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_fraction_elimination(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            m = oracle_matrix(rng)
+            before = [dict(r) for r in m.rows]
+            want = oracle_rref(m)
+            got = rref(m)
+            assert got == want
+            assert all(type(v) is Fraction for _, row in got for v in row.values())
+            assert rank(m) == len(want)
+            ker = kernel_basis(m)
+            assert [list(v.items()) for v in ker] == \
+                [list(v.items()) for v in oracle_kernel_basis(m, want)]
+            assert m.rows == before     # the input is not consumed
+
+
+class TestTrackedEchelonGeneric:
+    """represent on echelons built by add in random order, so stored vectors
+    hold other pivots' positions (the echelon is not reduced)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_represent(self, seed):
+        rng = random.Random(100 + seed)
+        dim = rng.randint(3, 14)
+        gens = []
+        for _ in range(rng.randint(1, dim + 3)):
+            if gens and rng.random() < 0.3:      # a dependent generator
+                a, b = rng.choice(gens), rng.choice(gens)
+                gens.append(vec_axpy(a, b, Fraction(rng.randint(-3, 3))))
+            else:
+                gens.append({i: Fraction(rng.choice([-4, -1, 1, 3]), rng.randint(1, 3))
+                             for i in range(dim) if rng.random() < 0.5})
+        gens = [g for g in gens if g]
+        te = TrackedEchelon()
+        for gid in rng.sample(range(len(gens)), len(gens)):
+            te.add(gens[gid], gid)
+        span = Echelon()
+        for g in gens:
+            span.add(g)
+        for _ in range(20):
+            vec = {}
+            for gid, g in enumerate(gens):
+                vec = vec_axpy(vec, g, Fraction(rng.randint(-2, 2)))
+            arg = dict(vec)
+            coords = te.represent(arg)
+            assert arg == vec
+            rebuilt = {}
+            for gid, s in coords.items():
+                rebuilt = vec_axpy(rebuilt, gens[gid], s)
+            assert rebuilt == vec
+            off = vec_axpy(vec, {rng.randrange(dim + 2): Fraction(1)}, Fraction(1))
+            arg = dict(off)
+            inside = not span.reduce(off)
+            got = te.represent(arg)
+            assert arg == off
+            assert (got is None) == (not inside)

@@ -115,6 +115,19 @@ class TestFormatParse:
         assert parse_novikov(R, "3/2 + -1*T^(1/2)") == x
         assert parse_novikov(R, "1*T^(1/2) + 1*T^(1/2)") == R.T(Fraction(1, 2), 2)
 
+    def test_binary_minus(self):
+        x = R.elem({Fraction(0): Fraction(3, 2), Fraction(1, 2): Fraction(-1)})
+        for text in ("3/2 - 1*T^(1/2)", "3/2-T^(1/2)", "-1*T^(1/2) + 3/2",
+                     "2 - 1/2 - 1*T^(1/2)"):
+            assert parse_novikov(R, text) == x
+        assert parse_novikov(R, "1 - -2*T^(1/2)") == R.one() + R.T(Fraction(1, 2), 2)
+        assert format_novikov(parse_novikov(R, "3/2 - 1*T^(1/2)")) == "3/2 + -1*T^(1/2)"
+
+    @pytest.mark.parametrize("text", ["1 -", "- - 3", "1 - - 3", "-", "1 +"])
+    def test_malformed_text_is_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_novikov(R, text)
+
     def test_format_rational(self):
         assert format_rational(Fraction(3)) == "3"
         assert format_rational(Fraction(-7, 2)) == "-7/2"

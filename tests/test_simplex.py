@@ -217,6 +217,35 @@ class TestIntegration:
                 assert nc_d_on(p, integration_cochain(w)) == integration_cochain(w.d())
 
 
+    def test_face_integral_matches_pullback_on_every_monomial(self):
+        # the closed form against pulling back and integrating, for every
+        # basis monomial of OmegaModel(p, P), p <= 4, p <= P <= 6, and every
+        # face of the monomial's degree (24,099 pairs)
+        pairs = 0
+        for p in range(5):
+            for P in range(p, 7):
+                om = OmegaModel(p, P)
+                for n in range(p + 1):
+                    for key in om.basis(n):
+                        w = PolyForm(p, {key: Fraction(1)})
+                        for F in combinations(range(p + 1), n + 1):
+                            want = pf_pullback(face_inclusion(F, p), w).integrate_top()
+                            assert integrate_over_face(w, F) == want, (key, F)
+                            pairs += 1
+        assert pairs == 24099
+
+    def test_face_integral_matches_pullback_on_forms(self):
+        # multi-term, mixed-degree forms over every face of every dimension
+        rng = random.Random(16)
+        for p in range(5):
+            for _ in range(6):
+                w = random_form(rng, p, 4).scale(Fraction(rng.randint(1, 9), 7))
+                for k in range(p + 1):
+                    for F in combinations(range(p + 1), k + 1):
+                        want = pf_pullback(face_inclusion(F, p), w).integrate_top()
+                        assert integrate_over_face(w, F) == want
+
+
 class TestWhitney:
     def test_edge_form(self):
         assert whitney(1, {(0, 1): Fraction(1)}).terms == {((0,), (1,)): Fraction(1)}
