@@ -223,9 +223,8 @@ def _cmd_bv_check(job):
         count = bv_axiom_check(nvars=2, max_degree=3)
         checks = [_check("bv-axioms", True, instances=count)]
     except AxiomFailure as exc:
-        axiom, detail = exc.args[0]
-        checks = [_check("bv-axioms", False, axiom=axiom,
-                         witness=list(detail))]
+        checks = [_check("bv-axioms", False, axiom=exc.witness[0],
+                         witness=list(exc.witness[1:]))]
     return {"nvars": 2, "max_degree": 3}, checks, None
 
 

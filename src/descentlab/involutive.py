@@ -44,6 +44,15 @@ class Poly:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, nvars, terms):
+        """Wrap terms the arithmetic below already made canonical: exponent
+        tuples of the right length, Fraction coefficients, none zero."""
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.terms = terms
+        return self
+
+    @classmethod
     def zero(cls, nvars):
         return cls(nvars)
 
@@ -84,7 +93,7 @@ class Poly:
                 out[e] = v
             else:
                 out.pop(e, None)
-        return Poly(self.nvars, out)
+        return Poly._trusted(self.nvars, out)
 
     def __neg__(self):
         return self.scale(-1)
@@ -94,7 +103,12 @@ class Poly:
 
     def scale(self, c):
         c = Fraction(c)
-        return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        if c == 1:
+            return self
+        if not c:
+            return Poly.zero(self.nvars)
+        return Poly._trusted(self.nvars,
+                             {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other):
         self._check(other)
@@ -107,7 +121,7 @@ class Poly:
                     out[e] = v
                 else:
                     out.pop(e, None)
-        return Poly(self.nvars, out)
+        return Poly._trusted(self.nvars, out)
 
     def __pow__(self, k):
         if k < 0:
@@ -124,7 +138,7 @@ class Poly:
                 de = list(e)
                 de[i] -= 1
                 out[tuple(de)] = c * e[i]
-        return Poly(self.nvars, out)
+        return Poly._trusted(self.nvars, out)
 
     def compose(self, args):
         """Substitute args[i] (all in a common variable set) for variable i."""

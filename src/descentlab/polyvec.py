@@ -34,6 +34,17 @@ def _merge_odd(xs, ys):
     return sign, tuple(out)
 
 
+def _add_into(out, terms, c=1):
+    """out += c * terms, on dicts {monomial key: coefficient}."""
+    for key, v in terms.items():
+        tot = out.get(key, 0) + c * v
+        if tot == 0:
+            out.pop(key, None)
+        else:
+            out[key] = tot
+    return out
+
+
 class Polyvector:
     """A finite Q-combination of monomials x^a xi_I."""
 
@@ -56,6 +67,15 @@ class Polyvector:
                     self.terms.pop(key, None)
                 else:
                     self.terms[key] = tot
+
+    @classmethod
+    def _trusted(cls, nvars, terms):
+        """Wrap terms the arithmetic below already made canonical: tuple
+        keys of the right shape, Fraction coefficients, none of them zero."""
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.terms = terms
+        return self
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -97,7 +117,8 @@ class Polyvector:
         for (exps, xis), c in self.terms.items():
             k = len(xis)
             out.setdefault(k, {})[(exps, xis)] = c
-        return {k: Polyvector(self.nvars, t) for k, t in sorted(out.items())}
+        return {k: Polyvector._trusted(self.nvars, t)
+                for k, t in sorted(out.items())}
 
     def odd_degree(self):
         """The common odd degree, or None if mixed or zero."""
@@ -106,14 +127,8 @@ class Polyvector:
 
     # -- linear ops -------------------------------------------------------
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            tot = out.get(key, 0) + c
-            if tot == 0:
-                out.pop(key, None)
-            else:
-                out[key] = tot
-        return Polyvector(self.nvars, out)
+        return Polyvector._trusted(self.nvars,
+                                   _add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -123,8 +138,12 @@ class Polyvector:
 
     def scale(self, c):
         c = Fraction(c)
-        return Polyvector(self.nvars,
-                          {k: v * c for k, v in self.terms.items()})
+        if c == 1:
+            return self
+        if c == 0:
+            return Polyvector.zero(self.nvars)
+        return Polyvector._trusted(self.nvars,
+                                   {k: v * c for k, v in self.terms.items()})
 
     # -- multiplication ---------------------------------------------------
     def wedge(self, other):
@@ -143,7 +162,7 @@ class Polyvector:
                     out.pop(key, None)
                 else:
                     out[key] = tot
-        return Polyvector(self.nvars, out)
+        return Polyvector._trusted(self.nvars, out)
 
     __mul__ = wedge
 
@@ -157,7 +176,7 @@ class Polyvector:
             ne = list(exps)
             ne[i] = e - 1
             out[(tuple(ne), xis)] = c * e
-        return Polyvector(self.nvars, out)
+        return Polyvector._trusted(self.nvars, out)
 
     def xi_diff(self, i):
         """Left derivative with respect to xi_i."""
@@ -169,7 +188,7 @@ class Polyvector:
             sign = -1 if pos % 2 else 1
             nx = xis[:pos] + xis[pos + 1:]
             out[(exps, nx)] = c * sign
-        return Polyvector(self.nvars, out)
+        return Polyvector._trusted(self.nvars, out)
 
     def __repr__(self):
         return f"Polyvector({self.nvars}, {format_polyvector(self)!r})"
@@ -200,10 +219,21 @@ def format_polyvector(P: Polyvector) -> str:
 
 def bv_delta(P: Polyvector) -> Polyvector:
     """Sum over i of d/dx_i applied after the left derivative d/dxi_i."""
-    out = Polyvector.zero(P.nvars)
-    for i in range(P.nvars):
-        out = out + P.xi_diff(i).x_diff(i)
-    return out
+    out = {}
+    for (exps, xis), c in P.terms.items():
+        for pos, i in enumerate(xis):
+            e = exps[i]
+            if e == 0:
+                continue
+            ne = list(exps)
+            ne[i] = e - 1
+            key = (tuple(ne), xis[:pos] + xis[pos + 1:])
+            tot = out.get(key, 0) + (-c * e if pos % 2 else c * e)
+            if tot == 0:
+                out.pop(key, None)
+            else:
+                out[key] = tot
+    return Polyvector._trusted(P.nvars, out)
 
 
 def bracket_from_delta(delta):
@@ -314,6 +344,11 @@ def _all_monomials(nvars, max_degree, lo=0):
     return out
 
 
+def _sign(n):
+    """(-1) ** n as an int, for any integer n."""
+    return -1 if n % 2 else 1
+
+
 def bv_axiom_check(nvars=2, max_degree=3, delta=None, jacobi=True):
     """Exhaustively verify the operator-and-bracket axioms on monomials.
 
@@ -321,65 +356,123 @@ def bv_axiom_check(nvars=2, max_degree=3, delta=None, jacobi=True):
     graded antisymmetric; it satisfies the graded Leibniz rule in the second
     slot; the operator is a derivation of its own bracket; and (optionally)
     the graded Jacobi identity.  Multilinearity makes monomial instances
-    sufficient — delta must be linear, which also lets pair brackets be
-    memoized on unit monomials.  Raises AxiomFailure with a witness on the
-    first violation; returns the number of instances checked.
+    sufficient; delta must be linear.  Raises AxiomFailure with a witness on
+    the first violation; returns the number of instances checked.
+
+    The sweep works on dicts {monomial key: coefficient}.  The odd Laplacian
+    and the wedge have integer structure constants on monomials, so the
+    coefficients are ints, and a Fraction appears only where delta itself
+    has a non-integer one.  Three tables keyed on monomial keys carry the
+    work: delta of each key (delta is called once per distinct key), the
+    wedge of two keys as (sign, key) or None, and the derived bracket of two
+    keys.  The tables belong to one call and are dropped with it, so no
+    state is shared between calls or between deltas.
     """
     if delta is None:
         delta = bv_delta
-    bracket = bracket_from_delta(delta)
-    zero = Polyvector.zero(nvars)
-    cache = {}
+    deltas, wedges, brackets = {}, {}, {}
 
-    def mono_bracket(ka, kb) -> Polyvector:
-        got = cache.get((ka, kb))
+    def d_key(key):
+        got = deltas.get(key)
         if got is None:
-            got = bracket(Polyvector.monomial(nvars, *ka),
-                          Polyvector.monomial(nvars, *kb))
-            cache[(ka, kb)] = got
+            image = delta(Polyvector.monomial(nvars, *key)).terms
+            got = deltas[key] = {
+                k: c.numerator if c.denominator == 1 else c
+                for k, c in image.items()}
         return got
 
-    def pv_bracket(a: Polyvector, b: Polyvector) -> Polyvector:
-        out = zero
-        for ka, ca in a.terms.items():
-            for kb, cb in b.terms.items():
-                out = out + mono_bracket(ka, kb).scale(ca * cb)
+    def w_key(ka, kb):
+        try:
+            return wedges[ka, kb]
+        except KeyError:
+            merged = _merge_odd(ka[1], kb[1])
+            got = wedges[ka, kb] = None if merged is None else (
+                merged[0], (tuple(a + b for a, b in zip(ka[0], kb[0])),
+                            merged[1]))
+            return got
+
+    def wedge(left, right, c=1, out=None):
+        """out + c * left ^ right (a new dict when out is None)."""
+        out = {} if out is None else out
+        for ka, ca in left.items():
+            for kb, cb in right.items():
+                w = w_key(ka, kb)
+                if w is not None:
+                    key = w[1]
+                    tot = out.get(key, 0) + c * w[0] * ca * cb
+                    if tot == 0:
+                        out.pop(key, None)
+                    else:
+                        out[key] = tot
+        return out
+
+    def b_key(ka, kb):
+        # bracket_from_delta on two monomials, k = |a|:
+        # (-1)^(k+1) (delta(a b) - delta(a) b) + a delta(b)
+        try:
+            return brackets[ka, kb]
+        except KeyError:
+            sign = _sign(len(ka[1]) + 1)
+            out = wedge({ka: 1}, d_key(kb))
+            wedge(d_key(ka), {kb: 1}, -sign, out)
+            w = w_key(ka, kb)
+            if w is not None:
+                _add_into(out, d_key(w[1]), sign * w[0])
+            brackets[ka, kb] = out
+            return out
+
+    def bracket(left, right, c=1, out=None):
+        """out + c * [left, right] (a new dict when out is None)."""
+        out = {} if out is None else out
+        for ka, ca in left.items():
+            for kb, cb in right.items():
+                _add_into(out, b_key(ka, kb), c * ca * cb)
+        return out
+
+    def delta_of(terms):
+        out = {}
+        for key, c in terms.items():
+            _add_into(out, d_key(key), c)
         return out
 
     monos = _all_monomials(nvars, max_degree)
+    # (key, the monomial as an int-coefficient dict, the Polyvector)
+    sweep = [(key, {key: 1}, m) for m in monos for key in m.terms]
     checked = 0
-    for a in monos:
-        if not delta(delta(a)).is_zero():
+    for _, a1, a in sweep:
+        if delta_of(delta_of(a1)):
             raise AxiomFailure(witness=("square", format_polyvector(a)))
         checked += 1
-    degs = {id(m): m.odd_degree() for m in monos}
-    for a in monos:
-        p = degs[id(a)]
-        for b in monos:
-            q = degs[id(b)]
-            ab = pv_bracket(a, b)
-            ba = pv_bracket(b, a)
-            if not (ab + ba.scale((-1) ** ((p - 1) * (q - 1)))).is_zero():
+    for ka, a1, a in sweep:
+        p = len(ka[1])
+        for kb, b1, b in sweep:
+            q = len(kb[1])
+            ab = b_key(ka, kb)
+            flip = -_sign((p - 1) * (q - 1))
+            if ab != {k: flip * v for k, v in b_key(kb, ka).items()}:
                 raise AxiomFailure(witness=("antisymmetry",
                                             format_polyvector(a),
                                             format_polyvector(b)))
-            lhs = delta(ab)
-            rhs = pv_bracket(delta(a), b) + \
-                pv_bracket(a, delta(b)).scale((-1) ** (p - 1))
-            if lhs != rhs:
+            rhs = bracket(a1, delta_of(b1), _sign(p - 1))
+            if delta_of(ab) != bracket(delta_of(a1), b1, 1, rhs):
                 raise AxiomFailure(witness=("operator-derivation",
                                             format_polyvector(a),
                                             format_polyvector(b)))
             checked += 2
-    for a in monos:
-        p = degs[id(a)]
-        for b in monos:
-            q = degs[id(b)]
-            ab = pv_bracket(a, b)
-            for c in monos:
-                lhs = pv_bracket(a, b.wedge(c))
-                rhs = ab.wedge(c) + b.wedge(pv_bracket(a, c)).scale(
-                    (-1) ** ((p - 1) * q))
+    for ka, a1, a in sweep:
+        p = len(ka[1])
+        for kb, b1, b in sweep:
+            q = len(kb[1])
+            ab = b_key(ka, kb)
+            leibniz_sign = _sign((p - 1) * q)
+            jacobi_sign = _sign((p - 1) * (q - 1))
+            for kc, c1, c in sweep:
+                ac = b_key(ka, kc)
+                bc = w_key(kb, kc)
+                lhs = {} if bc is None else b_key(ka, bc[1])
+                if bc is not None and bc[0] < 0:
+                    lhs = {k: -v for k, v in lhs.items()}
+                rhs = wedge(b1, ac, leibniz_sign, wedge(ab, c1))
                 if lhs != rhs:
                     raise AxiomFailure(witness=("leibniz",
                                                 format_polyvector(a),
@@ -387,11 +480,8 @@ def bv_axiom_check(nvars=2, max_degree=3, delta=None, jacobi=True):
                                                 format_polyvector(c)))
                 checked += 1
                 if jacobi:
-                    jl = pv_bracket(a, pv_bracket(b, c))
-                    jr = pv_bracket(ab, c) + \
-                        pv_bracket(b, pv_bracket(a, c)).scale(
-                            (-1) ** ((p - 1) * (q - 1)))
-                    if jl != jr:
+                    jr = bracket(b1, ac, jacobi_sign, bracket(ab, c1))
+                    if bracket(a1, b_key(kb, kc)) != jr:
                         raise AxiomFailure(witness=("jacobi",
                                                     format_polyvector(a),
                                                     format_polyvector(b),

@@ -192,7 +192,7 @@ def format_novikov(x: NovikovElem) -> str:
     return " + ".join(parts)
 
 
-_TERM = re.compile(r"^\s*(?:(?P<coeff>-?\d+(?:/\d+)?)\s*\*\s*)?T\^\((?P<exp>-?\d+(?:/\d+)?)\)\s*$")
+_TERM = re.compile(r"^\s*(?:(?P<coeff>-?\d+(?:/\d+)?)\s*\*\s*|(?P<neg>-))?T\^\((?P<exp>-?\d+(?:/\d+)?)\)\s*$")
 # a term separator: any '+', or a '-' right after a term (a digit or ')')
 _SEP = re.compile(r"\+|(?<=[\d)])\s*-")
 
@@ -201,7 +201,8 @@ def parse_novikov(ring: NovikovRing, text: str) -> NovikovElem:
     """Parse the canonical 'c1*T^(a1) + c2*T^(a2) + c0' form.
 
     A minus between two terms subtracts the second, so '1 - 3*T^(1)' is
-    '1 + -3*T^(1)'; a minus anywhere else belongs to the number after it.
+    '1 + -3*T^(1)'; a minus anywhere else belongs to the number or the
+    T-power after it, so '-T^(1/2)' is '-1*T^(1/2)'.
     """
     text = text.strip()
     if text == "0":
@@ -212,7 +213,8 @@ def parse_novikov(ring: NovikovRing, text: str) -> NovikovElem:
         chunk = text[start:sep.start() if sep else len(text)].strip()
         m = _TERM.match(chunk)
         if m:
-            coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+            coeff = (Fraction(m.group("coeff")) if m.group("coeff")
+                     else Fraction(-1 if m.group("neg") else 1))
             exp = Fraction(m.group("exp"))
         else:
             coeff, exp = Fraction(chunk), Fraction(0)

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` names its targets as "module:attribute path"; a
 renamed or deleted function would otherwise surface only when a traced
 benchmark run fails with WrapTargetMissing, and a target that the ``forms``
-workload no longer calls only when its traced run reports it unreached.
+or ``scalar`` workload no longer calls only when its traced run reports it
+unreached.
 The benchmark files are loaded by path and only read.
 """
 
@@ -41,13 +42,13 @@ def test_every_span_target_resolves():
     assert not missing, missing
 
 
-def test_forms_tour_reaches_every_forms_target(tmp_path):
-    # the tour of the forms workload, run in process under the span
-    # wrappers as a traced benchmark run does (seed 1)
+def _run_tour(name, workdir):
+    """The tour of one workload, run in process under the span wrappers as
+    a traced benchmark run does (seed 1); the tracer that recorded it."""
     spans, workloads = _load("spans"), _load("workloads")
-    work = workloads.WORKLOADS["forms"]()
+    work = workloads.WORKLOADS[name]()
     work.plan(1)
-    work.setup(1, str(tmp_path))
+    work.setup(1, str(workdir))
     tracer = spans.Tracer()
     for i, job in enumerate(work.tour()):
         inp = work.fresh(job)
@@ -57,4 +58,12 @@ def test_forms_tour_reaches_every_forms_target(tmp_path):
         finally:
             tracer.uninstall()
         assert ok, detail
-    assert tracer.unreached("forms") == []
+    return tracer
+
+
+def test_forms_tour_reaches_every_forms_target(tmp_path):
+    assert _run_tour("forms", tmp_path).unreached("forms") == []
+
+
+def test_scalar_tour_reaches_every_scalar_target(tmp_path):
+    assert _run_tour("scalar", tmp_path).unreached("scalar") == []

@@ -12,6 +12,7 @@ from descentlab import cli
 from descentlab import fixtures as fx
 from descentlab.complexes import (ChainMap, Complex, betti_numbers,
                                   chain_map_to_json, complex_to_json, single)
+from descentlab.errors import AxiomFailure
 from descentlab.linalg import SparseMatrix
 from descentlab.presheaf import (presheaf_from_json, presheaf_to_json,
                                  verify_descent)
@@ -111,6 +112,31 @@ def test_novikov_binary_minus(tmp_path, capsys, text):
         assert code == 0 and not err
         reports.append(out)
     assert reports[0] == reports[1]
+
+
+def test_novikov_leading_unary_minus(tmp_path, capsys):
+    # '-T^(1/2)' is '-1*T^(1/2)', as '1 - T^(1/2)' already was
+    reports = []
+    for entry in ("-T^(1/2)", "-1*T^(1/2)"):
+        path = tmp_path / "cx.json"
+        blob = _novikov_edge(entry)
+        blob["coeff"]["novikov"]["den"] = 2
+        path.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "homology", "--input", str(path))
+        assert code == 0 and not err
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("text", ["-", "--T^(1)", "T^(1/2) -"])
+def test_novikov_stray_minus_is_an_input_error(tmp_path, capsys, text):
+    path = tmp_path / "cx.json"
+    blob = _novikov_edge(text)
+    blob["coeff"]["novikov"]["den"] = 2
+    path.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "homology", "--input", str(path))
+    assert code == 2 and not out
+    assert err.startswith("descentlab: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("blob", [
@@ -393,6 +419,25 @@ def test_covers_check_bundled_job_passes(capsys):
     report = json.loads(out)
     assert [c["id"] for c in report["checks"]] == \
         ["weak-cover-bullets", "stage-monotonicity"]
+
+
+def test_bv_check_failure_is_reported(monkeypatch, capsys):
+    witness = ("leibniz", "x1*xi1", "xi2", "x2")
+
+    def failing(**_):
+        raise AxiomFailure(witness=witness)
+
+    monkeypatch.setattr(cli, "bv_axiom_check", failing)
+    code, out, err = run_cli(capsys, "bv-check")
+    assert code == 1 and not err
+    check = json.loads(out)["checks"][0]
+    assert check == {"id": "bv-axioms", "ok": False, "axiom": "leibniz",
+                     "witness": ["x1*xi1", "xi2", "x2"]}
+    code, out, err = run_cli(capsys, "bv-check", "--format", "text")
+    assert code == 1 and not err
+    assert 'FAIL bv-axioms  {"axiom": "leibniz", "witness": ' \
+        '["x1*xi1", "xi2", "x2"]}' in out.splitlines()
+    assert out.endswith("overall: FAIL\n")
 
 
 def test_p1_demo(capsys):

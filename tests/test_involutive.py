@@ -77,6 +77,37 @@ def test_poly_calculus():
         f ** (-1)
 
 
+def assert_canonical(p):
+    """p is what the validating constructor makes of its own terms."""
+    assert p.terms == Poly(p.nvars, dict(p.terms)).terms
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    assert all(len(e) == p.nvars and min(e) >= 0 for e in p.terms)
+
+
+def test_arithmetic_results_are_canonical():
+    # the arithmetic builds its results without re-validating them
+    rng = random.Random(23)
+    for _ in range(40):
+        f, g, h = (rand_poly(rng, 4) for _ in range(3))
+        c = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        for p in (f + g, f - g, f - f, -f, f.scale(c), f.scale(0),
+                  f.scale(1), f * g, f * Poly.zero(4), f ** 2,
+                  f.diff(rng.randrange(4)), poisson_bracket(f, g),
+                  poisson_bracket(f, f),
+                  Poly(2, {(1, 0): 1}).compose([f, g]),
+                  (f * g + h).scale(c) - h):
+            assert_canonical(p)
+    assert f.scale(1) is f
+
+
+def test_constructor_still_validates():
+    with pytest.raises(InputError):
+        Poly(2, {(1, -1): 1})
+    with pytest.raises(InputError):
+        Poly(2, {(1,): 1})
+    assert Poly(2, {(1, 0): 0, (0, 1): 2}).terms == {(0, 1): Fraction(2)}
+
+
 # ---------------------------------------------------------------------------
 # the bracket
 

@@ -1,5 +1,6 @@
 """Polynomial multivector fields, the odd Laplacian, and its bracket."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descentlab.errors import AxiomFailure, ShapeMismatch
-from descentlab.polyvec import (Polyvector, bv_axiom_check, bv_bracket,
-                                bv_delta, bracket_from_delta,
+from descentlab.polyvec import (Polyvector, _all_monomials, bv_axiom_check,
+                                bv_bracket, bv_delta, bracket_from_delta,
                                 format_polyvector, schouten_oracle)
 
 N = 2
@@ -195,6 +196,12 @@ def test_axiom_check_catches_even_derivation():
     assert exc.value.witness[0] == "square"
 
 
+def test_even_derivation_witness():
+    with pytest.raises(AxiomFailure) as exc:
+        bv_axiom_check(nvars=2, max_degree=2, delta=even_derivation)
+    assert exc.value.witness == ("square", "x1*x2*xi2")
+
+
 def test_axiom_check_catches_non_second_order():
     # odd multiplication squares to zero but is first order: the Leibniz
     # rule for its derived bracket must fail
@@ -203,6 +210,12 @@ def test_axiom_check_catches_non_second_order():
     with pytest.raises(AxiomFailure) as exc:
         bv_axiom_check(nvars=2, max_degree=2, delta=fake)
     assert exc.value.witness[0] == "leibniz"
+
+
+def test_odd_multiplication_witness():
+    with pytest.raises(AxiomFailure) as exc:
+        bv_axiom_check(nvars=2, max_degree=2, delta=odd_multiplication)
+    assert exc.value.witness == ("leibniz", "1", "1", "1")
 
 
 def test_rescaled_operator_still_satisfies_axioms():
@@ -218,3 +231,197 @@ def test_bracket_from_delta_on_three_variables():
     x3 = Polyvector.var(3, 2)
     xi3 = Polyvector.xi(3, 2)
     assert b3(xi3, x3) == Polyvector.const(3, 1)
+
+
+# ---------------------------------------------------------------------------
+# the integer-table sweep against the Polyvector sweep it replaced
+
+
+def even_derivation(P):
+    return bv_delta(P) + P.x_diff(0)
+
+
+def odd_multiplication(P):
+    return Polyvector.xi(P.nvars, 0).wedge(P)
+
+
+def doubled(P):
+    return bv_delta(P).scale(2)
+
+
+def halved(P):
+    return bv_delta(P).scale(Fraction(1, 2))
+
+
+def xi_laplacian(P):
+    # even and second order: the derived bracket is not antisymmetric
+    return P.xi_diff(0).xi_diff(1)
+
+
+# The sweep as it was written on validated Polyvectors, kept verbatim as the
+# reference: one bracket per pair of terms, a new Polyvector per operation.
+def polyvector_sweep(nvars=2, max_degree=3, delta=None, jacobi=True):
+    """Exhaustively verify the operator-and-bracket axioms on monomials.
+
+    Checks, in order: the operator squares to zero; the derived bracket is
+    graded antisymmetric; it satisfies the graded Leibniz rule in the second
+    slot; the operator is a derivation of its own bracket; and (optionally)
+    the graded Jacobi identity.  Multilinearity makes monomial instances
+    sufficient — delta must be linear, which also lets pair brackets be
+    memoized on unit monomials.  Raises AxiomFailure with a witness on the
+    first violation; returns the number of instances checked.
+    """
+    if delta is None:
+        delta = bv_delta
+    bracket = bracket_from_delta(delta)
+    zero = Polyvector.zero(nvars)
+    cache = {}
+
+    def mono_bracket(ka, kb) -> Polyvector:
+        got = cache.get((ka, kb))
+        if got is None:
+            got = bracket(Polyvector.monomial(nvars, *ka),
+                          Polyvector.monomial(nvars, *kb))
+            cache[(ka, kb)] = got
+        return got
+
+    def pv_bracket(a: Polyvector, b: Polyvector) -> Polyvector:
+        out = zero
+        for ka, ca in a.terms.items():
+            for kb, cb in b.terms.items():
+                out = out + mono_bracket(ka, kb).scale(ca * cb)
+        return out
+
+    monos = _all_monomials(nvars, max_degree)
+    checked = 0
+    for a in monos:
+        if not delta(delta(a)).is_zero():
+            raise AxiomFailure(witness=("square", format_polyvector(a)))
+        checked += 1
+    degs = {id(m): m.odd_degree() for m in monos}
+    for a in monos:
+        p = degs[id(a)]
+        for b in monos:
+            q = degs[id(b)]
+            ab = pv_bracket(a, b)
+            ba = pv_bracket(b, a)
+            if not (ab + ba.scale((-1) ** ((p - 1) * (q - 1)))).is_zero():
+                raise AxiomFailure(witness=("antisymmetry",
+                                            format_polyvector(a),
+                                            format_polyvector(b)))
+            lhs = delta(ab)
+            rhs = pv_bracket(delta(a), b) + \
+                pv_bracket(a, delta(b)).scale((-1) ** (p - 1))
+            if lhs != rhs:
+                raise AxiomFailure(witness=("operator-derivation",
+                                            format_polyvector(a),
+                                            format_polyvector(b)))
+            checked += 2
+    for a in monos:
+        p = degs[id(a)]
+        for b in monos:
+            q = degs[id(b)]
+            ab = pv_bracket(a, b)
+            for c in monos:
+                lhs = pv_bracket(a, b.wedge(c))
+                rhs = ab.wedge(c) + b.wedge(pv_bracket(a, c)).scale(
+                    (-1) ** ((p - 1) * q))
+                if lhs != rhs:
+                    raise AxiomFailure(witness=("leibniz",
+                                                format_polyvector(a),
+                                                format_polyvector(b),
+                                                format_polyvector(c)))
+                checked += 1
+                if jacobi:
+                    jl = pv_bracket(a, pv_bracket(b, c))
+                    jr = pv_bracket(ab, c) + \
+                        pv_bracket(b, pv_bracket(a, c)).scale(
+                            (-1) ** ((p - 1) * (q - 1)))
+                    if jl != jr:
+                        raise AxiomFailure(witness=("jacobi",
+                                                    format_polyvector(a),
+                                                    format_polyvector(b),
+                                                    format_polyvector(c)))
+                    checked += 1
+    return checked
+
+
+def outcome(sweep, nvars, max_degree, delta=None):
+    """The count, or the witness of the first failure."""
+    try:
+        return sweep(nvars, max_degree, delta=delta)
+    except AxiomFailure as exc:
+        return exc.witness
+
+
+@pytest.mark.parametrize("nvars,max_degree", [(1, 3), (2, 1), (2, 2), (3, 1)])
+def test_sweep_matches_polyvector_sweep(nvars, max_degree):
+    want = polyvector_sweep(nvars, max_degree)
+    assert isinstance(want, int)
+    assert bv_axiom_check(nvars, max_degree) == want
+
+
+@pytest.mark.parametrize("delta", [even_derivation, odd_multiplication,
+                                   doubled, halved, xi_laplacian])
+def test_sweep_matches_polyvector_sweep_on_other_operators(delta):
+    assert outcome(bv_axiom_check, 2, 2, delta) == \
+        outcome(polyvector_sweep, 2, 2, delta)
+
+
+def test_sweep_witness_on_even_operator():
+    with pytest.raises(AxiomFailure) as exc:
+        bv_axiom_check(nvars=2, max_degree=2, delta=xi_laplacian)
+    assert exc.value.witness == ("antisymmetry", "xi1", "xi1*xi2")
+
+
+def test_sweep_calls_delta_once_per_monomial():
+    seen = []
+
+    def counting(P):
+        [(key, coeff)] = P.terms.items()
+        assert coeff == 1
+        seen.append(key)
+        return bv_delta(P)
+
+    assert bv_axiom_check(2, 2, delta=counting) == 28824
+    assert len(seen) == len(set(seen))
+
+
+# ---------------------------------------------------------------------------
+# results built without re-validation are canonical
+
+
+def random_polyvector(rng, nvars=N, max_terms=4):
+    terms = {}
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        exps = tuple(rng.randrange(-2, 3) for _ in range(nvars))
+        xis = tuple(i for i in range(nvars) if rng.random() < 0.5)
+        terms[(exps, xis)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return Polyvector(nvars, terms)
+
+
+def assert_canonical(P):
+    """P is what the validating constructor makes of its own terms."""
+    assert P.terms == Polyvector(P.nvars, dict(P.terms)).terms
+    assert all(type(c) is Fraction and c != 0 for c in P.terms.values())
+
+
+def test_arithmetic_results_are_canonical():
+    rng = random.Random(29)
+    for _ in range(60):
+        a, b = random_polyvector(rng), random_polyvector(rng)
+        c = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        i = rng.randrange(N)
+        results = [a + b, a - b, a - a, -a, a.scale(c), a.scale(0),
+                   a.scale(1), a * b, a * a, a.x_diff(i), a.xi_diff(i),
+                   bv_delta(a), bv_delta(a * b), bv_bracket(a, b),
+                   *a.components().values()]
+        for P in results:
+            assert_canonical(P)
+    assert a.scale(1) is a
+
+
+def test_constructor_still_validates():
+    with pytest.raises(ShapeMismatch):
+        Polyvector(2, {((0,), ()): 1})
+    assert Polyvector(2, {((0, 1), ()): 0}).is_zero()

@@ -123,7 +123,17 @@ class TestFormatParse:
         assert parse_novikov(R, "1 - -2*T^(1/2)") == R.one() + R.T(Fraction(1, 2), 2)
         assert format_novikov(parse_novikov(R, "3/2 - 1*T^(1/2)")) == "3/2 + -1*T^(1/2)"
 
-    @pytest.mark.parametrize("text", ["1 -", "- - 3", "1 - - 3", "-", "1 +"])
+    def test_leading_unary_minus(self):
+        # a minus before a bare T-power negates it, as before a number
+        x = R.elem({Fraction(0): Fraction(3, 2), Fraction(1, 2): Fraction(-1)})
+        assert parse_novikov(R, "-T^(1/2) + 3/2") == x
+        assert parse_novikov(R, "-T^(1/2)") == -R.T(Fraction(1, 2))
+        assert parse_novikov(R, "1 - -T^(1/2)") == R.one() + R.T(Fraction(1, 2))
+        assert parse_novikov(R, "T^(1) + -T^(1/2)") == \
+            R.T(Fraction(1)) - R.T(Fraction(1, 2))
+
+    @pytest.mark.parametrize("text", ["1 -", "- - 3", "1 - - 3", "-", "1 +",
+                                      "--T^(1)", "T^(1/2) -", "- T^(1)"])
     def test_malformed_text_is_rejected(self, text):
         with pytest.raises(ValueError):
             parse_novikov(R, text)
