@@ -169,85 +169,14 @@ class ChainMap:
 
 
 def shift(c: Complex, k: int) -> Complex:
-    """C[k] with C[k]^n = C^{n-k} and differential (-1)^k d."""
+    """C[k] with C[k]^n = C^{n-k} and differential (-1)^k d; each cell keeps
+    its name, so C[k].label(n + k, i) == C.label(n, i)."""
     dims = {n + k: c.dim(n) for n in c.degrees()}
     sign = -1 if k % 2 else 1
     diff = {n + k: c.d(n).scale(sign) for n in c.degrees() if not c.d(n).is_zero()}
-    labels = None
-    if c.labels is not None:
-        labels = {n + k: list(c.labels.get(n, [])) for n in c.degrees()}
+    labels = {n + k: [c.label(n, i) for i in range(c.dim(n))] for n in c.degrees()}
     return Complex(c.ring, dims, diff, labels=labels,
                    support=(c.support[0] + k, c.support[1] + k))
-
-
-@dataclass
-class MappingCone:
-    """cone(f) together with its two canonical maps."""
-
-    cx: Complex
-    from_target: ChainMap      # D -> cone(f), degree 0
-    to_shifted_source: ChainMap  # cone(f) -> C[-1], degree 0
-
-
-def cone(f: ChainMap) -> MappingCone:
-    """Mapping cone of a degree-0 chain map f : C -> D.
-
-    Degree n part is C^{n+1} (+) D^n, source block listed first, with
-    d(c, x) = (-d_C c, d_D x - f(c)).
-    """
-    if f.shift != 0:
-        raise ShapeMismatch("cone expects a degree-0 chain map")
-    C, D = f.source, f.target
-    lo = min(C.support[0] - 1, D.support[0])
-    hi = max(C.support[1] - 1, D.support[1])
-    dims, labels = {}, {}
-    for n in range(lo, hi + 1):
-        dims[n] = C.dim(n + 1) + D.dim(n)
-        labels[n] = [("src", C.label(n + 1, i)) for i in range(C.dim(n + 1))] + \
-                    [("tgt", D.label(n, j)) for j in range(D.dim(n))]
-    diff = {}
-    for n in range(lo, hi):
-        m = SparseMatrix(dims.get(n + 1, 0), dims.get(n, 0))
-        cs = C.dim(n + 1)  # column split
-        rs = C.dim(n + 2)  # row split
-        m.paste(C.d(n + 1), 0, 0, -1)
-        m.paste(f.mat(n + 1), rs, 0, -1)
-        m.paste(D.d(n), rs, cs, 1)
-        diff[n] = m
-    cx = Complex(C.ring, dims, diff, labels=labels, support=(lo, hi))
-    inc = {}
-    for n in D.degrees():
-        m = SparseMatrix(cx.dim(n), D.dim(n))
-        m.paste(SparseMatrix.identity(D.dim(n)), C.dim(n + 1), 0)
-        inc[n] = m
-    from_target = ChainMap(D, cx, inc)
-    Cm1 = shift(C, -1)
-    proj = {}
-    for n in cx.degrees():
-        m = SparseMatrix(Cm1.dim(n), cx.dim(n))
-        m.paste(SparseMatrix.identity(C.dim(n + 1)), 0, 0)
-        proj[n] = m
-    to_shifted_source = ChainMap(cx, Cm1, proj)
-    return MappingCone(cx, from_target, to_shifted_source)
-
-
-@dataclass
-class MappingCocone:
-    cx: Complex
-    to_source: ChainMap  # cocone(f) -> C, degree 0
-
-
-def cocone(f: ChainMap) -> MappingCocone:
-    """cocone(f) = cone(f)[1]; degree n part is C^n (+) D^{n-1}."""
-    mc = cone(f)
-    cx = shift(mc.cx, 1)
-    C = f.source
-    proj = {}
-    for n in cx.degrees():
-        m = SparseMatrix(C.dim(n), cx.dim(n))
-        m.paste(SparseMatrix.identity(C.dim(n)), 0, 0)
-        proj[n] = m
-    return MappingCocone(cx, ChainMap(cx, C, proj))
 
 
 @dataclass
@@ -318,6 +247,28 @@ def direct_sum(parts) -> DirectSum:
         diff[n] = m
     cx = Complex(ring, dims, diff, labels=labels, support=(lo, hi))
     return DirectSum(cx, offs)
+
+
+def cone(f: ChainMap) -> DirectSum:
+    """Mapping cone of a degree-0 chain map f : C -> D.
+
+    The direct sum C[-1] (+) D, so degree n is C^{n+1} (+) D^n, with -f
+    pasted into its differential: d(c, x) = (-d_C c, d_D x - f(c)).  The
+    canonical maps are inject(1, id_D) and extract(0, id_{C[-1]}).
+    """
+    if f.shift != 0:
+        raise ShapeMismatch("cone expects a degree-0 chain map")
+    ds = direct_sum([shift(f.source, -1), f.target])
+    for n, m in ds.cx.diff.items():
+        m.paste(f.mat(n + 1), ds.offsets[n + 1][1], ds.offsets[n][0], -1)
+    return ds
+
+
+def cocone(f: ChainMap) -> DirectSum:
+    """cocone(f) = cone(f)[1]; degree n part is C^n (+) D^{n-1}, and the
+    canonical map onto the source of f is extract(0, id_C)."""
+    mc = cone(f)
+    return DirectSum(shift(mc.cx, 1), {n + 1: off for n, off in mc.offsets.items()})
 
 
 class TensorComplex:
@@ -410,17 +361,21 @@ def koszul_swap(t_ab: TensorComplex, t_ba: TensorComplex) -> ChainMap:
 
 @dataclass
 class Telescope:
-    cx: Complex
+    cone: DirectSum    # cone(kappa - incl); its complex is the telescope
     to_last: ChainMap  # quasi-isomorphism onto the final term
+
+    @property
+    def cx(self) -> Complex:
+        return self.cone.cx
 
 
 def telescope(terms, maps) -> Telescope:
     """Finite telescope of C_1 -> C_2 -> ... -> C_L.
 
     Modeled as cone(kappa - incl) where kappa - incl maps the sum of the
-    first L-1 terms into the sum of all L, sending c_i to kappa_i(c_i) - c_i.
-    The summing map onto C_L (compose the remaining kappas) is the canonical
-    quasi-isomorphism.
+    first L-1 terms (zero when L = 1) into the sum of all L, sending c_i to
+    kappa_i(c_i) - c_i.  The summing map onto C_L (compose the remaining
+    kappas) is the canonical quasi-isomorphism.
     """
     terms = list(terms)
     maps = list(maps)
@@ -432,37 +387,29 @@ def telescope(terms, maps) -> Telescope:
             raise ShapeMismatch("telescope maps must have degree 0")
     tail = direct_sum(terms)
     if L == 1:
-        cx = terms[0]
-        return Telescope(cx, ChainMap.identity(cx))
-    head = direct_sum(terms[:-1])
-    kappa = [tail.inject(i + 1, head.extract(i, maps[i])) for i in range(L - 1)]
-    incl = [tail.inject(i, head.extract(i, ChainMap.identity(terms[i])))
-            for i in range(L - 1)]
-    mats = {}
-    for n in head.cx.degrees():
-        m = SparseMatrix(tail.cx.dim(n), head.cx.dim(n))
-        for k, inc in zip(kappa, incl):
-            m = m + k.mat(n) - inc.mat(n)
-        mats[n] = m
-    g = ChainMap(head.cx, tail.cx, mats)
+        # the empty head, placed so that the cone keeps C_1's support
+        lo = terms[0].support[0] + 1
+        g = ChainMap.zero(Complex(tail.cx.ring, {}, {}, support=(lo, lo)), tail.cx)
+    else:
+        head = direct_sum(terms[:-1])
+        kappa = [tail.inject(i + 1, head.extract(i, maps[i])) for i in range(L - 1)]
+        incl = [tail.inject(i, head.extract(i, ChainMap.identity(terms[i])))
+                for i in range(L - 1)]
+        mats = {}
+        for n in head.cx.degrees():
+            m = SparseMatrix(tail.cx.dim(n), head.cx.dim(n))
+            for k, inc in zip(kappa, incl):
+                m = m + k.mat(n) - inc.mat(n)
+            mats[n] = m
+        g = ChainMap(head.cx, tail.cx, mats)
     mc = cone(g)
-    # collapse map onto the last term: (a, b) -> sum of pushforwards of b
-    push = []
-    for i in range(L):
-        f = ChainMap.identity(terms[L - 1]) if i == L - 1 else None
-        if f is None:
-            f = maps[L - 2]
-            for j in range(L - 3, i - 1, -1):
-                f = f.compose(maps[j])
-        push.append(tail.extract(i, f))
-    mats = {}
-    last = terms[-1]
-    for n in mc.cx.degrees():
-        m = SparseMatrix(last.dim(n), mc.cx.dim(n))
-        for f in push:
-            m.paste(f.mat(n), 0, head.cx.dim(n + 1))
-        mats[n] = m
-    return Telescope(mc.cx, ChainMap(mc.cx, last, mats))
+    # collapse onto the last term: (a, b) -> sum of pushforwards of b
+    push = ChainMap.identity(terms[-1])
+    collapse = tail.extract(L - 1, push)
+    for i in range(L - 2, -1, -1):
+        push = maps[i] if i == L - 2 else push.compose(maps[i])
+        collapse = collapse + tail.extract(i, push)
+    return Telescope(mc, mc.extract(1, collapse))
 
 
 def telescope_comparison(terms, maps, L1: int, L2: int):
@@ -476,12 +423,11 @@ def telescope_comparison(terms, maps, L1: int, L2: int):
     t2 = telescope(terms[:L2], maps[:L2 - 1])
     mats = {}
     for n in t1.cx.degrees():
+        # t1's head and tail are prefixes of t2's head and tail
+        (h1, b1), (h2, b2) = t1.cone.offsets[n], t2.cone.offsets[n]
         m = SparseMatrix(t2.cx.dim(n), t1.cx.dim(n))
-        head2 = sum(terms[i].dim(n + 1) for i in range(L2 - 1))
-        head1 = sum(terms[i].dim(n + 1) for i in range(L1 - 1))
-        m.paste(SparseMatrix.identity(head1), 0, 0)
-        tail1 = sum(terms[i].dim(n) for i in range(L1))
-        m.paste(SparseMatrix.identity(tail1), head2, head1)
+        m.paste(SparseMatrix.identity(b1 - h1), h2, h1)
+        m.paste(SparseMatrix.identity(t1.cx.dim(n) - b1), b2, b1)
         mats[n] = m
     return t1, t2, ChainMap(t1.cx, t2.cx, mats)
 

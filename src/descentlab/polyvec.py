@@ -127,6 +127,8 @@ class Polyvector:
 
     # -- linear ops -------------------------------------------------------
     def __add__(self, other):
+        if self.nvars != other.nvars:
+            raise ShapeMismatch("sum across different variable counts")
         return Polyvector._trusted(self.nvars,
                                    _add_into(dict(self.terms), other.terms))
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .complexes import (ChainMap, Complex, TensorComplex, betti_numbers,
-                        cocone, direct_sum, is_quasi_iso)
+from .complexes import (ChainMap, Complex, DirectSum, TensorComplex,
+                        betti_numbers, cocone, direct_sum, is_quasi_iso)
 from .errors import (CosimplicialIdentityFailure, CutoffTooSmall,
                      FunctorialityFailure, InputError, RingMismatch,
                      ShapeMismatch, UnsupportedRing)
@@ -696,18 +696,34 @@ def first_intersections(F: CoverPresheaf) -> CoverPresheaf:
 class TwoSetDecomposition:
     """Cech(F) recovered as the cocone of comparing against the first set.
 
-    phi : F({1}) (+) Cech(F without 1)  ->  Cech(intersections with 1),
+    phi : A = F({1}) (+) Cech(F without 1)  ->  Cech(intersections with 1),
     phi(u, v) = rho(v) - aug(u); the cocone is isomorphic to Cech(F) by pure
     reindexing, recorded as an explicit invertible chain map psi.
     """
 
-    cocone_cx: Complex
+    cocone: DirectSum      # A (+) Cech(intersections with 1)[1]
+    A: DirectSum           # F({1}) (+) Cech(F without 1), the source of phi
     psi: ChainMap
     phi: ChainMap
     aug_first: ChainMap
     rho: ChainMap
     ok: bool
     cech: CechComplex      # Cech(F), the target of psi
+
+
+def _cocone_slots(cc: DirectSum, A: DirectSum, n):
+    """Where F({1}), Cech(F without 1) and Cech(FI)^(n-1) start in degree n
+    of cocone(phi); a degree outside a layout holds none of its parts."""
+    at_A, at_B = cc.offsets.get(n, (0, 0))
+    at_first, at_c2 = A.offsets.get(n, (0, 0))
+    return at_A + at_first, at_A + at_c2, at_B
+
+
+def _is_permutation(m: SparseMatrix) -> bool:
+    """Every row holds a single 1, and the columns hit are all distinct and
+    cover every column."""
+    hit = [c for row in m.rows if len(row) == 1 for c, v in row.items() if v == 1]
+    return len(hit) == m.nrows and sorted(hit) == list(range(m.ncols))
 
 
 def inclusion_exclusion(F: CoverPresheaf) -> TwoSetDecomposition:
@@ -748,47 +764,28 @@ def inclusion_exclusion(F: CoverPresheaf) -> TwoSetDecomposition:
     mats = {}
     for n in cc.cx.degrees():
         m = SparseMatrix(cF.cx.dim(n), cc.cx.dim(n))
-        off_first = 0
-        d_first = first.dim(n)
+        at_first, at_c2, at_B = _cocone_slots(cc, A, n)
         tgt = cF.offset(n, 0, (1,))
         if tgt is not None:
-            m.paste(SparseMatrix.identity(d_first), tgt, off_first)
-        off_c2 = d_first
+            m.paste(SparseMatrix.identity(first.dim(n)), tgt, at_first)
         for p, J, off, q in c2.blocks(n):
             J_old = tuple(j + 1 for j in J)
             tgt = cF.offset(n, p, J_old)
             if tgt is not None:
-                m.paste(SparseMatrix.identity(F.value(J_old).dim(q)), tgt, off_c2 + off)
-        off_B = A.cx.dim(n)
+                m.paste(SparseMatrix.identity(F.value(J_old).dim(q)), tgt, at_c2 + off)
         for p, J, off, q in cI.blocks(n - 1):
             J_old = tuple(sorted((1,) + tuple(j + 1 for j in J)))
             tgt = cF.offset(n, p + 1, J_old)
             if tgt is not None:
-                m.paste(SparseMatrix.identity(F.value(J_old).dim(q)), tgt, off_B + off)
+                m.paste(SparseMatrix.identity(F.value(J_old).dim(q)), tgt, at_B + off)
         mats[n] = m
     psi = ChainMap(cc.cx, cF.cx, mats)
-    ok = True
     try:
         psi.validate()
+        ok = all(_is_permutation(psi.mat(n)) for n in cc.cx.degrees())
     except ShapeMismatch:
         ok = False
-    if ok:
-        for n in cc.cx.degrees():
-            if cc.cx.dim(n) != cF.cx.dim(n):
-                ok = False
-                break
-            mm = psi.mat(n)
-            rows_hit = []
-            for c in range(mm.ncols):
-                col = mm.column(c)
-                if len(col) != 1 or next(iter(col.values())) != 1:
-                    ok = False
-                    break
-                rows_hit.extend(col)
-            if not ok or sorted(rows_hit) != list(range(mm.nrows)):
-                ok = False
-                break
-    return TwoSetDecomposition(cc.cx, psi, phi, aug_first, rho, ok, cF)
+    return TwoSetDecomposition(cc, A, psi, phi, aug_first, rho, ok, cF)
 
 
 @dataclass
@@ -819,21 +816,19 @@ def induction_pipeline(F: CoverPresheaf, G: CoverPresheaf, aug_rest: ChainMap,
     first = F.value((1,))
     mats = {}
     for n in cG.cx.degrees():
-        m = SparseMatrix(dec.cocone_cx.dim(n), cG.cx.dim(n))
-        # slots inside the cocone: first (+) cech2 (the source of phi),
-        # then cechI[1]
-        d_first = first.dim(n)
+        m = SparseMatrix(dec.cocone.cx.dim(n), cG.cx.dim(n))
+        at_first, at_c2, at_B = _cocone_slots(dec.cocone, dec.A, n)
         off = cG.offset(n, 0, (1,))
         if off is not None:
-            m.paste(SparseMatrix.identity(d_first), 0, off)
+            m.paste(SparseMatrix.identity(first.dim(n)), at_first, off)
         off = cG.offset(n, 0, (2,))
         if off is not None:
-            m.paste(aug_rest.mat(n), d_first, off)
+            m.paste(aug_rest.mat(n), at_c2, off)
         off = cG.offset(n, 1, (1, 2))
         if off is not None:
-            m.paste(aug_int.mat(n - 1), dec.phi.source.dim(n), off)
+            m.paste(aug_int.mat(n - 1), at_B, off)
         mats[n] = m
-    theta = ChainMap(cG.cx, dec.cocone_cx, mats)
+    theta = ChainMap(cG.cx, dec.cocone.cx, mats)
     theta_ok = True
     try:
         theta.validate()

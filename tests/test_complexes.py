@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descentlab.complexes import (ChainMap, Complex, HomologySpace,
-                                  MappingCone, betti_numbers, chain_map_from_json,
+                                  betti_numbers, chain_map_from_json,
                                   chain_map_to_json, change_basis, cocone,
                                   complete, complex_from_json, complex_to_json,
                                   cone, direct_sum, homology, homology_map,
@@ -75,6 +75,13 @@ class TestShift:
         assert shift(c, 1).d(1).get(0, 0) == -5
         assert shift(c, 2).d(2).get(0, 0) == 5
 
+    def test_shift_keeps_cell_names(self):
+        sh = shift(single(QQ, 1, 2), -1)
+        assert [sh.label(0, i) for i in range(2)] == [(1, 0), (1, 1)]
+        cx = Complex(QQ, {0: 1, 1: 2}, {}, labels={1: ["a", "b"]})
+        sh = shift(cx, 3)
+        assert [sh.label(3, 0), sh.label(4, 0), sh.label(4, 1)] == [(0, 0), "a", "b"]
+
 
 class TestConeCocone:
     @given(seeds)
@@ -87,8 +94,8 @@ class TestConeCocone:
         f.validate()
         mc = cone(f)
         mc.cx.validate()
-        mc.from_target.validate()
-        mc.to_shifted_source.validate()
+        mc.inject(1, ChainMap.identity(B)).validate()
+        mc.extract(0, ChainMap.identity(shift(A, -1))).validate()
         hc = betti_numbers(mc.cx)
         ha, hb = betti_numbers(A), betti_numbers(B)
         for n in hc:
@@ -111,7 +118,7 @@ class TestConeCocone:
         f = random_chain_map(rng, A, B)
         cc = cocone(f)
         cc.cx.validate()
-        cc.to_source.validate()
+        cc.extract(0, ChainMap.identity(A)).validate()
 
     def test_cocone_of_zero_splits(self):
         rng = random.Random(9)

@@ -2,9 +2,10 @@
 
 ``DirectSum`` and ``TensorComplex`` own where each block sits in each
 degree; everything else asks them through ``locate``/``pos``/``inject``/
-``extract``.  These tests check the layout against the basis labels and
-against identity-matrix inclusions and projections built here from the
-part dimensions alone.
+``extract``.  Cones, cocones and telescopes are direct sums too.  These
+tests check the layout against the basis labels and against
+identity-matrix inclusions and projections built here from the part
+dimensions alone.
 """
 
 import random
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descentlab import fixtures as fx
-from descentlab.complexes import (ChainMap, Complex, TensorComplex,
-                                  direct_sum, single)
+from descentlab.complexes import (ChainMap, Complex, TensorComplex, cocone,
+                                  cone, direct_sum, shift, single,
+                                  telescope_comparison)
 from descentlab.errors import ShapeMismatch
 from descentlab.linalg import SparseMatrix
 from descentlab.presheaf import CechComplex, Nerve, tot
@@ -161,6 +163,85 @@ def test_inject_extract_are_identity_composites(seed, s):
         assert (got.source, got.target, got.shift) == (ds.cx, other, s)
         for n in ds.cx.degrees():
             assert got.mat(n) == g.mat(n) @ projection(parts, ds.cx, i, n)
+
+
+# ---------------------------------------------------------------------------
+# cones, cocones and telescopes
+
+
+def check_two_part_layout(ds, name):
+    """locate inverts the offsets, and each index carries the label that
+    name(n, part, coordinate) gives it."""
+    for n in ds.cx.degrees():
+        for index in range(ds.cx.dim(n)):
+            i, j = ds.locate(n, index)
+            assert ds.offsets[n][i] + j == index
+            assert ds.cx.labels[n][index] == (i, name(n, i, j))
+        for bad in (-1, ds.cx.dim(n)):
+            with pytest.raises(ShapeMismatch):
+                ds.locate(n, bad)
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_cone_is_a_direct_sum(seed):
+    rng = random.Random(seed)
+    C, D = gappy(rng), gappy(rng)
+    mc = cone(fx.random_chain_map(rng, C, D))
+    mc.cx.validate()
+    for n in mc.cx.degrees():
+        assert mc.offsets[n] == [0, C.dim(n + 1)]
+    # each source cell is named by its degree in C
+    check_two_part_layout(
+        mc, lambda n, i, j: C.label(n + 1, j) if i == 0 else D.label(n, j))
+    parts = [shift(C, -1), D]
+    from_target = mc.inject(1, ChainMap.identity(D))
+    to_shifted_source = mc.extract(0, ChainMap.identity(parts[0]))
+    from_target.validate()
+    to_shifted_source.validate()
+    for n in D.degrees():
+        assert from_target.mat(n) == inclusion(parts, mc.cx, 1, n)
+    for n in mc.cx.degrees():
+        assert to_shifted_source.mat(n) == projection(parts, mc.cx, 0, n)
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_cocone_is_a_direct_sum(seed):
+    rng = random.Random(seed)
+    C, D = gappy(rng), gappy(rng)
+    cc = cocone(fx.random_chain_map(rng, C, D))
+    cc.cx.validate()
+    for n in cc.cx.degrees():
+        assert cc.offsets[n] == [0, C.dim(n)]
+    check_two_part_layout(
+        cc, lambda n, i, j: C.label(n, j) if i == 0 else D.label(n - 1, j))
+    parts = [C, shift(D, 1)]
+    to_source = cc.extract(0, ChainMap.identity(C))
+    to_source.validate()
+    for n in cc.cx.degrees():
+        assert to_source.mat(n) == projection(parts, cc.cx, 0, n)
+
+
+@given(seeds, st.integers(1, 4), st.integers(0, 3))
+@settings(max_examples=20, deadline=None)
+def test_telescope_comparison_is_the_prefix_inclusion(seed, L1, extra):
+    rng = random.Random(seed)
+    L2 = min(L1 + extra, 4)
+    terms, maps = fx.random_stabilizing_diagram(rng, 4)
+    t1, t2, comp = telescope_comparison(terms, maps, L1, L2)
+    comp.validate()
+    for n in t2.cx.degrees():
+        head2 = part_offset(terms, L2 - 1, n + 1)
+        assert t2.cone.offsets[n] == [0, head2]
+    for n in t1.cx.degrees():
+        head1 = part_offset(terms, L1 - 1, n + 1)
+        head2 = part_offset(terms, L2 - 1, n + 1)
+        assert t1.cone.offsets[n] == [0, head1]
+        want = SparseMatrix(t2.cx.dim(n), t1.cx.dim(n))
+        want.paste(SparseMatrix.identity(head1), 0, 0)
+        want.paste(SparseMatrix.identity(part_offset(terms, L1, n)), head2, head1)
+        assert comp.mat(n) == want
 
 
 # ---------------------------------------------------------------------------

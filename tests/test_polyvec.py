@@ -67,8 +67,9 @@ def test_components_split_by_odd_degree():
 
 
 def test_nvars_mismatch_rejected():
-    with pytest.raises(ShapeMismatch):
-        X1.wedge(Polyvector.var(3, 0))
+    for op in (Polyvector.wedge, Polyvector.__add__, Polyvector.__sub__):
+        with pytest.raises(ShapeMismatch):
+            op(X1, Polyvector.var(3, 0))
 
 
 def test_format_examples():

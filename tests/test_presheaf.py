@@ -16,12 +16,13 @@ from descentlab.complexes import (ChainMap, betti_numbers, homology,
 from descentlab.errors import (CutoffTooSmall, FunctorialityFailure,
                                InputError, UnknownFixture, UnsupportedRing)
 from descentlab.linalg import SparseMatrix
-from descentlab.presheaf import (TOP, CechComplex, CoverPresheaf, Nerve, cech,
-                                 drop_first_restrict, first_intersections,
-                                 format_key, inclusion_exclusion,
-                                 induction_pipeline, parse_key,
-                                 presheaf_from_json, presheaf_to_json, tot, tw,
-                                 tw_to_tot, verify_descent, whitney_section)
+from descentlab.presheaf import (TOP, CechComplex, CoverPresheaf, Nerve,
+                                 _is_permutation, cech, drop_first_restrict,
+                                 first_intersections, format_key,
+                                 inclusion_exclusion, induction_pipeline,
+                                 parse_key, presheaf_from_json,
+                                 presheaf_to_json, tot, tw, tw_to_tot,
+                                 verify_descent, whitney_section)
 from descentlab.scalars import NovikovRing
 
 
@@ -262,8 +263,32 @@ def test_tw_augmentation_is_quasi_iso():
 
 
 def test_inclusion_exclusion_triangle():
-    dec = inclusion_exclusion(fx.triangle_three_edge_presheaf())
+    F = fx.triangle_three_edge_presheaf()
+    dec = inclusion_exclusion(F)
     assert dec.ok
+    # the cocone is A (+) Cech(FI)[1], and A is F({1}) (+) Cech(F2)
+    for n in dec.cocone.cx.degrees():
+        assert dec.cocone.offsets[n] == [0, dec.A.cx.dim(n)]
+    for n in dec.A.cx.degrees():
+        assert dec.A.offsets[n] == [0, F.value((1,)).dim(n)]
+
+
+@pytest.mark.parametrize("entries, ok", [
+    ([(0, 1, 1), (1, 0, 1), (2, 2, 1)], True),
+    ([(0, 1, 1), (1, 0, 1), (2, 2, 2)], False),           # an entry 2
+    ([(0, 1, 1), (1, 0, 1), (2, 1, 1)], False),           # column 1 twice
+    ([(0, 1, 1), (0, 0, 1), (1, 0, 1), (2, 2, 1)], False),  # two in a row
+    ([(0, 1, 1), (1, 0, 1)], False),                      # an empty row
+])
+def test_psi_verdict_needs_a_permutation(entries, ok):
+    m = SparseMatrix.from_entries(3, 3, [(r, c, Fraction(v)) for r, c, v in entries])
+    assert _is_permutation(m) is ok
+
+
+def test_psi_verdict_needs_a_square_block():
+    # one 1 in each row, but column 2 is never hit
+    m = SparseMatrix.from_entries(2, 3, [(0, 1, Fraction(1)), (1, 0, Fraction(1))])
+    assert not _is_permutation(m)
 
 
 @pytest.mark.parametrize("n_sets", [3, 4])
