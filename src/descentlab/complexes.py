@@ -120,10 +120,11 @@ class ChainMap:
         for n, m in self.mats.items():
             if (m.nrows, m.ncols) != (self.target.dim(n + s), self.source.dim(n)):
                 raise ShapeMismatch(f"chain map block at degree {n} has wrong shape")
-        sign = -1 if s % 2 else 1
         for n in self.source.degrees():
             lhs = self.target.d(n + s) @ self.mat(n)
-            rhs = (self.mat(n + 1) @ self.source.d(n)).scale(sign)
+            rhs = self.mat(n + 1) @ self.source.d(n)
+            if s % 2:
+                rhs = rhs.scale(-1)
             if lhs != rhs:
                 raise ShapeMismatch(f"does not commute with differentials at degree {n}")
         return True
@@ -265,10 +266,15 @@ def cone(f: ChainMap) -> DirectSum:
 
 
 def cocone(f: ChainMap) -> DirectSum:
-    """cocone(f) = cone(f)[1]; degree n part is C^n (+) D^{n-1}, and the
-    canonical map onto the source of f is extract(0, id_C)."""
-    mc = cone(f)
-    return DirectSum(shift(mc.cx, 1), {n + 1: off for n, off in mc.offsets.items()})
+    """cocone(f) = cone(f)[1] = C (+) D[1] with +f pasted into its
+    differential, d(c, x) = (d_C c, f(c) - d_D x); degree n is C^n (+)
+    D^{n-1}, and the canonical map onto C is extract(0, id_C)."""
+    if f.shift != 0:
+        raise ShapeMismatch("cocone expects a degree-0 chain map")
+    ds = direct_sum([f.source, shift(f.target, 1)])
+    for n, m in ds.cx.diff.items():
+        m.paste(f.mat(n), ds.offsets[n + 1][1], ds.offsets[n][0])
+    return ds
 
 
 class TensorComplex:

@@ -342,26 +342,11 @@ def triangle_pipeline_data():
     G = graph_cover_presheaf(pieces, top_cells=(CIRCLE_VERTS, CIRCLE_EDGES))
     c2, cI = CechComplex(drop_first_restrict(F)), CechComplex(first_intersections(F))
     # augmentation of C(Y) into the Cech complex of Y's own two-edge cover
-    y_cx = G.value((2,))
-    mats = {}
-    for n in y_cx.degrees():
-        m = SparseMatrix(c2.cx.dim(n), y_cx.dim(n))
-        for new_j, old in ((1, (2,)), (2, (3,))):
-            off = c2.offset(n, 0, (new_j,))
-            if off is not None:
-                m.paste(graph_restriction(y_cx, F.value(old)).mat(n), off, 0)
-        mats[n] = m
-    aug_rest = ChainMap(y_cx, c2.cx, mats)
-    i_cx = G.value((1, 2))
-    mats = {}
-    for n in i_cx.degrees():
-        m = SparseMatrix(cI.cx.dim(n), i_cx.dim(n))
-        for new_j, old in ((1, (1, 2)), (2, (1, 3))):
-            off = cI.offset(n, 0, (new_j,))
-            if off is not None:
-                m.paste(graph_restriction(i_cx, F.value(old)).mat(n), off, 0)
-        mats[n] = m
-    aug_int = ChainMap(i_cx, cI.cx, mats)
+    y_cx, i_cx = G.value((2,)), G.value((1, 2))
+    aug_rest = c2.into_singletons({1: graph_restriction(y_cx, F.value((2,))),
+                                   2: graph_restriction(y_cx, F.value((3,)))})
+    aug_int = cI.into_singletons({1: graph_restriction(i_cx, F.value((1, 2))),
+                                  2: graph_restriction(i_cx, F.value((1, 3)))})
     return F, G, aug_rest, aug_int
 
 

@@ -129,7 +129,14 @@ class SparseMatrix:
         return self + other.scale(-1)
 
     def scale(self, s) -> "SparseMatrix":
-        return SparseMatrix(self.nrows, self.ncols, [vec_scale(r, s) for r in self.rows])
+        """s times self; a sign costs a copy or a negation, not a product."""
+        if s == 1:
+            rows = [dict(r) for r in self.rows]
+        elif s == -1:
+            rows = [{c: -v for c, v in r.items()} for r in self.rows]
+        else:
+            rows = [vec_scale(r, s) for r in self.rows]
+        return SparseMatrix(self.nrows, self.ncols, rows)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.ncols != other.nrows:
@@ -163,18 +170,25 @@ class SparseMatrix:
         return {r: row[c] for r, row in enumerate(self.rows) if c in row}
 
     def paste(self, other: "SparseMatrix", roff: int, coff: int, factor=1):
-        """Add factor*other into self at the given offset (in place)."""
-        scaled = factor != 1
-        for r, c, v in other.entries():
-            rr, cc = r + roff, c + coff
-            if scaled:
-                v = v * factor
-            w = self.rows[rr].get(cc)
-            w = v if w is None else w + v
-            if scalar_is_zero(w):
-                self.rows[rr].pop(cc, None)
-            else:
-                self.rows[rr][cc] = w
+        """Add factor*other into self at the given offset (in place); a sign
+        factor negates instead of multiplying."""
+        plain, neg = factor == 1, factor == -1
+        for r, orow in enumerate(other.rows):
+            if not orow:
+                continue
+            row = self.rows[r + roff]
+            for c, v in orow.items():
+                if neg:
+                    v = -v
+                elif not plain:
+                    v = v * factor
+                cc = c + coff
+                w = row.get(cc)
+                w = v if w is None else w + v
+                if scalar_is_zero(w):
+                    row.pop(cc, None)
+                else:
+                    row[cc] = w
 
     def to_dense(self):
         return [[self.rows[r].get(c, 0) for c in range(self.ncols)] for r in range(self.nrows)]

@@ -8,7 +8,7 @@ Restriction maps run along inclusions J into J' and from top to every J.
 From this data we build:
 
 * the cosimplicial nerve, level p = direct sum over |J| = p+1;
-* the Cech complex (coefficient-ring generic);
+* the Cech complex, the sum of the nerve levels shifted by p (any ring);
 * the cochain totalization: the equalizer, inside the level-wise tensor with
   normalized simplicial cochains, of the coface constraints (rationals only);
 * the weight-truncated polynomial-form totalization, with the integration
@@ -24,7 +24,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .complexes import (ChainMap, Complex, DirectSum, TensorComplex,
-                        betti_numbers, cocone, direct_sum, is_quasi_iso)
+                        betti_numbers, cocone, direct_sum, is_quasi_iso,
+                        shift)
 from .errors import (CosimplicialIdentityFailure, CutoffTooSmall,
                      FunctorialityFailure, InputError, RingMismatch,
                      ShapeMismatch, UnsupportedRing)
@@ -216,13 +217,24 @@ class Nerve:
                         raise CosimplicialIdentityFailure(f"levels {p}->{p+2}, (i,j)=({i},{j})")
         return True
 
+    def into_level(self, p, maps: dict) -> ChainMap:
+        """The map S -> level p whose component into F(J) is maps[J] : S ->
+        F(J) (zero for every J that maps does not name)."""
+        ds, js = self._sums[p], self.level_subsets[p]
+        src = next(iter(maps.values())).source
+        mats = {}
+        for n in src.degrees():
+            m = mats[n] = SparseMatrix(ds.cx.dim(n), src.dim(n))
+            for J, f in maps.items():
+                blk = f.mat(n)
+                if blk.nrows:
+                    m.paste(blk, ds.offsets[n][js.index(J)], 0)
+        return ChainMap(src, ds.cx, mats)
+
     def augmentation_to_level(self, p) -> ChainMap:
         """F(top) -> level p, restricting into every component."""
-        out = None
-        for k, J in enumerate(self.level_subsets[p]):
-            piece = self._sums[p].inject(k, self.F.res(TOP, J))
-            out = piece if out is None else out + piece
-        return out
+        return self.into_level(p, {J: self.F.res(TOP, J)
+                                   for J in self.level_subsets[p]})
 
 
 def nerve_cosimplicial(F: CoverPresheaf) -> Nerve:
@@ -234,70 +246,48 @@ def nerve_cosimplicial(F: CoverPresheaf) -> Nerve:
 
 
 class CechComplex:
-    """Total complex of the nerve: degree n holds level-p pieces in internal
-    degree n - p, with differential (Cech alternating sum) + (-1)^p d.
+    """Total complex of the nerve: the direct sum over p of level p shifted
+    by p, so degree n holds level p in internal degree n - p with
+    differential (-1)^p d, plus the Cech differential, which sends F(J) to
+    each F(J u {j}) by restriction at sign (-1)^(position of j in J u {j}).
 
     Works over any supported coefficient ring.
     """
 
     def __init__(self, F: CoverPresheaf):
         self.F = F
-        n_sets = F.n_sets
-        los, his = [], []
-        for J in all_subsets(n_sets):
-            cx = F.value(J)
-            los.append(cx.support[0] + len(J) - 1)
-            his.append(cx.support[1] + len(J) - 1)
-        lo, hi = min(los), max(his)
-        self._blocks = {}   # n -> list of (p, J, offset, internal degree)
-        self._pos = {}      # (n, p, J) -> offset
-        dims = {}
-        for n in range(lo, hi + 1):
-            blocks, off = [], 0
-            for p in range(n_sets):
-                q = n - p
-                for J in subsets(n_sets, p + 1):
-                    d = F.value(J).dim(q)
-                    if d:
-                        blocks.append((p, J, off, q))
-                        self._pos[(n, p, J)] = off
-                        off += d
-            self._blocks[n] = blocks
-            dims[n] = off
-        diff = {}
-        one = 1
-        for n in range(lo, hi):
-            m = SparseMatrix(dims.get(n + 1, 0), dims[n])
-            for p, J, off, q in self._blocks[n]:
-                cx = F.value(J)
-                # internal differential, sign (-1)^p
-                tgt = self._pos.get((n + 1, p, J))
-                if tgt is not None:
-                    sign = -1 if p % 2 else 1
-                    m.paste(cx.d(q), tgt, off, sign)
-                # Cech differential into each J' = J + one vertex
-                for j in range(1, n_sets + 1):
-                    if j in J:
-                        continue
-                    J2 = tuple(sorted(J + (j,)))
-                    tgt = self._pos.get((n + 1, p + 1, J2))
-                    if tgt is None:
-                        continue
-                    i = J2.index(j)
-                    sign = -1 if i % 2 else 1
-                    m.paste(F.res(J, J2).mat(q), tgt, off, sign)
-            diff[n] = m
-        self.cx = Complex(F.ring, dims, diff, support=(lo, hi))
+        self.nerve = Nerve(F)
+        N = F.n_sets
+        self._sum = direct_sum([shift(self.nerve.level(p), p) for p in range(N)])
+        self.cx = self._sum.cx
+        for J in all_subsets(N):
+            p = len(J) - 1
+            for j in range(1, N + 1):
+                if j in J:
+                    continue
+                J2 = tuple(sorted(J + (j,)))
+                sign = -1 if J2.index(j) % 2 else 1
+                for q, m in F.res(J, J2).mats.items():
+                    if m.nrows and m.ncols:
+                        self.cx.diff[p + q].paste(m, self.offset(p + q + 1, p + 1, J2),
+                                                  self.offset(p + q, p, J), sign)
 
     def offset(self, n, p, J):
         """Where the (p, J) block of degree n starts; None if it is empty."""
-        return self._pos.get((n, p, J))
-
-    def pos(self, n, p, J, i=0):
-        return self._pos[(n, p, J)] + i
+        if not self.F.value(J).dim(n - p):
+            return None
+        return self._sum.offsets[n][p] + self.nerve.pos(p, n - p, J, 0)
 
     def blocks(self, n):
-        return self._blocks.get(n, [])
+        """(p, J, offset, internal degree) of each nonempty block of degree
+        n, in the order of the sum."""
+        out = []
+        for p, js in enumerate(self.nerve.level_subsets):
+            for J in js:
+                off = self.offset(n, p, J)
+                if off is not None:
+                    out.append((p, J, off, n - p))
+        return out
 
     def component(self, n, vec: dict, p, J) -> dict:
         """Extract the (p, J) component of a degree-n vector."""
@@ -308,23 +298,21 @@ class CechComplex:
         return {i - off: v for i, v in vec.items() if off <= i < off + d}
 
     def inject(self, n, p, J, ivec: dict) -> dict:
-        off = self._pos[(n, p, J)]
+        off = self.offset(n, p, J)
         return {off + i: v for i, v in ivec.items()}
+
+    def into_singletons(self, maps: dict) -> ChainMap:
+        """The map S -> Cech whose component into F({j}) in level 0 is
+        maps[j] : S -> F({j})."""
+        return self._sum.inject(
+            0, self.nerve.into_level(0, {(j,): f for j, f in maps.items()}))
 
     def augmentation(self) -> ChainMap:
         """F(top) -> Cech, restricting into the level-0 components."""
         if not self.F.has_top:
             raise InputError("presheaf has no top value")
-        top = self.F.value(TOP)
-        mats = {}
-        for n in top.degrees():
-            m = SparseMatrix(self.cx.dim(n), top.dim(n))
-            for j in range(1, self.F.n_sets + 1):
-                off = self.offset(n, 0, (j,))
-                if off is not None:
-                    m.paste(self.F.res(TOP, (j,)).mat(n), off, 0)
-            mats[n] = m
-        return ChainMap(top, self.cx, mats)
+        return self.into_singletons({j: self.F.res(TOP, (j,))
+                                     for j in range(1, self.F.n_sets + 1)})
 
 
 def cech(F: CoverPresheaf) -> CechComplex:
@@ -607,7 +595,7 @@ class TotComplex(EqualizerTotalization):
                         if v is None:
                             continue
                         J, loc = self.nerve.locate(p, n - p, b)
-                        m.rows[self.cech.pos(n, p, J, loc)][j] = v
+                        m.rows[self.cech.offset(n, p, J) + loc][j] = v
             mats[n] = m
         return ChainMap(self.cx, self.cech.cx, mats)
 
@@ -736,15 +724,8 @@ def inclusion_exclusion(F: CoverPresheaf) -> TwoSetDecomposition:
     A = direct_sum([first, c2.cx])
     B = cI.cx
     # aug : F({1}) -> Cech(FI), via res {1} -> {1, j+1} into each singleton {j}
-    mats = {}
-    for n in first.degrees():
-        m = SparseMatrix(B.dim(n), first.dim(n))
-        for j in range(1, FI.n_sets + 1):
-            off = cI.offset(n, 0, (j,))
-            if off is not None:
-                m.paste(F.res((1,), (1, j + 1)).mat(n), off, 0)
-        mats[n] = m
-    aug_first = ChainMap(first, B, mats)
+    aug_first = cI.into_singletons({j: F.res((1,), (1, j + 1))
+                                    for j in range(1, FI.n_sets + 1)})
     # rho : Cech(F2) -> Cech(FI), levelwise restriction J' -> {1} u J'
     mats = {}
     for n in c2.cx.degrees():
@@ -900,6 +881,14 @@ def presheaf_from_json(obj, check=True) -> CoverPresheaf:
             adjacent[(src, dst)] = chain_map_from_json(values[src], values[dst], blob)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed presheaf description: {exc}") from exc
+    for (src, dst), f in adjacent.items():
+        arrow = f"{format_key(src)}->{format_key(dst)}"
+        if f.shift != 0:
+            raise InputError(f"restriction {arrow} has shift {f.shift}, not 0")
+        if not (len(dst) == 1 if src == TOP else dst != TOP and
+                len(dst) == len(src) + 1 and set(src) <= set(dst)):
+            raise InputError(f"restriction {arrow} is not one step "
+                             f"J -> J u {{j}} or top -> {{j}}")
     if n < 1:
         raise InputError(f"n_sets is {n}; a cover has at least one set")
     for key in values:

@@ -201,6 +201,35 @@ def test_presheaf_index_set_is_checked(tmp_path, capsys, n_sets, key):
         assert code == 2 and not out and err.startswith("descentlab: ")
 
 
+def _shifted_restriction(blob):
+    """triangle-boundary without its top value, with 1->1,2 replaced by a
+    zero map of degree 1."""
+    del blob["values"]["top"]
+    blob["restrictions"] = {a: m for a, m in blob["restrictions"].items()
+                            if not a.startswith("top->")}
+    blob["restrictions"]["1->1,2"] = {"shift": 1, "mats": {}}
+
+
+def _two_step_restriction(blob):
+    """three-edge with an extra arrow 1->1,2,3 beside the one-step ones."""
+    blob["restrictions"]["1->1,2,3"] = {"shift": 0, "mats": {}}
+
+
+@pytest.mark.parametrize("fixture,edit,arrow", [
+    ("triangle-boundary", _shifted_restriction, "1->1,2"),
+    ("three-edge", _two_step_restriction, "1->1,2,3")])
+def test_presheaf_restriction_arrows_are_checked(tmp_path, capsys, fixture,
+                                                 edit, arrow):
+    blob = presheaf_to_json(fx.emit_fixture(fixture))
+    edit(blob)
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps(blob))
+    for command in ("validate", "cech", "tot", "compare", "incl-excl"):
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 2 and not out and err.startswith("descentlab: ")
+        assert arrow in err
+
+
 def _bundled_q_complexes():
     """The default homology input and every value of the bundled presheaf
     fixtures."""

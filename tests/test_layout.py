@@ -265,7 +265,7 @@ def test_cech_offset_is_none_for_an_empty_block():
     C = CechComplex(F)
     for n in C.cx.degrees():
         for p, J, off, q in C.blocks(n):
-            assert C.offset(n, p, J) == off == C.pos(n, p, J)
+            assert C.offset(n, p, J) == off
     # pairwise overlaps of the three edges are points: nothing in degree 1
     assert C.offset(2, 1, (1, 2)) is None
 

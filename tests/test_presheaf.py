@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descentlab import fixtures as fx
-from descentlab.complexes import (ChainMap, betti_numbers, homology,
+from descentlab.complexes import (ChainMap, Complex, betti_numbers, homology,
                                   homology_map, is_quasi_iso,
                                   novikov_q_expansion_complex,
                                   novikov_q_expansion_map, rank, telescope,
@@ -17,7 +17,8 @@ from descentlab.errors import (CutoffTooSmall, FunctorialityFailure,
                                InputError, UnknownFixture, UnsupportedRing)
 from descentlab.linalg import SparseMatrix
 from descentlab.presheaf import (TOP, CechComplex, CoverPresheaf, Nerve,
-                                 _is_permutation, cech, drop_first_restrict,
+                                 _is_permutation, all_subsets, cech,
+                                 drop_first_restrict,
                                  first_intersections, format_key,
                                  inclusion_exclusion, induction_pipeline,
                                  parse_key, presheaf_from_json,
@@ -148,6 +149,92 @@ def test_cech_over_novikov_matches_value():
     h_cover = homology(cech(F).cx)
     h_circle = homology(circ)
     assert nz(h_cover.torsion) == nz(h_circle.torsion) == {0: [2], 1: [2]}
+
+
+def oracle_cech(F):
+    """The Cech complex of F laid out block by block on its own, with no
+    nerve and no direct sum: (complex, blocks by degree, offsets by
+    (n, p, J), augmentation or None)."""
+    N = F.n_sets
+    lo = min(F.value(J).support[0] + len(J) - 1 for J in all_subsets(N))
+    hi = max(F.value(J).support[1] + len(J) - 1 for J in all_subsets(N))
+    blocks, pos, dims = {}, {}, {}
+    for n in range(lo, hi + 1):
+        blocks[n], off = [], 0
+        for J in all_subsets(N):
+            p = len(J) - 1
+            d = F.value(J).dim(n - p)
+            if d:
+                blocks[n].append((p, J, off, n - p))
+                pos[(n, p, J)] = off
+                off += d
+        dims[n] = off
+    diff = {}
+    for n in range(lo, hi):
+        m = diff[n] = SparseMatrix(dims[n + 1], dims[n])
+        for p, J, off, q in blocks[n]:
+            tgt = pos.get((n + 1, p, J))
+            if tgt is not None:
+                m.paste(F.value(J).d(q), tgt, off, -1 if p % 2 else 1)
+            for j in range(1, N + 1):
+                J2 = tuple(sorted(J + (j,)))
+                tgt = pos.get((n + 1, p + 1, J2))
+                if j not in J and tgt is not None:
+                    sign = -1 if J2.index(j) % 2 else 1
+                    m.paste(F.res(J, J2).mat(q), tgt, off, sign)
+    cx = Complex(F.ring, dims, diff, support=(lo, hi))
+    aug = None
+    if F.has_top:
+        top, mats = F.value(TOP), {}
+        for n in top.degrees():
+            m = mats[n] = SparseMatrix(cx.dim(n), top.dim(n))
+            for j in range(1, N + 1):
+                if (n, 0, (j,)) in pos:
+                    m.paste(F.res(TOP, (j,)).mat(n), pos[(n, 0, (j,))], 0)
+        aug = ChainMap(top, cx, mats)
+    return cx, blocks, pos, aug
+
+
+def exact_entries(m):
+    """The entries of a matrix with the type and printed form of each."""
+    return sorted((r, c, type(v).__name__, str(v)) for r, c, v in m.entries())
+
+
+def _novikov_constant_cover():
+    terms, maps = fx.novikov_telescope_terms(2, Fraction(3, 2), 3)
+    return fx.constant_presheaf(3, telescope(terms, maps).cx)
+
+
+ORACLE_COVERS = {
+    **{f"random-N{N}-seed{seed}":
+       (lambda N=N, seed=seed: fx.random_presheaf(random.Random(seed), N)[0])
+       for N in range(1, 6) for seed in range(4)},
+    **{name: (lambda name=name: fx.emit_fixture(name))
+       for name in ("triangle-boundary", "three-edge", "torus-square",
+                    "disjoint")},
+    "novikov-telescope-constant": _novikov_constant_cover,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COVERS))
+def test_cech_matches_the_block_by_block_oracle(name):
+    F = ORACLE_COVERS[name]()
+    C = CechComplex(F)
+    cx, blocks, pos, aug = oracle_cech(F)
+    assert C.cx.support == cx.support
+    lo, hi = cx.support
+    for n in range(lo - 1, hi + 2):
+        assert C.cx.dim(n) == cx.dim(n)
+        assert exact_entries(C.cx.d(n)) == exact_entries(cx.d(n))
+        assert C.blocks(n) == blocks.get(n, [])
+        for J in all_subsets(F.n_sets):
+            p = len(J) - 1
+            assert C.offset(n, p, J) == pos.get((n, p, J))
+    if F.has_top:
+        got = C.augmentation()
+        assert got.target is C.cx
+        for n in F.value(TOP).degrees():
+            assert exact_entries(got.mat(n)) == exact_entries(aug.mat(n))
 
 
 # ---------------------------------------------------------------------------
