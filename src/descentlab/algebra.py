@@ -12,8 +12,9 @@ from .complexes import ChainMap, Complex, HomologySpace
 from .errors import InputError, ShapeMismatch
 from .linalg import SparseMatrix, rank, vec_axpy
 from .presheaf import (TOP, CechComplex, CoverPresheaf, TwComplex,
-                       _transport, tot, tw, tw_to_tot)
+                       _model_map, _transport, tot, tw, tw_to_tot)
 from .scalars import QQ
+from .simplex import PolyForm
 
 
 class ValueProduct:
@@ -141,15 +142,9 @@ def tw_include(small: TwComplex, big: TwComplex) -> ChainMap:
     large: form monomials are sent to themselves."""
     if big.weight_cutoff < small.weight_cutoff:
         raise ShapeMismatch("target cutoff is smaller than the source's")
-    blocks = {}
-    for p in range(small.F.n_sets):
-        ms, mb = small.models[p], big.models[p]
-        for s in range(p + 1):
-            blocks[(p, s)] = SparseMatrix.from_entries(
-                len(mb.basis(s)), len(ms.basis(s)),
-                [(mb._index[s][key], a, Fraction(1))
-                 for a, key in enumerate(ms.basis(s))])
-    return _transport(small, big, blocks)
+    return _transport(small, big, [
+        _model_map(ms, mb, lambda key, p=p: PolyForm(p, {key: Fraction(1)}))
+        for p, (ms, mb) in enumerate(zip(small.models, big.models))])
 
 
 def tw_product(small: TwComplex, big: TwComplex, prod: ValueProduct,
@@ -214,14 +209,10 @@ def tw_product(small: TwComplex, big: TwComplex, prod: ValueProduct,
 def tw_unit(W: TwComplex, prod: ValueProduct):
     """The degree-0 element: constant function 1 tensor the value units."""
     nerve = W.nerve
-    amb = {}
-    for p in range(W.F.n_sets):
-        aidx = W.models[p]._index[0][((0,) * p, ())]
-        for J in nerve.level_subsets[p]:
-            for loc, v in prod.unit(J).items():
-                r = W.ambient_pos(0, p, 0, aidx, nerve.pos(p, 0, J, loc))
-                amb[r] = amb.get(r, Fraction(0)) + v
-    return W.represent(0, {k: v for k, v in amb.items() if v})
+    return W.unit_tensor(0, [
+        {nerve.pos(p, 0, J, loc): v
+         for J in js for loc, v in prod.unit(J).items()}
+        for p, js in enumerate(nerve.level_subsets)])
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,13 @@ def _cmd_covers_check(job):
         seqs = [[parse_poly(s, names) for s in seq]
                 for seq in data["sequences"]]
         cutters = [parse_poly(s, names) for s in data["sets"]]
-        ranges = [tuple(Fraction(x) for x in r) for r in data["grid"]]
+        ranges = []
+        for r in data["grid"]:
+            try:
+                lo, hi, step = (Fraction(x) for x in r)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise InputError(f"bad grid range {r!r}: {exc}") from exc
+            ranges.append((lo, hi, step))
         smoothing = data.get("smoothing")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed covers job: {exc}") from exc
@@ -287,7 +293,7 @@ def _cmd_covers_check(job):
             deltas = [Fraction(d) for d in smoothing["deltas"]]
             f1s = [parse_poly(s, names) for s in smoothing["f1"]]
             f2s = [parse_poly(s, names) for s in smoothing["f2"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"malformed smoothing block: {exc}") from exc
         gs = build_cover_functions(f1s, f2s, mode, deltas)
         mono = cover_monotonicity_report(gs, grid)

@@ -195,7 +195,7 @@ def graph_cover_presheaf(pieces: dict, top_cells=None):
     intersections.  If top_cells is given, a top value (the union complex or
     any supplied ambient complex data) is attached with restriction maps.
     """
-    from .presheaf import TOP, CoverPresheaf, all_subsets
+    from .presheaf import TOP, CoverPresheaf, all_subsets, arrows
 
     n = len(pieces)
     cells = {}
@@ -209,13 +209,8 @@ def graph_cover_presheaf(pieces: dict, top_cells=None):
     values = {J: graph_cochains(*cells[J]) for J in all_subsets(n)}
     if top_cells is not None:
         values[TOP] = graph_cochains(*top_cells)
-    adjacent = {}
-    for J in all_subsets(n):
-        for j in range(1, n + 1):
-            if j in J:
-                continue
-            J2 = tuple(sorted(J + (j,)))
-            adjacent[(J, J2)] = graph_restriction(values[J], values[J2])
+    adjacent = {(J, J2): graph_restriction(values[J], values[J2])
+                 for J, _, J2 in arrows(n)}
     if top_cells is not None:
         for j in range(1, n + 1):
             adjacent[(TOP, (j,))] = graph_restriction(values[TOP], values[(j,)])
@@ -275,16 +270,12 @@ def disjoint_failure_presheaf():
 
 def constant_presheaf(n_sets: int, cx: Complex):
     """Every subset and the top get the same complex, identities everywhere."""
-    from .presheaf import TOP, CoverPresheaf, all_subsets
+    from .presheaf import TOP, CoverPresheaf, all_subsets, arrows
 
     values = {J: cx for J in all_subsets(n_sets)}
     values[TOP] = cx
-    adjacent = {}
-    for J in all_subsets(n_sets):
-        for j in range(1, n_sets + 1):
-            if j in J:
-                continue
-            adjacent[(J, tuple(sorted(J + (j,))))] = ChainMap.identity(cx)
+    adjacent = {(J, J2): ChainMap.identity(cx)
+                 for J, _, J2 in arrows(n_sets)}
     for j in range(1, n_sets + 1):
         adjacent[(TOP, (j,))] = ChainMap.identity(cx)
     return CoverPresheaf(n_sets, values, adjacent)
@@ -364,7 +355,7 @@ def random_presheaf(rng: random.Random, n_sets: int, max_dim=3, width=3):
     each degree, so nothing about the projection structure is visible in the
     matrices.  Returns (presheaf, expected total betti).
     """
-    from .presheaf import TOP, CoverPresheaf, all_subsets
+    from .presheaf import TOP, CoverPresheaf, all_subsets, arrows
 
     supports = all_subsets(n_sets)
     blocks = {}
@@ -425,13 +416,7 @@ def random_presheaf(rng: random.Random, n_sets: int, max_dim=3, width=3):
         return ChainMap(srccx, dstcx, mats)
 
     values = {key: gauges[key] for key in keys}
-    adjacent = {}
-    for J in all_subsets(n_sets):
-        for j in range(1, n_sets + 1):
-            if j in J:
-                continue
-            J2 = tuple(sorted(J + (j,)))
-            adjacent[(J, J2)] = projection(J, J2)
+    adjacent = {(J, J2): projection(J, J2) for J, _, J2 in arrows(n_sets)}
     for j in range(1, n_sets + 1):
         adjacent[(TOP, (j,))] = projection(TOP, (j,))
     return CoverPresheaf(n_sets, values, adjacent), expected

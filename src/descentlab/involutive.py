@@ -410,7 +410,7 @@ class AlgebraicValue:
         if C == 0:
             return _two_term_sign(A, B, d1)
         if d1 == d2:
-            return AlgebraicValue(A, B + C, d1).sign()
+            return _two_term_sign(A, B + C, d1) if B + C else _sgn(A)
         if A == 0 and B * B * d1 == C * C * d2 and _sgn(B) == -_sgn(C):
             return 0
         # nonzero: B*sqrt(d1) + C*sqrt(d2) = -A would force a rational

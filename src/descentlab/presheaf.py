@@ -49,6 +49,15 @@ def all_subsets(n: int):
     return out
 
 
+def arrows(n: int):
+    """The generating arrows J -> J u {j} among the subsets of {1..n}, as
+    (J, j, J u {j}): J in all_subsets order, then ascending j."""
+    for J in all_subsets(n):
+        for j in range(1, n + 1):
+            if j not in J:
+                yield J, j, tuple(sorted(J + (j,)))
+
+
 def format_key(key) -> str:
     if key == TOP:
         return TOP
@@ -148,15 +157,11 @@ class CoverPresheaf:
                         witness=(format_key(J), format_key(Jab)),
                     )
         if self.has_top:
-            for J in all_subsets(n):
-                for j in range(1, n + 1):
-                    if j in J:
-                        continue
-                    Jj = tuple(sorted(J + (j,)))
-                    left = self._step(J, Jj).compose(self.res(TOP, J))
-                    right = self.res(TOP, Jj)
-                    if left != right:
-                        raise FunctorialityFailure(witness=(TOP, format_key(Jj)))
+            for J, _, Jj in arrows(n):
+                left = self._step(J, Jj).compose(self.res(TOP, J))
+                right = self.res(TOP, Jj)
+                if left != right:
+                    raise FunctorialityFailure(witness=(TOP, format_key(Jj)))
         return True
 
 
@@ -260,17 +265,13 @@ class CechComplex:
         N = F.n_sets
         self._sum = direct_sum([shift(self.nerve.level(p), p) for p in range(N)])
         self.cx = self._sum.cx
-        for J in all_subsets(N):
+        for J, j, J2 in arrows(N):
             p = len(J) - 1
-            for j in range(1, N + 1):
-                if j in J:
-                    continue
-                J2 = tuple(sorted(J + (j,)))
-                sign = -1 if J2.index(j) % 2 else 1
-                for q, m in F.res(J, J2).mats.items():
-                    if m.nrows and m.ncols:
-                        self.cx.diff[p + q].paste(m, self.offset(p + q + 1, p + 1, J2),
-                                                  self.offset(p + q, p, J), sign)
+            sign = -1 if J2.index(j) % 2 else 1
+            for q, m in F.res(J, J2).mats.items():
+                if m.nrows and m.ncols:
+                    self.cx.diff[p + q].paste(m, self.offset(p + q + 1, p + 1, J2),
+                                              self.offset(p + q, p, J), sign)
 
     def offset(self, n, p, J):
         """Where the (p, J) block of degree n starts; None if it is empty."""
@@ -377,22 +378,25 @@ def _forms_pullback(f: InjMap):
     return pull
 
 
-def _model_pullback(m_to, m_from, f: InjMap) -> ChainMap:
-    """Pullback along f as a chain map of simplex models (NC or forms)."""
-    if isinstance(m_from, NCModel):
-        def pull(key):
-            return nc_pullback(f, {key: Fraction(1)})
-    else:
-        pull = _forms_pullback(f)
+def _model_map(m_from, m_to, image) -> ChainMap:
+    """The degree-preserving map of simplex models (NC or forms) that sends
+    each basis key k of m_from to image(k), an element of m_to."""
     mats = {}
-    for s in range(f.q + 1):
+    for s in m_from.cx.degrees():
         entries = []
         for col, key in enumerate(m_from.basis(s)):
-            for r, v in m_to.to_vec(s, pull(key)).items():
+            for r, v in m_to.to_vec(s, image(key)).items():
                 entries.append((r, col, v))
         mats[s] = SparseMatrix.from_entries(
             len(m_to.basis(s)), len(m_from.basis(s)), entries)
     return ChainMap(m_from.cx, m_to.cx, mats)
+
+
+def _model_pullback(m_to, m_from, f: InjMap) -> ChainMap:
+    """Pullback along f as a chain map of simplex models (NC or forms)."""
+    pull = (_forms_pullback(f) if isinstance(m_from, OmegaModel) else
+            lambda key: nc_pullback(f, {key: Fraction(1)}))
+    return _model_map(m_from, m_to, pull)
 
 
 class EqualizerTotalization:
@@ -503,9 +507,20 @@ class EqualizerTotalization:
         p, loc = self._levels.locate(n, index)
         return (p,) + self.tensors[p].locate(n, loc)
 
+    def unit_tensor(self, n, level_vecs) -> dict:
+        """Kernel coordinates of the sum over p of the level-p model's unit
+        tensor level_vecs[p], a degree-n vector of nerve level p."""
+        amb = {}
+        for p, (m, lvl) in enumerate(zip(self.models, level_vecs)):
+            for a, u in m.to_vec(0, m.unit()).items():
+                for b, v in lvl.items():
+                    r = self.ambient_pos(n, p, 0, a, b)
+                    amb[r] = amb.get(r, Fraction(0)) + u * v
+        return self.represent(n, {r: v for r, v in amb.items() if v})
+
     def augmentation(self) -> ChainMap:
-        """Top value -> totalization: constant simplex unit tensor the
-        levelwise restriction."""
+        """Top value -> totalization: each column is the unit tensor the
+        levelwise restriction of a top basis vector (``unit_tensor``)."""
         if not self.F.has_top:
             raise InputError("presheaf has no top value")
         top = self.F.value(TOP)
@@ -516,42 +531,27 @@ class EqualizerTotalization:
             m = SparseMatrix(self.cx.dim(n), top.dim(n))
             levels = [augs[p].mat(n).transpose().rows for p in range(N)]
             for col in range(top.dim(n)):
-                amb = {}
-                for p in range(N):
-                    lvl = levels[p][col]
-                    if not lvl:
-                        continue
-                    for unit_key in self._unit_keys(p):
-                        uidx = self.models[p]._index[0][unit_key]
-                        for b, v in lvl.items():
-                            r = self.ambient_pos(n, p, 0, uidx, b)
-                            amb[r] = amb.get(r, Fraction(0)) + v
-                amb = {r: v for r, v in amb.items() if v}
-                for r, v in self.represent(n, amb).items():
+                coords = self.unit_tensor(n, [lvl[col] for lvl in levels])
+                for r, v in coords.items():
                     m.rows[r][col] = v
             mats[n] = m
         return ChainMap(top, self.cx, mats)
 
-    def _unit_keys(self, p):
-        """Basis decomposition of the multiplicative unit of the level model."""
-        if isinstance(self.models[p], NCModel):
-            return [(v,) for v in range(p + 1)]
-        return [((0,) * p, ())]
-
 
 def _transport(src: EqualizerTotalization, tgt: EqualizerTotalization,
-               blocks) -> ChainMap:
+               maps) -> ChainMap:
     """A levelwise map of models, tensored with the identity of the nerve,
     as a chain map of totalizations in kernel coordinates.
 
-    ``blocks[(p, s)]`` is the matrix, in form degree s, of the map from
-    src's level-p simplex model to tgt's.  Each entry of a src kernel vector
-    is located in src's ambient space as (p, s, a, b), sent through column a
-    of block (p, s) with the nerve index b kept, placed at the same (p, s, .,
-    b) in tgt's ambient space, and the image is read back in tgt's kernel
+    ``maps[p]`` is a chain map (``_model_map``) from src's level-p simplex
+    model to tgt's.  Each entry of a src kernel vector is located in src's
+    ambient space as (p, s, a, b), sent through column a of maps[p] in form
+    degree s with the nerve index b kept, placed at the same (p, s, ., b) in
+    tgt's ambient space, and the image is read back in tgt's kernel
     coordinates.
     """
-    columns = {key: blk.transpose().rows for key, blk in blocks.items()}
+    columns = {(p, s): f.mat(s).transpose().rows
+               for p, f in enumerate(maps) for s in f.source.degrees()}
     mats = {}
     for n in src.cx.degrees():
         m = SparseMatrix(tgt.cx.dim(n), src.cx.dim(n))
@@ -589,7 +589,7 @@ class TotComplex(EqualizerTotalization):
                     if not comp:
                         continue
                     t = self.tensors[p]
-                    top_idx = self.models[p]._index[p][tuple(range(p + 1))]
+                    top_idx = self.models[p].index(p, range(p + 1))
                     for b in range(self.nerve.level(p).dim(n - p)):
                         v = comp.get(t.pos(n, p, top_idx, b))
                         if v is None:
@@ -621,34 +621,17 @@ def tw(F: CoverPresheaf, weight_cutoff: int) -> TwComplex:
 
 def tw_to_tot(twc: TwComplex, totc: TotComplex) -> ChainMap:
     """Levelwise elementwise integration, expressed kernel-to-kernel."""
-    blocks = {}
-    for p in range(twc.F.n_sets):
-        om, nc = twc.models[p], totc.models[p]
-        for s in range(p + 1):
-            entries = []
-            for col, key in enumerate(om.basis(s)):
-                coch = integration_cochain(PolyForm(p, {key: Fraction(1)}))
-                for F_face, v in coch.items():
-                    entries.append((nc._index[s][F_face], col, v))
-            blocks[(p, s)] = SparseMatrix.from_entries(
-                len(nc.basis(s)), len(om.basis(s)), entries)
-    return _transport(twc, totc, blocks)
+    return _transport(twc, totc, [
+        _model_map(om, nc, lambda key, p=p: integration_cochain(
+            PolyForm(p, {key: Fraction(1)})))
+        for p, (om, nc) in enumerate(zip(twc.models, totc.models))])
 
 
 def whitney_section(totc: TotComplex, twc: TwComplex) -> ChainMap:
     """The Whitney map levelwise; a right inverse of tw_to_tot on the nose."""
-    blocks = {}
-    for p in range(totc.F.n_sets):
-        nc, om = totc.models[p], twc.models[p]
-        for s in range(p + 1):
-            entries = []
-            for col, F_face in enumerate(nc.basis(s)):
-                form = whitney(p, {F_face: Fraction(1)})
-                for key, v in form.terms.items():
-                    entries.append((om._index[s][key], col, v))
-            blocks[(p, s)] = SparseMatrix.from_entries(
-                len(om.basis(s)), len(nc.basis(s)), entries)
-    return _transport(totc, twc, blocks)
+    return _transport(totc, twc, [
+        _model_map(nc, om, lambda F, p=p: whitney(p, {F: Fraction(1)}))
+        for p, (nc, om) in enumerate(zip(totc.models, twc.models))])
 
 
 # ---------------------------------------------------------------------------
@@ -660,13 +643,8 @@ def _relabel(F: CoverPresheaf, sh) -> CoverPresheaf:
     relabeling sh of its subsets into those of {1..N}."""
     n = F.n_sets - 1
     values = {J: F.value(sh(J)) for J in all_subsets(n)}
-    adjacent = {}
-    for J in all_subsets(n):
-        for j in range(1, n + 1):
-            if j in J:
-                continue
-            J2 = tuple(sorted(J + (j,)))
-            adjacent[(J, J2)] = F.adjacent[(sh(J), sh(J2))]
+    adjacent = {(J, J2): F.adjacent[(sh(J), sh(J2))]
+                 for J, _, J2 in arrows(n)}
     return CoverPresheaf(n, values, adjacent, check=False)
 
 

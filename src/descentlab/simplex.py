@@ -195,6 +195,10 @@ class NCModel:
     def index(self, n, F):
         return self._index[n][tuple(F)]
 
+    def unit(self) -> dict:
+        """The degree-0 unit of the cup product: the sum of the vertices."""
+        return {(v,): Fraction(1) for v in range(self.p + 1)}
+
     def to_vec(self, n, x: dict) -> dict:
         out = {}
         for F, v in x.items():
@@ -514,6 +518,10 @@ class OmegaModel:
 
     def basis(self, n):
         return self._basis.get(n, [])
+
+    def unit(self) -> PolyForm:
+        """The degree-0 unit of the wedge product: the constant 1."""
+        return PolyForm.const(self.p)
 
     def to_vec(self, n, form: PolyForm) -> dict:
         out = {}

@@ -2,9 +2,9 @@
 
 ``perfbench/spans.py`` names its targets as "module:attribute path"; a
 renamed or deleted function would otherwise surface only when a traced
-benchmark run fails with WrapTargetMissing, and a target that the ``forms``
-or ``scalar`` workload no longer calls only when its traced run reports it
-unreached.
+benchmark run fails with WrapTargetMissing, and a target that the ``forms``,
+``scalar`` or ``cli`` workload no longer calls only when its traced run
+reports it unreached.
 The benchmark files are loaded by path and only read.
 """
 
@@ -67,3 +67,7 @@ def test_forms_tour_reaches_every_forms_target(tmp_path):
 
 def test_scalar_tour_reaches_every_scalar_target(tmp_path):
     assert _run_tour("scalar", tmp_path).unreached("scalar") == []
+
+
+def test_cli_tour_reaches_every_cli_target(tmp_path):
+    assert _run_tour("cli", tmp_path).unreached("cli") == []

@@ -442,6 +442,29 @@ def test_covers_check_reports_violations(tmp_path, capsys):
     assert "strictly-increasing" in bullets
 
 
+@pytest.mark.parametrize("grid_range", [["-2", "2"], ["-2", "2", "1/2", "1"],
+                                        ["-2", "2", "1/0"]])
+def test_malformed_covers_job_is_an_input_error(tmp_path, capsys, grid_range):
+    job = {"pairs": 1, "sequences": [["q1 - 1"]], "sets": ["q1"],
+           "grid": [["-1", "1", "1"], grid_range]}
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, "covers-check", "--input", str(path))
+    assert code == 2 and not out
+    assert "bad grid range" in err and repr(grid_range) in err
+
+
+def test_zero_smoothing_denominator_is_an_input_error(tmp_path, capsys):
+    job = {"pairs": 1, "sequences": [["q1 - 1"]], "sets": ["q1"],
+           "grid": [["-1", "1", "1"], ["-1", "1", "1"]],
+           "smoothing": {"mode": "sum", "deltas": ["1/0"], "f1": ["q1"],
+                         "f2": ["p1"]}}
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, "covers-check", "--input", str(path))
+    assert code == 2 and not out and "malformed smoothing block" in err
+
+
 def test_covers_check_bundled_job_passes(capsys):
     code, out, _ = run_cli(capsys, "covers-check")
     assert code == 0

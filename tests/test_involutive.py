@@ -231,6 +231,10 @@ def test_algebraic_value_ordering():
     # three-term comparison that needs interval refinement
     assert AlgebraicValue(1, 1, 3) < AlgebraicValue(0, 1, 8)
     assert AlgebraicValue(1, 1, 3) > AlgebraicValue(0, 1, 7)
+    # equal discriminants whose root parts cancel, and an equal pair
+    assert AlgebraicValue(1, 2, 3) > AlgebraicValue(0, 2, 3)
+    assert AlgebraicValue(1, 2, 3)._cmp(AlgebraicValue(1, 2, 3)) == 0
+    assert AlgebraicValue(1, 2, 3) == AlgebraicValue(1, 2, 3)
     rng = random.Random(29)
     for _ in range(60):
         u = AlgebraicValue(Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)),

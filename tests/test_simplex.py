@@ -6,6 +6,7 @@ import pytest
 
 from descentlab.complexes import betti_numbers
 from descentlab.errors import ShapeMismatch
+from descentlab.presheaf import _model_map, _model_pullback
 from descentlab.simplex import (InjMap, NCModel, OmegaModel, PolyForm, coface,
                                 face_inclusion, integrate_over_face,
                                 integration_cochain, nc_cup, nc_d_on,
@@ -326,3 +327,54 @@ class TestOmegaModel:
         heavy = PolyForm(2, {((2, 0), ()): Fraction(1)})
         with pytest.raises(ShapeMismatch):
             om.to_vec(0, heavy)
+
+
+class TestModelMaps:
+    """Every levelwise model map is a chain map: the pullbacks along the
+    cofaces, integration, the Whitney section and the cutoff inclusion."""
+
+    @staticmethod
+    def maps():
+        nc = {p: NCModel(p) for p in range(5)}
+        om = {(p, P): OmegaModel(p, P) for p in range(5) for P in range(7)}
+        for p in range(4):
+            for i in range(p + 2):
+                yield _model_pullback(nc[p], nc[p + 1], coface(p, i))
+                for P in range(7):
+                    yield _model_pullback(om[p, P], om[p + 1, P], coface(p, i))
+        for (p, P), m in om.items():
+            yield _model_map(m, nc[p], lambda key, p=p: integration_cochain(
+                PolyForm(p, {key: Fraction(1)})))
+            if P >= p + 1:
+                yield _model_map(nc[p], m, lambda F, p=p: whitney(
+                    p, {F: Fraction(1)}))
+            if P < 6:
+                yield _model_map(m, om[p, P + 1], lambda key, p=p: PolyForm(
+                    p, {key: Fraction(1)}))
+
+    def test_every_model_map_is_a_chain_map(self):
+        count = 0
+        for f in self.maps():
+            assert f.validate()
+            count += 1
+        assert count == 197
+
+    def test_a_flipped_integration_entry_is_caught(self):
+        f = _model_map(OmegaModel(2, 3), NCModel(2), lambda key: (
+            integration_cochain(PolyForm(2, {key: Fraction(1)}))))
+        assert f.validate()
+        row = next(r for r in f.mat(0).rows if r)
+        col = next(iter(row))
+        row[col] = -row[col]
+        with pytest.raises(ShapeMismatch):
+            f.validate()
+
+    def test_units(self):
+        rng = random.Random(16)
+        for p in range(4):
+            nc, om = NCModel(p), OmegaModel(p, p + 1)
+            assert not nc_d_on(p, nc.unit()) and om.unit().d().is_zero()
+            x = random_cochain(rng, p, min(p, 1))
+            assert nc_cup(nc.unit(), x) == strip(x) == nc_cup(x, nc.unit())
+            w = random_form(rng, p, p + 1)
+            assert om.unit().wedge(w) == w == w.wedge(om.unit())
