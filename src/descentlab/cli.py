@@ -434,9 +434,13 @@ def _window_arg(text):
     if not sep:
         raise argparse.ArgumentTypeError("degree window looks like lo:hi")
     try:
-        return (int(lo), int(hi))
+        lo, hi = int(lo), int(hi)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+    if lo > hi:
+        raise argparse.ArgumentTypeError(
+            f"degree window {lo}:{hi} is empty: lo exceeds hi")
+    return lo, hi
 
 
 def _fraction_arg(text):

@@ -404,14 +404,15 @@ class EqualizerTotalization:
     direct_sum_p (model_p (x) nerve level p); the simplex factor is written
     first, which is what makes top-face evaluation a sign-free chain map.
 
-    Kernel coordinates are read off, not solved for.  ``kernel_basis``
-    returns each vector in free-column form, so the ambient coordinates are
-    reindexed with the free columns first (the k-th free column at position
-    k) and the reindexed basis is loaded into a TrackedEchelon in which
-    every vector already leads with its own pivot: loading does no
-    elimination, and ``represent`` subtracts one basis vector per free entry
-    of its argument.  Whatever is left over is nonzero exactly when the
-    argument is outside the kernel, which keeps the membership check.
+    Each constraint (pullback along coface i of level p, tensor the
+    identity, minus the identity tensor the nerve coface) is checked once
+    to be a chain map, so the ambient differential preserves the kernel.
+    ``kernel_basis`` returns each vector in free-column form: 1 at its own
+    free column ``free[n][j]`` and 0 at every other.  So the coordinates of
+    a vector known to lie in the kernel are its entries at the free
+    columns, and the differential is the ambient one read at the free
+    columns of the degree above.  The model pullbacks are kept as
+    ``pullbacks[(p, i)]`` for the naturality check of ``_transport``.
     """
 
     def __init__(self, F: CoverPresheaf, models):
@@ -427,20 +428,27 @@ class EqualizerTotalization:
         self.ambient = self._levels.cx
         # cross tensors and the two legs of each constraint
         constraints = []   # list of ChainMap from ambient
+        self.pullbacks = {}
         for p in range(N - 1):
             cross = TensorComplex(models[p].cx, self.nerve.level(p + 1))
             id_model = ChainMap.identity(models[p].cx)
             id_nerve = ChainMap.identity(self.nerve.level(p + 1))
             for i in range(p + 2):
-                pb = _model_pullback(models[p], models[p + 1], coface(p, i))
+                pb = self.pullbacks[(p, i)] = _model_pullback(
+                    models[p], models[p + 1], coface(p, i))
                 legA = _tensor_map(self.tensors[p + 1], cross, pb, id_nerve)
                 legB = _tensor_map(self.tensors[p], cross, id_model,
                                    self.nerve.coface(p, i))
-                constraints.append(
-                    self._levels.extract(p + 1, legA) +
-                    self._levels.extract(p, legB).scale(-1))
-        self.kernel, self._kte, self._reindex = {}, {}, {}
-        dims = {}
+                c = (self._levels.extract(p + 1, legA) +
+                     self._levels.extract(p, legB).scale(-1))
+                try:
+                    c.validate()
+                except ShapeMismatch as exc:
+                    raise ShapeMismatch(
+                        f"coface constraint at level {p}, coface {i}: "
+                        f"{exc}") from exc
+                constraints.append(c)
+        self.kernel, self.free, self._echelons = {}, {}, {}
         for n in self.ambient.degrees():
             rows_total = sum(c.target.dim(n) for c in constraints)
             mat = SparseMatrix(rows_total, self.ambient.dim(n))
@@ -450,39 +458,53 @@ class EqualizerTotalization:
                 off += c.target.dim(n)
             basis = kernel_basis(mat) if self.ambient.dim(n) else []
             self.kernel[n] = basis
-            free = [next(iter(vec)) for vec in basis]
-            taken = set(free)
-            order = free + [c for c in range(mat.ncols) if c not in taken]
-            pos = self._reindex[n] = {c: k for k, c in enumerate(order)}
-            te = TrackedEchelon()
-            for j, vec in enumerate(basis):
-                te.add({pos[c]: v for c, v in vec.items()}, j)
-            self._kte[n] = te
-            dims[n] = len(basis)
+            self.free[n] = [next(iter(vec)) for vec in basis]
+        dims = {n: len(basis) for n, basis in self.kernel.items()}
         diff = {}
         for n in self.ambient.degrees():
-            m = SparseMatrix(dims.get(n + 1, 0), dims[n])
+            d = self.ambient.d(n)
+            free = self.free.get(n + 1, [])
+            d_free = SparseMatrix(len(free), d.ncols, [d.rows[c] for c in free])
+            m = SparseMatrix(len(free), dims[n])
             for j, vec in enumerate(self.kernel[n]):
-                img = self.ambient.d(n).matvec(vec)
-                coords = self.represent(n + 1, img)
-                for r, v in coords.items():
+                for r, v in d_free.matvec(vec).items():
                     m.rows[r][j] = v
             diff[n] = m
         self.cx = Complex(QQ, dims, diff, support=self.ambient.support)
 
     def represent(self, n, ambient_vec: dict) -> dict:
-        """Coordinates of an ambient vector in the kernel basis."""
+        """Coordinates, in the kernel basis, of an ambient vector built
+        outside the totalization (a unit tensor, a product); raises
+        ShapeMismatch if it is not in the kernel.
+
+        The check is exact.  On the first call in degree n the kernel basis
+        is loaded into a TrackedEchelon with the free columns reindexed
+        first (the k-th free column at position k), so every vector already
+        leads with its own pivot and loading does no elimination; a vector
+        is then represented by subtracting one basis vector per free entry,
+        and whatever is left over is nonzero exactly off the kernel.
+        """
         if not ambient_vec:
             return {}
         try:
-            pos = self._reindex[n]
-            coords = self._kte[n].represent(
-                {pos[i]: v for i, v in ambient_vec.items()})
+            pos, te = self._echelons.get(n) or self._echelon(n)
+            coords = te.represent({pos[i]: v for i, v in ambient_vec.items()})
         except KeyError:    # a degree or a position outside the ambient
             coords = None
         if coords is None:
             raise ShapeMismatch("vector does not satisfy the coface constraints")
         return coords
+
+    def _echelon(self, n):
+        free = self.free[n]
+        taken = set(free)
+        order = free + [c for c in range(self.ambient.dim(n)) if c not in taken]
+        pos = {c: k for k, c in enumerate(order)}
+        te = TrackedEchelon()
+        for j, vec in enumerate(self.kernel[n]):
+            te.add({pos[c]: v for c, v in vec.items()}, j)
+        self._echelons[n] = pos, te
+        return pos, te
 
     def ambient_vector(self, n, j) -> dict:
         return dict(self.kernel[n][j])
@@ -544,28 +566,40 @@ def _transport(src: EqualizerTotalization, tgt: EqualizerTotalization,
     as a chain map of totalizations in kernel coordinates.
 
     ``maps[p]`` is a chain map (``_model_map``) from src's level-p simplex
-    model to tgt's.  Each entry of a src kernel vector is located in src's
-    ambient space as (p, s, a, b), sent through column a of maps[p] in form
-    degree s with the nerve index b kept, placed at the same (p, s, ., b) in
-    tgt's ambient space, and the image is read back in tgt's kernel
-    coordinates.
+    model to tgt's.  They are first checked to be natural: maps[p] after
+    src's pullback along coface i of level p equals tgt's pullback after
+    maps[p+1], for every (p, i).  A levelwise natural map sends the
+    equalizer into the equalizer, so every image lies in tgt's kernel and
+    its coordinates are its entries at tgt's free columns.  Each entry of a
+    src kernel vector is located in src's ambient space as (p, s, a, b),
+    sent through column a of maps[p] in form degree s with the nerve index
+    b kept, and whatever lands at a free column of tgt in (p, s, ., b) is
+    kept.
     """
+    if src.F is not tgt.F:
+        raise ShapeMismatch("totalizations of different presheaves")
+    for (p, i), pb in src.pullbacks.items():
+        if maps[p].compose(pb) != tgt.pullbacks[(p, i)].compose(maps[p + 1]):
+            raise ShapeMismatch(
+                f"level maps do not commute with the pullback along coface "
+                f"{i} at level {p}")
     columns = {(p, s): f.mat(s).transpose().rows
                for p, f in enumerate(maps) for s in f.source.degrees()}
     mats = {}
     for n in src.cx.degrees():
-        m = SparseMatrix(tgt.cx.dim(n), src.cx.dim(n))
+        at = {c: k for k, c in enumerate(tgt.free.get(n, []))}
+        rows = [{} for _ in at]
         for j, vec in enumerate(src.kernel[n]):
-            amb = {}
             for idx, v in vec.items():
                 p, s, a, b = src.ambient_locate(n, idx)
                 for a2, w in columns[(p, s)][a].items():
-                    r = tgt.ambient_pos(n, p, s, a2, b)
-                    amb[r] = amb.get(r, 0) + w * v
-            amb = {r: v for r, v in amb.items() if v}
-            for r, v in tgt.represent(n, amb).items():
-                m.rows[r][j] = v
-        mats[n] = m
+                    k = at.get(tgt.ambient_pos(n, p, s, a2, b))
+                    if k is not None:
+                        row = rows[k]
+                        row[j] = row.get(j, 0) + w * v
+        mats[n] = SparseMatrix(len(at), src.cx.dim(n),
+                               [{j: v for j, v in row.items() if v}
+                                for row in rows])
     return ChainMap(src.cx, tgt.cx, mats)
 
 

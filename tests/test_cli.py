@@ -370,9 +370,12 @@ def test_degree_window_filters_table(capsys):
 
 
 def test_bad_degree_window_is_rejected(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["homology", "--degree-window", "zero"])
-    assert err.value.code == 2
+    for command, window in [("homology", "zero"), ("homology", "3:1"),
+                            ("cech", "3:1")]:
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--degree-window", window])
+        assert err.value.code == 2
+        assert "degree-window" in capsys.readouterr().err
 
 
 def test_threads_env_is_recorded(monkeypatch, capsys):
