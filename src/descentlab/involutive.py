@@ -360,6 +360,9 @@ def _two_term_sign(a, b, d):
     return _sgn(a) if a * a > b * b * d else _sgn(b)
 
 
+_ZERO, _TWO = Fraction(0), Fraction(2)
+
+
 class AlgebraicValue:
     """The exact number (a + b*sqrt(disc)) / sqrt(2).
 
@@ -385,12 +388,20 @@ class AlgebraicValue:
         self.a, self.b, self.disc = a, b, disc
 
     @classmethod
+    def _normal(cls, a, b, disc):
+        """The value of fields already in normal form, stored as given."""
+        v = object.__new__(cls)
+        v.a, v.b, v.disc = a, b, disc
+        return v
+
+    @classmethod
     def from_rational(cls, r):
-        return cls(0, Fraction(r), 2)
+        b = Fraction(r)
+        return cls._normal(_ZERO, b, _TWO if b else _ZERO)
 
     def plus_sqrt2(self, s):
-        """This value plus s*sqrt(2), exactly."""
-        return AlgebraicValue(self.a + 2 * Fraction(s), self.b, self.disc)
+        """This value plus s*sqrt(2), exactly (s a Fraction or int)."""
+        return AlgebraicValue._normal(self.a + 2 * s, self.b, self.disc)
 
     def sign(self):
         if self.b == 0:

@@ -3,15 +3,16 @@
 Vectors are dicts index -> scalar (zero entries absent).  Matrices keep one
 dict per row.  Structural operations (multiply, add, blocks) work over any
 coefficient ring whose elements support +, *, unary - and compare to 0;
-elimination (rank, kernels, solving) requires field scalars, i.e. Fractions.
+elimination (rank, RREF, kernels) requires field scalars, i.e. Fractions.
 
 Pivots during elimination are chosen Markowitz-style, preferring entries
 whose row and column are sparsest, which keeps fill-in tolerable on the
 equalizer systems produced by the descent machinery.  Elimination runs on
 primitive integer rows (fraction-free, with the gcd divided out after each
-combination, as in Bareiss, Math. Comp. 22, 1968) and turns the pivot rows
-into Fractions only at the end; its pivots and outputs are those of
-elimination over Fractions.
+combination, as in Bareiss, Math. Comp. 22, 1968); its pivots and outputs
+are those of elimination over Fractions.  ``rank`` is the pivot count of the
+forward pass; only ``rref`` (and so ``kernel_basis``) back-substitutes and
+turns the pivot rows into Fractions.
 """
 
 from __future__ import annotations
@@ -190,9 +191,6 @@ class SparseMatrix:
                 else:
                     row[cc] = w
 
-    def to_dense(self):
-        return [[self.rows[r].get(c, 0) for c in range(self.ncols)] for r in range(self.nrows)]
-
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
@@ -245,31 +243,30 @@ def _cancel(orow: dict, oid, row: dict, pc, col_rows):
         _divide_content(orow)
 
 
-def _eliminate(rows, ncols):
-    """Markowitz-flavored Gauss-Jordan elimination, fraction-free.
+def _forward(rows):
+    """Markowitz-flavored forward elimination, fraction-free.
 
-    rows: dict row_id -> row dict of rationals.  Returns the pivots as a
-    list of (col, row dict) sorted by column: the RREF of the row space,
-    each row 1 at its own pivot and 0 at every other pivot column.
+    rows: the rows of a matrix (dicts of rationals), left unchanged.
+    Returns the pivots as (col, row) in the order they are found, each row
+    a primitive integer row holding no earlier pivot column; their number
+    is the rank.
 
     Each row is kept as its primitive integer multiple, and a pivot row
     (pivot value pv) cancels its column from another row (entry s there)
     as pv*orow - s*row with the gcd divided out.  That row is a nonzero
     multiple of the one Fraction elimination would produce, with the same
     support, so the Markowitz choices (sparsest row, ties by id, then its
-    sparsest column, ties by index) are those of Fraction elimination and
-    the output is the same.  The sparsest row comes from a lazy heap keyed
-    by (len, id).  Pivot rows are reduced against the pivots found after
-    them once, at the end, newest first, and made Fractions only then.
+    sparsest column, ties by index) are those of Fraction elimination.
+    The sparsest row comes from a lazy heap keyed by (len, id).
     """
-    rows = {rid: _primitive(row) for rid, row in rows.items()}
+    rows = {rid: _primitive(row) for rid, row in enumerate(rows) if row}
     col_rows = {}
     for rid, row in rows.items():
         for c in row:
             col_rows.setdefault(c, set()).add(rid)
-    heap = [(len(row), rid) for rid, row in rows.items() if row]
+    heap = [(len(row), rid) for rid, row in rows.items()]
     heapify(heap)
-    found = []   # (pivot col, integer row), in the order the pivots are found
+    found = []
     while heap:
         n, rid = heappop(heap)
         row = rows.get(rid)
@@ -287,9 +284,18 @@ def _eliminate(rows, ncols):
             else:
                 del rows[oid]
         found.append((pc, row))
-    # back substitution: a pivot row holds no earlier pivot column, and the
-    # later pivot rows it holds are already reduced, so one common multiple
-    # clears them all
+    return found
+
+
+def _back_substitute(found):
+    """The RREF from _forward's pivots: (col, row dict of Fractions) sorted
+    by column, each row 1 at its own pivot and 0 at every other pivot
+    column, as Fraction Gauss-Jordan elimination would produce it.
+
+    A pivot row holds no earlier pivot column, and the later pivot rows it
+    holds are already reduced when it is reached (newest first), so one
+    common multiple clears them all.
+    """
     where = {pc: i for i, (pc, _) in enumerate(found)}
     for i in range(len(found) - 1, -1, -1):
         pc, row = found[i]
@@ -320,11 +326,12 @@ def _eliminate(rows, ncols):
 
 def rref(mat: SparseMatrix):
     """Reduced row echelon data: list of (pivot_col, row dict)."""
-    return _eliminate({i: r for i, r in enumerate(mat.rows) if r}, mat.ncols)
+    return _back_substitute(_forward(mat.rows))
 
 
 def rank(mat: SparseMatrix) -> int:
-    return len(rref(mat))
+    """The number of pivots of the forward pass."""
+    return len(_forward(mat.rows))
 
 
 def kernel_basis(mat: SparseMatrix):
@@ -346,47 +353,6 @@ def kernel_basis(mat: SparseMatrix):
     return list(basis.values())
 
 
-def image_basis(mat: SparseMatrix):
-    """Basis of the column space, as dict-vectors of length nrows."""
-    ech = Echelon()
-    out = []
-    for c in range(mat.ncols):
-        col = mat.column(c)
-        if ech.add(col):
-            out.append(col)
-    return out
-
-
-class Echelon:
-    """Incremental echelon basis of a subspace of dict-vectors."""
-
-    def __init__(self):
-        self.pivots = {}  # pivot index -> normalized vector
-
-    def reduce(self, vec: dict) -> dict:
-        vec = dict(vec)
-        while vec:
-            p = min(vec)
-            prow = self.pivots.get(p)
-            if prow is None:
-                return vec
-            vec = vec_axpy(vec, prow, -vec[p])
-        return vec
-
-    def add(self, vec: dict) -> bool:
-        """Insert vec; True if it enlarged the space."""
-        res = self.reduce(vec)
-        if not res:
-            return False
-        p = min(res)
-        self.pivots[p] = vec_scale(res, 1 / res[p])
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-
 class TrackedEchelon:
     """Echelon basis remembering coordinates in the inserted generators.
 
@@ -398,7 +364,6 @@ class TrackedEchelon:
 
     def __init__(self):
         self.pivots = {}  # pivot index -> (vector, coords dict gen_id -> scalar)
-        self.ngens = 0
 
     def _reduce(self, vec: dict, coords: dict, sign):
         """Clear vec at its pivot positions in increasing order, in place,
@@ -438,10 +403,8 @@ class TrackedEchelon:
                     del coords[k]
         return None
 
-    def add(self, vec: dict, gen_id=None) -> bool:
-        if gen_id is None:
-            gen_id = self.ngens
-        self.ngens += 1
+    def add(self, vec: dict, gen_id) -> bool:
+        """Insert vec as generator gen_id; True if it enlarged the span."""
         vec, coords = dict(vec), {gen_id: Fraction(1)}
         p = self._reduce(vec, coords, -1)
         if p is None:
@@ -459,27 +422,3 @@ class TrackedEchelon:
         if self._reduce(vec, coords, 1) is not None:
             return None
         return coords
-
-
-def solve(mat: SparseMatrix, rhs: dict):
-    """One solution x of mat @ x = rhs (dicts), or None."""
-    te = TrackedEchelon()
-    for c in range(mat.ncols):
-        te.add(mat.column(c), c)
-    return te.represent(rhs)
-
-
-def express_in_columns(columns, vec):
-    """Coordinates of vec in the given list of dict-columns, or None."""
-    te = TrackedEchelon()
-    for i, col in enumerate(columns):
-        te.add(col, i)
-    return te.represent(vec)
-
-
-def matrix_from_columns(columns, nrows) -> SparseMatrix:
-    m = SparseMatrix(nrows, len(columns))
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            m.rows[i][j] = v
-    return m

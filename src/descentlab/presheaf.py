@@ -404,9 +404,12 @@ class EqualizerTotalization:
     direct_sum_p (model_p (x) nerve level p); the simplex factor is written
     first, which is what makes top-face evaluation a sign-free chain map.
 
-    Each constraint (pullback along coface i of level p, tensor the
-    identity, minus the identity tensor the nerve coface) is checked once
-    to be a chain map, so the ambient differential preserves the kernel.
+    Each constraint is (pullback along coface i of level p) tensor the
+    identity, minus the identity tensor the nerve coface.  The pullback
+    and the nerve coface are checked once to be chain maps; a tensor of
+    degree-0 chain maps is one, and the ambient differential is
+    block-diagonal, so the constraint is a chain map and the ambient
+    differential preserves the kernel.
     ``kernel_basis`` returns each vector in free-column form: 1 at its own
     free column ``free[n][j]`` and 0 at every other.  So the coordinates of
     a vector known to lie in the kernel are its entries at the free
@@ -436,18 +439,18 @@ class EqualizerTotalization:
             for i in range(p + 2):
                 pb = self.pullbacks[(p, i)] = _model_pullback(
                     models[p], models[p + 1], coface(p, i))
-                legA = _tensor_map(self.tensors[p + 1], cross, pb, id_nerve)
-                legB = _tensor_map(self.tensors[p], cross, id_model,
-                                   self.nerve.coface(p, i))
-                c = (self._levels.extract(p + 1, legA) +
-                     self._levels.extract(p, legB).scale(-1))
+                cf = self.nerve.coface(p, i)
                 try:
-                    c.validate()
+                    pb.validate()
+                    cf.validate()
                 except ShapeMismatch as exc:
                     raise ShapeMismatch(
                         f"coface constraint at level {p}, coface {i}: "
                         f"{exc}") from exc
-                constraints.append(c)
+                legA = _tensor_map(self.tensors[p + 1], cross, pb, id_nerve)
+                legB = _tensor_map(self.tensors[p], cross, id_model, cf)
+                constraints.append(self._levels.extract(p + 1, legA) +
+                                   self._levels.extract(p, legB).scale(-1))
         self.kernel, self.free, self._echelons = {}, {}, {}
         for n in self.ambient.degrees():
             rows_total = sum(c.target.dim(n) for c in constraints)
@@ -908,4 +911,10 @@ def presheaf_from_json(obj, check=True) -> CoverPresheaf:
                            or key[-1] > n):
             raise InputError(f"value on {format_key(key)}, which is not a "
                              f"subset of 1..{n}")
+    # every key is now a distinct subset of 1..n, so the count settles
+    # coverage; bit lengths first, so an absurd n_sets is not enumerated
+    named = sum(1 for key in values if key != TOP)
+    if named.bit_length() != n or named != (1 << n) - 1:
+        raise InputError(f"n_sets is {n}, so every one of the 2^{n} - 1 "
+                         f"nonempty subsets needs a value; {named} have one")
     return CoverPresheaf(n, values, adjacent, check=check)

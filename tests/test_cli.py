@@ -188,17 +188,21 @@ def test_shape_fault_names_the_degree(tmp_path, capsys, blob, degree):
 
 
 @pytest.mark.parametrize("n_sets,key", [(0, None), (-1, None),
-                                        (2, "1,2,3"), (3, "1,1")])
+                                        (2, "1,2,3"), (3, "1,1"), (4, None),
+                                        (26, None), (10**9, None)])
 def test_presheaf_index_set_is_checked(tmp_path, capsys, n_sets, key):
+    # n_sets 26 would list 2^26 - 1 subsets if coverage were checked by
+    # enumeration; the count of values is compared first
     blob = presheaf_to_json(fx.emit_fixture("three-edge"))
     blob["n_sets"] = n_sets
     if key is not None:
         blob["values"][key] = blob["values"]["1"]
     path = tmp_path / "F.json"
     path.write_text(json.dumps(blob))
-    for command in ("cech", "descent"):
+    for command in ("validate", "cech", "tot", "descent"):
         code, out, err = run_cli(capsys, command, "--input", str(path))
         assert code == 2 and not out and err.startswith("descentlab: ")
+        assert ("n_sets" if key is None else "not a subset") in err
 
 
 def _shifted_restriction(blob):

@@ -10,8 +10,8 @@ file (only when a change of output is intended) with
     PYTHONPATH=src python tests/test_equivalence.py > tests/golden/totalization_digest.json
 
 The totalizations read kernel coordinates at the free columns under two
-certificates (constraints are chain maps; level maps commute with the
-coface pullbacks).  The per-vector TrackedEchelon membership check they
+certificates (coface pullbacks and nerve cofaces are chain maps, so the
+constraints are; level maps commute with the coface pullbacks).  The per-vector TrackedEchelon membership check they
 replaced is kept below as an oracle, and each certificate is shown to trip
 on a one-entry mutation.
 """
@@ -28,10 +28,11 @@ import pytest
 from descentlab import algebra, presheaf
 from descentlab import fixtures as fx
 from descentlab.algebra import tw_include
+from descentlab.complexes import ChainMap
 from descentlab.errors import ShapeMismatch
-from descentlab.linalg import TrackedEchelon, matrix_from_columns
-from descentlab.presheaf import (TOP, _model_map, tot, tw, tw_to_tot,
-                                 whitney_section)
+from descentlab.linalg import SparseMatrix, TrackedEchelon
+from descentlab.presheaf import (TOP, CoverPresheaf, _model_map, tot, tw,
+                                 tw_to_tot, whitney_section)
 from descentlab.simplex import (NCModel, OmegaModel, PolyForm,
                                 integration_cochain, whitney)
 
@@ -142,6 +143,14 @@ def oracle_represent(E, n):
         return coords
 
     return represent
+
+
+def matrix_from_columns(columns, nrows):
+    m = SparseMatrix(nrows, len(columns))
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            m.rows[i][j] = v
+    return m
 
 
 def oracle_differential(E, n):
@@ -267,6 +276,18 @@ def test_a_mutated_coface_pullback_fails_the_constraint_certificate(
     monkeypatch.setattr(presheaf, "_model_pullback", mutated)
     with pytest.raises(ShapeMismatch, match="level 1, coface 1"):
         tw(F, 3)
+
+
+def test_a_restriction_that_is_no_chain_map_fails_the_constraint_certificate():
+    # the nerve side: F(1) -> F(1,2) is not a chain map, and level 0's
+    # coface 1 restricts along it
+    F = fx.constant_presheaf(2, fx.circle_complex())
+    bad = dict(F.adjacent)
+    f = bad[((1,), (1, 2))] = ChainMap.identity(F.value((1,)))
+    _bump(f.mat(0))
+    G = CoverPresheaf(2, dict(F.values), bad, check=False)
+    with pytest.raises(ShapeMismatch, match="level 0, coface 1"):
+        tw(G, 3)
 
 
 @pytest.mark.parametrize("build, kinds", [

@@ -235,6 +235,21 @@ def test_algebraic_value_ordering():
     assert AlgebraicValue(1, 2, 3) > AlgebraicValue(0, 2, 3)
     assert AlgebraicValue(1, 2, 3)._cmp(AlgebraicValue(1, 2, 3)) == 0
     assert AlgebraicValue(1, 2, 3) == AlgebraicValue(1, 2, 3)
+    # the shortcuts that skip __init__ build the same normal form
+    for r in (Fraction(0), Fraction(-3, 7), 5):
+        fast = AlgebraicValue.from_rational(r)
+        slow = AlgebraicValue(0, r, 2)
+        assert (fast.a, fast.b, fast.disc) == (slow.a, slow.b, slow.disc)
+        assert fast == slow == r
+    for u, s in ((AlgebraicValue(1, 2, 3), Fraction(1, 3)),
+                 (AlgebraicValue(Fraction(1, 2)), -2),
+                 (AlgebraicValue(0, 1, 2), Fraction(-1, 2)),
+                 (AlgebraicValue(1, 0, 5), 0)):
+        fast = u.plus_sqrt2(s)
+        slow = AlgebraicValue(u.a + 2 * Fraction(s), u.b, u.disc)
+        assert (fast.a, fast.b, fast.disc) == (slow.a, slow.b, slow.disc)
+        assert fast == slow
+        assert all(type(x) is Fraction for x in (fast.a, fast.b, fast.disc))
     rng = random.Random(29)
     for _ in range(60):
         u = AlgebraicValue(Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)),
