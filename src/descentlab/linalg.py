@@ -172,7 +172,9 @@ class SparseMatrix:
 
     def paste(self, other: "SparseMatrix", roff: int, coff: int, factor=1):
         """Add factor*other into self at the given offset (in place); a sign
-        factor negates instead of multiplying."""
+        factor negates instead of multiplying.  An entry landing on an empty
+        position is stored when it is truthy (exact for Fraction and
+        NovikovElem); only a sum with an existing entry is zero-tested."""
         plain, neg = factor == 1, factor == -1
         for r, orow in enumerate(other.rows):
             if not orow:
@@ -185,9 +187,13 @@ class SparseMatrix:
                     v = v * factor
                 cc = c + coff
                 w = row.get(cc)
-                w = v if w is None else w + v
+                if w is None:
+                    if v:
+                        row[cc] = v
+                    continue
+                w = w + v
                 if scalar_is_zero(w):
-                    row.pop(cc, None)
+                    del row[cc]
                 else:
                     row[cc] = w
 

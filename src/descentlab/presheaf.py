@@ -32,7 +32,7 @@ from .errors import (CosimplicialIdentityFailure, CutoffTooSmall,
 from .linalg import SparseMatrix, TrackedEchelon, kernel_basis
 from .scalars import QQ
 from .simplex import (InjMap, NCModel, OmegaModel, PolyForm, coface,
-                      integration_cochain, nc_pullback, pf_pullback, whitney)
+                      integration_cochain, whitney)
 
 TOP = "top"
 
@@ -343,41 +343,6 @@ def _tensor_map(tsrc: TensorComplex, ttgt: TensorComplex, f: ChainMap,
     return ChainMap(tsrc.cx, ttgt.cx, mats)
 
 
-def _forms_pullback(f: InjMap):
-    """Pullback of forms monomials along f, one wedge per monomial.
-
-    Pullback is an algebra map, so t^a dt_I pulls back to the pullback of
-    the monomial with its last generator removed (the last dt, or else one
-    power of the last t present) wedged with that generator's pullback.  The
-    memo lives only as long as the returned function.
-    """
-    q = f.q
-    flat = (0,) * q
-    memo = {(flat, ()): PolyForm.const(f.p)}
-    gens = {}
-
-    def generator(key):
-        got = gens.get(key)
-        if got is None:
-            got = gens[key] = pf_pullback(f, PolyForm(q, {key: Fraction(1)}))
-        return got
-
-    def pull(key):
-        got = memo.get(key)
-        if got is None:
-            exps, I = key
-            if I:
-                parent, gen = (exps, I[:-1]), (flat, I[-1:])
-            else:
-                j = max(i for i, e in enumerate(exps) if e)
-                parent = (exps[:j] + (exps[j] - 1,) + exps[j + 1:], ())
-                gen = (flat[:j] + (1,) + flat[j + 1:], ())
-            got = memo[key] = pull(parent).wedge(generator(gen))
-        return got
-
-    return pull
-
-
 def _model_map(m_from, m_to, image) -> ChainMap:
     """The degree-preserving map of simplex models (NC or forms) that sends
     each basis key k of m_from to image(k), an element of m_to."""
@@ -394,9 +359,7 @@ def _model_map(m_from, m_to, image) -> ChainMap:
 
 def _model_pullback(m_to, m_from, f: InjMap) -> ChainMap:
     """Pullback along f as a chain map of simplex models (NC or forms)."""
-    pull = (_forms_pullback(f) if isinstance(m_from, OmegaModel) else
-            lambda key: nc_pullback(f, {key: Fraction(1)}))
-    return _model_map(m_from, m_to, pull)
+    return _model_map(m_from, m_to, lambda key: m_from.pullback(f, key))
 
 
 class EqualizerTotalization:

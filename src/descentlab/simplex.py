@@ -4,18 +4,20 @@ Two models of the p-simplex on vertices {0, ..., p} are implemented:
 
 * normalized simplicial cochains, with basis the indicator cochains of
   nonempty vertex subsets F (degree |F| - 1), with cup product;
-* polynomial differential forms in the reduced coordinates t_1, ..., t_p
-  (t_0 = 1 - sum is eliminated), graded by form degree and filtered by
-  weight = polynomial degree + form degree.
+* Sullivan's polynomial differential forms in the barycentric coordinates
+  t_0, ..., t_p (t_0 + ... + t_p = 1, so dt_0 = -(dt_1 + ... + dt_p)),
+  graded by form degree and cut off at weight = polynomial degree + form
+  degree.  A face map sends each t_w to a t_v or to 0, so pulling a
+  monomial back along one relabels it.
 
 Between them run the elementwise integration map (forms -> cochains, via
-integrating pullbacks over faces) and the Whitney map (cochains -> forms),
-which is a one-sided inverse: integrate(whitney(x)) == x exactly.
+integrating over faces) and the Whitney map (cochains -> forms), which is a
+one-sided inverse: integrate(whitney(x)) == x exactly.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 from .complexes import Complex
 from .errors import ShapeMismatch
@@ -199,6 +201,10 @@ class NCModel:
         """The degree-0 unit of the cup product: the sum of the vertices."""
         return {(v,): Fraction(1) for v in range(self.p + 1)}
 
+    def pullback(self, f: InjMap, F) -> dict:
+        """The pullback along f of the basis cochain delta_F."""
+        return nc_pullback(f, {F: Fraction(1)})
+
     def to_vec(self, n, x: dict) -> dict:
         out = {}
         for F, v in x.items():
@@ -215,9 +221,22 @@ class NCModel:
 # ---------------------------------------------------------------------------
 # polynomial forms
 #
-# A form on the p-simplex is a dict {(exps, I): Fraction} where exps is a
-# length-p tuple of exponents of t_1..t_p and I is the sorted tuple of dt
-# indices.  Weight of a monomial is sum(exps) + len(I).
+# A form on the p-simplex is a dict {(b, I): Fraction}: b is a length-(p+1)
+# tuple of exponents of the barycentric coordinates t_0..t_p and I the sorted
+# tuple of dt indices, drawn from 1..p (dt_0 = -(dt_1 + ... + dt_p)).  The
+# weight of a monomial is |b| + |I|.  Since t_0 + ... + t_p = 1, many dicts
+# represent one form; a form of weight w is also the form of weight w + 1
+# got by multiplying by t_0 + ... + t_p.
+
+
+def _accumulate(acc: dict, key, c):
+    """acc[key] += c, dropping the key when the sum vanishes."""
+    cur = acc.get(key)
+    cur = c if cur is None else cur + c
+    if cur:
+        acc[key] = cur
+    else:
+        acc.pop(key, None)
 
 
 class PolyForm:
@@ -225,15 +244,7 @@ class PolyForm:
 
     def __init__(self, p: int, terms=None):
         self.p = p
-        self.terms = {}
-        for key, c in (terms or {}).items():
-            if c:
-                cur = self.terms.get(key)
-                cur = c if cur is None else cur + c
-                if cur:
-                    self.terms[key] = cur
-                else:
-                    self.terms.pop(key, None)
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls, p):
@@ -241,44 +252,36 @@ class PolyForm:
 
     @classmethod
     def const(cls, p, c=Fraction(1)):
-        return cls(p, {((0,) * p, ()): Fraction(c)})
+        return cls(p, {((0,) * (p + 1), ()): Fraction(c)})
 
     @classmethod
     def coord(cls, p, j):
-        """The reduced coordinate t_j (j >= 1), or 1 - sum(t) for j = 0."""
-        if j == 0:
-            terms = {((0,) * p, ()): Fraction(1)}
-            for w in range(1, p + 1):
-                e = [0] * p
-                e[w - 1] = 1
-                terms[(tuple(e), ())] = Fraction(-1)
-            return cls(p, terms)
-        e = [0] * p
-        e[j - 1] = 1
-        return cls(p, {(tuple(e), ()): Fraction(1)})
+        """The barycentric coordinate t_j, 0 <= j <= p."""
+        b = [0] * (p + 1)
+        b[j] = 1
+        return cls(p, {(tuple(b), ()): Fraction(1)})
 
     @classmethod
     def dcoord(cls, p, j):
-        """dt_j (j >= 1), or -sum(dt) for j = 0."""
+        """dt_j (j >= 1), or -sum_{w >= 1} dt_w for j = 0: the coordinates
+        sum to 1, so their differentials sum to 0."""
+        flat = (0,) * (p + 1)
         if j == 0:
-            return cls(p, {(((0,) * p), (w,)): Fraction(-1) for w in range(1, p + 1)})
-        return cls(p, {((0,) * p, (j,)): Fraction(1)})
+            return cls(p, {(flat, (w,)): Fraction(-1) for w in range(1, p + 1)})
+        return cls(p, {(flat, (j,)): Fraction(1)})
 
     def is_zero(self):
         return not self.terms
 
     def __eq__(self, other):
+        """Equal representations: the same form at two weights compares
+        unequal."""
         return isinstance(other, PolyForm) and self.p == other.p and self.terms == other.terms
 
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            cur = out.get(k)
-            cur = c if cur is None else cur + c
-            if cur:
-                out[k] = cur
-            else:
-                out.pop(k, None)
+            _accumulate(out, k, c)
         return PolyForm(self.p, out)
 
     def scale(self, s):
@@ -294,44 +297,24 @@ class PolyForm:
         if self.p != other.p:
             raise ShapeMismatch("wedge of forms on different simplices")
         out = {}
-        for (e1, I1), c1 in self.terms.items():
-            for (e2, I2), c2 in other.terms.items():
+        for (b1, I1), c1 in self.terms.items():
+            for (b2, I2), c2 in other.terms.items():
                 if set(I1) & set(I2):
                     continue
                 sign, merged = _merge_sign(I1, I2)
-                e = tuple(a + b for a, b in zip(e1, e2))
-                key = (e, merged)
-                c = c1 * c2 * sign
-                cur = out.get(key)
-                cur = c if cur is None else cur + c
-                if cur:
-                    out[key] = cur
-                else:
-                    out.pop(key, None)
+                b = tuple(x + y for x, y in zip(b1, b2))
+                _accumulate(out, (b, merged), c1 * c2 * sign)
         return PolyForm(self.p, out)
 
     def d(self) -> "PolyForm":
         acc = {}
-        for (exps, I), c in self.terms.items():
-            for j in range(1, self.p + 1):
-                a = exps[j - 1]
-                if a == 0 or j in I:  # dt_j ^ dt_I = 0 when j in I
-                    continue
-                e = list(exps)
-                e[j - 1] -= 1
-                sign, merged = _merge_sign((j,), I)
-                key = (tuple(e), merged)
-                cc = c * a * sign
-                cur = acc.get(key)
-                cur = cc if cur is None else cur + cc
-                if cur:
-                    acc[key] = cur
-                else:
-                    acc.pop(key, None)
+        for (b, I), c in self.terms.items():
+            for key, s in _d_monomial(b, I):
+                _accumulate(acc, key, c * s)
         return PolyForm(self.p, acc)
 
     def max_weight(self):
-        return max((sum(e) + len(I) for (e, I) in self.terms), default=0)
+        return max((sum(b) + len(I) for (b, I) in self.terms), default=0)
 
     def degrees(self):
         return sorted({len(I) for (_, I) in self.terms})
@@ -341,18 +324,7 @@ class PolyForm:
 
     def integrate_top(self) -> Fraction:
         """Integral over the simplex, orientation dt_1 ... dt_p positive."""
-        total = Fraction(0)
-        full = tuple(range(1, self.p + 1))
-        for (exps, I), c in self.terms.items():
-            if I != full:
-                continue
-            num = 1
-            for a in exps:
-                num *= factorial(a)
-            total += c * Fraction(num, factorial(self.p + sum(exps)))
-        if self.p == 0:
-            total = self.terms.get(((), ()), Fraction(0))
-        return total
+        return integrate_over_face(self, range(self.p + 1))
 
     def __repr__(self):
         return f"PolyForm(p={self.p}, nnz={len(self.terms)})"
@@ -373,75 +345,79 @@ def _merge_sign(I1, I2):
     return sign, tuple(arr)
 
 
+def _d_monomial(b, I):
+    """d(t^b dt_I) = sum_j b_j t^(b - e_j) dt_j ^ dt_I as (key, integer
+    coefficient) pairs, with dt_0 expanded; the keys are distinct, d keeps
+    the weight, and d(t_0 + ... + t_p) = 0."""
+    out = []
+    for j, a in enumerate(b):
+        if not a:
+            continue
+        lower = b[:j] + (a - 1,) + b[j + 1:]
+        for w in (range(1, len(b)) if j == 0 else (j,)):
+            if w not in I:   # dt_w ^ dt_I = 0 otherwise
+                sign, merged = _merge_sign((w,), I)
+                out.append(((lower, merged), -a * sign if j == 0 else a * sign))
+    return out
+
+
 def pf_pullback(f: InjMap, form: PolyForm) -> PolyForm:
-    """Pull a form on the f-codomain simplex back along the affine map of f."""
+    """Pull a form on the f-codomain simplex back along the affine map of f.
+
+    A relabeling: the coordinate t_w of the codomain restricts to t_v when
+    w = f(v), and to 0 when w misses the image, so t^b dt_I goes to one
+    monomial or to 0.  The one expansion is dt_0 = -(dt_1 + ... + dt_p), when
+    f(0) lies in I.
+    """
     q, p = f.q, f.p
     if form.p != q:
         raise ShapeMismatch("form lives on the wrong simplex")
-    # reduced coordinate s_j of the codomain restricts to the coordinate of
-    # its unique preimage vertex (0 if j misses the image)
     pre = {w: v for v, w in enumerate(f.verts)}
-    sub_t, sub_dt = {}, {}
-    for j in range(1, q + 1):
-        if j in pre:
-            sub_t[j] = PolyForm.coord(p, pre[j])
-            sub_dt[j] = PolyForm.dcoord(p, pre[j])
-        else:
-            sub_t[j] = PolyForm.zero(p)
-            sub_dt[j] = PolyForm.zero(p)
-    out = PolyForm.zero(p)
-    for (exps, I), c in form.terms.items():
-        acc = PolyForm.const(p, c)
-        dead = False
-        for j in range(1, q + 1):
-            for _ in range(exps[j - 1]):
-                acc = acc.wedge(sub_t[j])
-                if acc.is_zero():
-                    dead = True
-                    break
-            if dead:
-                break
-        if dead:
+    out = {}
+    for (b, I), c in form.terms.items():
+        e = tuple(b[w] for w in f.verts)
+        if sum(e) != sum(b) or any(w not in pre for w in I):
             continue
-        for j in I:
-            acc = acc.wedge(sub_dt[j])
-            if acc.is_zero():
-                break
-        out = out + acc
-    return out
+        J = tuple(pre[w] for w in I)
+        if not J or J[0]:
+            _accumulate(out, (e, J), c)
+            continue
+        for w in range(1, p + 1):
+            if w not in J:
+                sign, merged = _merge_sign((w,), J[1:])
+                _accumulate(out, (e, merged), c if sign < 0 else -c)
+    return PolyForm(p, out)
 
 
 def integrate_over_face(form: PolyForm, F) -> Fraction:
     """Integral of the form's restriction to the face with vertex set F.
 
     In closed form, with no pullback.  With F = (v_0 < ... < v_k), the
-    monomial t^a dt_I integrates to
+    monomial t^b dt_I integrates to
 
-        (-1)^m * prod_{v in F, v >= 1} a_v! / (k + |a|)!
+        (-1)^m * prod_{v in F} b_v! / (k + |b|)!
 
-    when a is supported on F and I = F minus {v_m}, and to 0 otherwise:
-    the coordinates t_{v_0}, ..., t_{v_k} restrict to the face's barycentric
-    coordinates (the Dirichlet integral), and dt_I to (-1)^m times its
-    volume form.  When v_0 = 0 only m = 0 occurs, since dt_0 is not a
-    generator (t_0 = 1 - sum t is eliminated).
+    when b is supported on F and I = F minus {v_m}, and to 0 otherwise: the
+    coordinates t_{v_0}, ..., t_{v_k} restrict to the face's barycentric
+    coordinates (the Dirichlet integral, b_{v_0} included), and dt_I to
+    (-1)^m times its volume form.  When v_0 = 0 only m = 0 occurs, since I
+    holds no 0.
     """
     F = tuple(sorted(F))
     k = len(F) - 1
     on_face = set(F)
     total = Fraction(0)
-    for (exps, I), c in form.terms.items():
+    for (b, I), c in form.terms.items():
         if len(I) != k or not on_face.issuperset(I):
             continue
-        num, deg = 1, k
-        for j, a in enumerate(exps, 1):
-            if a:
-                if j not in on_face:
-                    break
-                num *= factorial(a)
-                deg += a
-        else:
-            m = next(i for i, v in enumerate(F) if i == k or I[i] != v)
-            total += c * Fraction(-num if m % 2 else num, factorial(deg))
+        num, size = 1, 0
+        for v in F:
+            num *= factorial(b[v])
+            size += b[v]
+        if size != sum(b):
+            continue
+        m = next(i for i, v in enumerate(F) if i == k or I[i] != v)
+        total += c * Fraction(-num if m % 2 else num, factorial(k + size))
     return total
 
 
@@ -466,7 +442,8 @@ def whitney(p: int, x: dict) -> PolyForm:
 
         k! * sum_j (-1)^j t_{v_j} dt_{v_0} ^ ... omit j ... ^ dt_{v_k},
 
-    with t_0 and dt_0 rewritten in reduced coordinates.
+    in the barycentric coordinates themselves (weight k + 1), with dt_0
+    written as -(dt_1 + ... + dt_p).
     """
     out = PolyForm.zero(p)
     for F, c in x.items():
@@ -488,8 +465,10 @@ def whitney(p: int, x: dict) -> PolyForm:
 class OmegaModel:
     """The weight-truncated polynomial form complex of the p-simplex.
 
-    Degree-n basis: monomials t^a dt_I with |I| = n and weight <= P, ordered
-    by I then exponents.  The differential preserves weight, so this is a
+    Degree-n basis: monomials t^b dt_I in t_0..t_p with |I| = n and weight
+    exactly P, ordered by I then exponents.  Multiplying by (t_0 + ... +
+    t_p)^(P - w) does not change a form of weight w, so these span every
+    form of weight <= P.  The differential preserves weight, so this is a
     subcomplex on the nose.
     """
 
@@ -498,21 +477,17 @@ class OmegaModel:
         self.P = P
         self._basis, self._index = {}, {}
         for n in range(p + 1):
-            basis = []
-            for I in combinations(range(1, p + 1), n):
-                for exps in _exps_upto(p, P - n):
-                    basis.append((exps, I))
-            basis.sort(key=lambda key: (key[1], key[0]))
+            basis = [(b, I) for I in combinations(range(1, p + 1), n)
+                     for b in _exps(p + 1, P - n)]
             self._basis[n] = basis
             self._index[n] = {k: i for i, k in enumerate(basis)}
         dims = {n: len(b) for n, b in self._basis.items()}
         diff = {}
         for n in range(p):
             entries = []
-            for col, key in enumerate(self._basis[n]):
-                img = PolyForm(p, {key: Fraction(1)}).d()
-                for k2, c in img.terms.items():
-                    entries.append((self._index[n + 1][k2], col, c))
+            for col, (b, I) in enumerate(self._basis[n]):
+                for k2, c in _d_monomial(b, I):
+                    entries.append((self._index[n + 1][k2], col, Fraction(c)))
             diff[n] = SparseMatrix.from_entries(dims[n + 1], dims[n], entries)
         self.cx = Complex(QQ, dims, diff, labels=dict(self._basis), support=(0, p))
 
@@ -520,33 +495,47 @@ class OmegaModel:
         return self._basis.get(n, [])
 
     def unit(self) -> PolyForm:
-        """The degree-0 unit of the wedge product: the constant 1."""
+        """The degree-0 unit of the wedge product: the constant 1, whose
+        vector is (t_0 + ... + t_p)^P."""
         return PolyForm.const(self.p)
 
+    def pullback(self, f: InjMap, key) -> PolyForm:
+        """The pullback along f of the basis monomial key."""
+        return pf_pullback(f, PolyForm(self.p, {key: Fraction(1)}))
+
     def to_vec(self, n, form: PolyForm) -> dict:
-        out = {}
+        """Coordinates of a degree-n form of weight <= P: a term of weight
+        w < P is first multiplied by (t_0 + ... + t_p)^(P - w)."""
+        index = self._index.get(n, {})
+        out, lighter = {}, []
         for key, c in form.terms.items():
             if len(key[1]) != n:
                 raise ShapeMismatch("inhomogeneous form")
-            idx = self._index[n].get(key)
+            idx = index.get(key)
             if idx is None:
+                lighter.append((key, c))
+            else:
+                out[idx] = c
+        for (b, I), c in lighter:
+            lift = self.P - n - sum(b)
+            if lift < 0:
                 raise ShapeMismatch("monomial exceeds the weight cutoff")
-            out[idx] = c
+            for e in _exps(self.p + 1, lift):
+                key = (tuple(x + y for x, y in zip(b, e)), I)
+                m = factorial(lift) // prod(map(factorial, e))
+                _accumulate(out, index[key], c * m)
         return out
 
     def from_vec(self, n, vec: dict) -> PolyForm:
         return PolyForm(self.p, {self._basis[n][i]: c for i, c in vec.items()})
 
 
-def _exps_upto(nvars: int, total: int):
-    """All exponent tuples with sum <= total, lexicographically."""
+def _exps(nvars: int, total: int):
+    """All exponent tuples of nvars >= 1 variables with sum exactly total,
+    lexicographically."""
     if total < 0:
         return []
-    if nvars == 0:
-        return [()]
-    out = []
-    for head in range(total + 1):
-        for tail in _exps_upto(nvars - 1, total - head):
-            out.append((head,) + tail)
-    out.sort()
-    return out
+    if nvars == 1:
+        return [(total,)]
+    return [(head,) + tail for head in range(total + 1)
+            for tail in _exps(nvars - 1, total - head)]

@@ -9,6 +9,12 @@ file (only when a change of output is intended) with
 
     PYTHONPATH=src python tests/test_equivalence.py > tests/golden/totalization_digest.json
 
+The forms model moved from reduced coordinates (t_0 = 1 - sum t eliminated)
+to barycentric ones, which changed every forms-side digest and no other.
+The reduced model is kept below as an oracle: the dehomogenization t_0 ->
+1 - sum t is an isomorphism of totalizations that carries integration, the
+Whitney section and the cutoff inclusion to their reduced counterparts.
+
 The totalizations read kernel coordinates at the free columns under two
 certificates (coface pullbacks and nerve cofaces are chain maps, so the
 constraints are; level maps commute with the coface pullbacks).  The per-vector TrackedEchelon membership check they
@@ -21,6 +27,8 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -28,12 +36,15 @@ import pytest
 from descentlab import algebra, presheaf
 from descentlab import fixtures as fx
 from descentlab.algebra import tw_include
-from descentlab.complexes import ChainMap
+from descentlab.complexes import ChainMap, Complex
 from descentlab.errors import ShapeMismatch
 from descentlab.linalg import SparseMatrix, TrackedEchelon
-from descentlab.presheaf import (TOP, CoverPresheaf, _model_map, tot, tw,
+from descentlab.linalg import rank as linalg_rank
+from descentlab.presheaf import (TOP, CoverPresheaf, EqualizerTotalization,
+                                 TwComplex, _model_map, _transport, tot, tw,
                                  tw_to_tot, whitney_section)
-from descentlab.simplex import (NCModel, OmegaModel, PolyForm,
+from descentlab.scalars import QQ
+from descentlab.simplex import (NCModel, OmegaModel, PolyForm, _merge_sign,
                                 integration_cochain, whitney)
 
 GOLDEN = Path(__file__).parent / "golden" / "totalization_digest.json"
@@ -249,6 +260,265 @@ def test_totalizations_match_the_per_vector_oracle(name):
             for n in F.value(TOP).degrees():
                 assert exact_entries(got.mat(n)) == exact_entries(
                     oracle_augmentation(E, n))
+
+
+# ---------------------------------------------------------------------------
+# the reduced-coordinate forms model, kept as an oracle for the change of basis
+#
+# Before the barycentric basis, OmegaModel eliminated t_0 = 1 - (t_1 + ... +
+# t_p): a key (a, I) is t_1^a_1 ... t_p^a_p dt_I of weight |a| + |I| <= P.
+# Sending t_0 to 1 - sum t is a map of models from the barycentric basis
+# (the dehomogenization), so _model_map and _transport give tw -> the
+# reduced tw under the naturality certificate, and it must be an
+# isomorphism that carries integration, the Whitney section and the cutoff
+# inclusion to their reduced counterparts.
+
+
+class ReducedForm:
+    """A form {(a, I): Fraction} in the reduced coordinates t_1..t_p."""
+
+    def __init__(self, p, terms=None):
+        self.p = p
+        self.terms = {}
+        for key, c in (terms or {}).items():
+            _add(self.terms, key, c)
+
+    @classmethod
+    def const(cls, p):
+        return cls(p, {((0,) * p, ()): Fraction(1)})
+
+    @classmethod
+    def coord(cls, p, j):
+        """t_j (j >= 1), or 1 - sum(t) for j = 0."""
+        if j:
+            return cls(p, {(_unit_exps(p, j), ()): Fraction(1)})
+        return cls(p, {((0,) * p, ()): Fraction(1),
+                       **{(_unit_exps(p, w), ()): Fraction(-1)
+                          for w in range(1, p + 1)}})
+
+    @classmethod
+    def dcoord(cls, p, j):
+        """dt_j (j >= 1), or -sum(dt) for j = 0."""
+        ws = [j] if j else range(1, p + 1)
+        return cls(p, {((0,) * p, (w,)): Fraction(1 if j else -1) for w in ws})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _add(out, k, c)
+        return ReducedForm(self.p, out)
+
+    def scale(self, s):
+        return ReducedForm(self.p, {k: c * s for k, c in self.terms.items()})
+
+    def wedge(self, other):
+        out = {}
+        for (e1, I1), c1 in self.terms.items():
+            for (e2, I2), c2 in other.terms.items():
+                if not set(I1) & set(I2):
+                    sign, merged = _merge_sign(I1, I2)
+                    _add(out, (tuple(map(sum, zip(e1, e2))), merged),
+                         c1 * c2 * sign)
+        return ReducedForm(self.p, out)
+
+    def d(self):
+        out = {}
+        for (exps, I), c in self.terms.items():
+            for j in range(1, self.p + 1):
+                a = exps[j - 1]
+                if a and j not in I:
+                    e = exps[:j - 1] + (a - 1,) + exps[j:]
+                    sign, merged = _merge_sign((j,), I)
+                    _add(out, (e, merged), c * a * sign)
+        return ReducedForm(self.p, out)
+
+
+def _add(acc, key, c):
+    cur = acc.get(key, 0) + c
+    if cur:
+        acc[key] = cur
+    else:
+        acc.pop(key, None)
+
+
+def _unit_exps(p, j):
+    return tuple(int(w == j) for w in range(1, p + 1))
+
+
+def _power(form, k):
+    out = ReducedForm.const(form.p)
+    for _ in range(k):
+        out = out.wedge(form)
+    return out
+
+
+def reduced_pullback(f, form):
+    """Substitute, for each codomain coordinate t_j, the coordinate of its
+    preimage vertex (1 - sum t for vertex 0) or 0."""
+    pre = {w: v for v, w in enumerate(f.verts)}
+    out = ReducedForm(f.p)
+    for (exps, I), c in form.terms.items():
+        acc = ReducedForm(f.p, {((0,) * f.p, ()): c})
+        for j in range(1, f.q + 1):
+            t = (ReducedForm.coord(f.p, pre[j]) if j in pre
+                 else ReducedForm(f.p))
+            acc = acc.wedge(_power(t, exps[j - 1]))
+        for j in I:
+            acc = acc.wedge(ReducedForm.dcoord(f.p, pre[j]) if j in pre
+                            else ReducedForm(f.p))
+        out = out + acc
+    return out
+
+
+def reduced_face_integral(form, F):
+    """(-1)^m prod_{v in F, v >= 1} a_v! / (k + |a|)! for t^a dt_I with a on
+    F and I = F minus {v_m}."""
+    k = len(F) - 1
+    total = Fraction(0)
+    for (exps, I), c in form.terms.items():
+        if len(I) != k or not set(F).issuperset(I):
+            continue
+        if any(a and j not in F for j, a in enumerate(exps, 1)):
+            continue
+        num = prod(factorial(a) for a in exps)
+        m = next(i for i, v in enumerate(F) if i == k or I[i] != v)
+        total += c * Fraction(-num if m % 2 else num,
+                              factorial(k + sum(exps)))
+    return total
+
+
+def reduced_integration_cochain(form):
+    out = {}
+    for n in range(form.p + 1):
+        for F in combinations(range(form.p + 1), n + 1):
+            val = reduced_face_integral(form, F)
+            if val:
+                out[F] = val
+    return out
+
+
+def reduced_whitney(p, F):
+    """The Whitney form of delta_F, t_0 and dt_0 in reduced coordinates."""
+    out = ReducedForm(p)
+    for j, v in enumerate(F):
+        term = ReducedForm.coord(p, v)
+        for w in F[:j] + F[j + 1:]:
+            term = term.wedge(ReducedForm.dcoord(p, w))
+        out = out + term.scale((-1) ** j * factorial(len(F) - 1))
+    return out
+
+
+class ReducedOmegaModel:
+    """Degree n: t^a dt_I with |I| = n and |a| + n <= P, ordered by I then
+    a.  Pullbacks are memoized per injection."""
+
+    def __init__(self, p, P):
+        self.p = p
+        self._basis = {n: [(a, I) for I in combinations(range(1, p + 1), n)
+                           for a in _exps_upto(p, P - n)]
+                       for n in range(p + 1)}
+        self._index = {n: {k: i for i, k in enumerate(bs)}
+                       for n, bs in self._basis.items()}
+        self._pulled = {}
+        diff = {n: SparseMatrix.from_entries(
+            len(self._basis[n + 1]), len(self._basis[n]),
+            [(r, col, v) for col, key in enumerate(self._basis[n])
+             for r, v in self.to_vec(n + 1, ReducedForm(
+                 p, {key: Fraction(1)}).d()).items()])
+            for n in range(p)}
+        self.cx = Complex(QQ, {n: len(bs) for n, bs in self._basis.items()},
+                          diff, support=(0, p))
+
+    def basis(self, n):
+        return self._basis.get(n, [])
+
+    def pullback(self, f, key):
+        memo = self._pulled.setdefault(f, {})
+        if key not in memo:
+            memo[key] = reduced_pullback(f, ReducedForm(self.p, {key: 1}))
+        return memo[key]
+
+    def to_vec(self, n, form):
+        out = {}
+        for key, c in form.terms.items():
+            assert len(key[1]) == n
+            out[self._index[n][key]] = c
+        return out
+
+
+def _exps_upto(nvars, total):
+    if total < 0:
+        return []
+    if nvars == 0:
+        return [()]
+    return [(h,) + t for h in range(total + 1)
+            for t in _exps_upto(nvars - 1, total - h)]
+
+
+class ReducedTw(TwComplex):
+    def __init__(self, F, cutoff):
+        self.weight_cutoff = cutoff
+        EqualizerTotalization.__init__(
+            self, F, [ReducedOmegaModel(p, cutoff) for p in range(F.n_sets)])
+
+
+def dehomogenize(p, key):
+    """t^b dt_I with t_0 replaced by 1 - (t_1 + ... + t_p)."""
+    b, I = key
+    mono = ReducedForm(p, {(b[1:], I): Fraction(1)})
+    return _power(ReducedForm.coord(p, 0), b[0]).wedge(mono)
+
+
+def to_reduced(W, R):
+    return _transport(W, R, [
+        _model_map(om, rm, lambda key, p=p: dehomogenize(p, key))
+        for p, (om, rm) in enumerate(zip(W.models, R.models))])
+
+
+def assert_isomorphism(f):
+    for n in f.source.degrees():
+        m = f.mat(n)
+        assert m.nrows == m.ncols == linalg_rank(m), n
+
+
+CHANGE_OF_BASIS_COVERS = {
+    **{name: (make, True) for name, make in CASES},
+    **{f"random-N{N}-seed{seed}":
+       (lambda N=N, seed=seed: fx.random_presheaf(
+           random.Random(seed), N, max_dim=3, width=2)[0], True)
+       for N in range(1, 5) for seed in range(2)},
+    # ambient 7,208; the cutoff inclusion is left to the smaller covers
+    "random-N5-seed4": (lambda: fx.random_presheaf(
+        random.Random(4), 5, max_dim=4, width=4)[0], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHANGE_OF_BASIS_COVERS))
+def test_the_barycentric_basis_is_a_change_of_basis(name):
+    make, include = CHANGE_OF_BASIS_COVERS[name]
+    F = make()
+    N = F.n_sets
+    T, W, R = tot(F), tw(F, N), ReducedTw(F, N)
+    iso = to_reduced(W, R)
+    assert_isomorphism(iso)
+    reduced_integration = _transport(R, T, [
+        _model_map(rm, nc, lambda key, p=p: reduced_integration_cochain(
+            ReducedForm(p, {key: Fraction(1)})))
+        for p, (rm, nc) in enumerate(zip(R.models, T.models))])
+    assert reduced_integration.compose(iso) == tw_to_tot(W, T)
+    reduced_section = _transport(T, R, [
+        _model_map(nc, rm, lambda G, p=p: reduced_whitney(p, G))
+        for p, (nc, rm) in enumerate(zip(T.models, R.models))])
+    assert iso.compose(whitney_section(T, W)) == reduced_section
+    if include:
+        W1, R1 = tw(F, N + 1), ReducedTw(F, N + 1)
+        iso1 = to_reduced(W1, R1)
+        assert_isomorphism(iso1)
+        reduced_include = _transport(R, R1, [
+            _model_map(rs, rb, lambda key, p=p: ReducedForm(
+                p, {key: Fraction(1)}))
+            for p, (rs, rb) in enumerate(zip(R.models, R1.models))])
+        assert iso1.compose(tw_include(W, W1)) == reduced_include.compose(iso)
 
 
 # ---------------------------------------------------------------------------

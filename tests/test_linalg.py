@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from descentlab.errors import ShapeMismatch
 from descentlab.linalg import (SparseMatrix, TrackedEchelon, kernel_basis,
                                rank, rref, vec_add, vec_axpy, vec_scale)
+from descentlab.scalars import NovikovRing
 
 
 def rand_matrix(rng, nrows, ncols, density=0.5):
@@ -95,6 +96,29 @@ class TestSparseMatrix:
             assert big.get(r + 1, c + 2) == 2 * v
         at = a.transpose()
         assert all(at.get(c, r) == v for r, c, v in a.entries())
+
+    def test_paste_stores_no_zero_novikov_entry(self):
+        ring = NovikovRing(1, Fraction(3))
+        block = SparseMatrix(1, 2, [{0: ring.zero(), 1: ring.T(1)}])
+        big = SparseMatrix(2, 3)
+        big.paste(block, 1, 1)
+        assert big.rows == [{}, {2: ring.T(1)}]
+
+    def test_paste_cancels_onto_the_negative(self):
+        x = SparseMatrix(2, 2, [{0: Fraction(3, 2)}, {1: Fraction(-1)}])
+        big = SparseMatrix(2, 2)
+        big.paste(x, 0, 0)
+        big.paste(x.scale(-1), 0, 0)
+        assert big.rows == [{}, {}] and big.is_zero()
+
+    def test_paste_with_a_sign_factor_negates(self):
+        x = SparseMatrix(1, 2, [{0: Fraction(2), 1: Fraction(-5, 3)}])
+        big = SparseMatrix(1, 3, [{2: Fraction(7)}])
+        big.paste(x, 0, 0, -1)
+        assert big.rows == [{0: Fraction(-2), 1: Fraction(5, 3), 2: Fraction(7)}]
+        big.paste(x, 0, 0, -1)
+        big.paste(x, 0, 0, 2)
+        assert big.rows == [{2: Fraction(7)}]
 
 
 class TestElimination:

@@ -174,40 +174,59 @@ class TestPolyForms:
             assert lhs == rhs
 
     def test_reduced_coordinate_relations(self):
-        # t_0 + t_1 + ... + t_p = 1, dt_0 + ... + dt_p = 0
+        # t_0 + t_1 + ... + t_p = 1 as functions: the two representatives
+        # differ, and agree once homogenized to a common weight;
+        # dt_0 + ... + dt_p = 0 on the nose
         p = 3
         s = PolyForm.zero(p)
         ds = PolyForm.zero(p)
         for v in range(p + 1):
             s = s + PolyForm.coord(p, v)
             ds = ds + PolyForm.dcoord(p, v)
-        assert s == PolyForm.const(p)
-        assert ds.is_zero()
+        assert s != PolyForm.const(p)
+        for P in (1, 2, 4):
+            om = OmegaModel(p, P)
+            assert om.to_vec(0, s) == om.to_vec(0, PolyForm.const(p))
+        assert ds.is_zero() and s.d().is_zero()
         assert PolyForm.coord(p, 0).d() == PolyForm.dcoord(p, 0)
 
 
 class TestIntegration:
     def test_normalization(self):
-        # volume of the p-simplex in reduced coordinates is 1/p!
+        # volume of the p-simplex, dt_1 ... dt_p, is 1/p!
         for p in (1, 2, 3):
-            w = PolyForm(p, {((0,) * p, tuple(range(1, p + 1))): Fraction(1)})
+            w = PolyForm(p, {((0,) * (p + 1), tuple(range(1, p + 1))): Fraction(1)})
             assert w.integrate_top() == Fraction(1, [1, 1, 2, 6][p])
 
     def test_monomial_formula(self):
-        # int_{Delta^2} t1^a t2^b dt1 dt2 = a! b! / (2 + a + b)!
+        # the Dirichlet integral: int_{Delta^2} t0^c t1^a t2^b dt1 dt2 =
+        # c! a! b! / (2 + c + a + b)!
         from math import factorial
-        for a in range(3):
-            for b in range(3):
-                w = PolyForm(2, {((a, b), (1, 2)): Fraction(1)})
-                assert w.integrate_top() == Fraction(
-                    factorial(a) * factorial(b), factorial(2 + a + b))
+        for c in range(3):
+            for a in range(3):
+                for b in range(3):
+                    w = PolyForm(2, {((c, a, b), (1, 2)): Fraction(1)})
+                    assert w.integrate_top() == Fraction(
+                        factorial(c) * factorial(a) * factorial(b),
+                        factorial(2 + c + a + b))
+
+    def test_dirichlet_face_integral_counts_t0(self):
+        # on the edge (0, 2) of the triangle, t_0^2 t_2 dt_2 restricts to
+        # s_0^2 s_1 ds_1, whose integral is 2! 1! / (1 + 3)! = 1/12; off
+        # the face of vertex 0, any power of t_0 restricts to 0
+        w = PolyForm(2, {((2, 0, 1), (2,)): Fraction(1)})
+        assert integrate_over_face(w, (0, 2)) == Fraction(1, 12)
+        assert integrate_over_face(w, (1, 2)) == 0
+        assert integration_cochain(w) == {(0, 2): Fraction(1, 12)}
 
     def test_zero_simplex(self):
-        w = PolyForm(0, {((), ()): Fraction(5, 3)})
-        assert w.integrate_top() == Fraction(5, 3)
+        # t_0 = 1 on the point, so every power integrates to its coefficient
+        for e in range(3):
+            w = PolyForm(0, {((e,), ()): Fraction(5, 3)})
+            assert w.integrate_top() == Fraction(5, 3)
 
     def test_non_top_vanishes(self):
-        w = PolyForm(2, {((1, 0), (1,)): Fraction(1)})
+        w = PolyForm(2, {((0, 1, 0), (1,)): Fraction(1)})
         assert w.integrate_top() == 0
 
     def test_stokes(self):
@@ -249,7 +268,12 @@ class TestIntegration:
 
 class TestWhitney:
     def test_edge_form(self):
-        assert whitney(1, {(0, 1): Fraction(1)}).terms == {((0,), (1,)): Fraction(1)}
+        # t_0 dt_1 - t_1 dt_0 = (t_0 + t_1) dt_1, which is dt_1 at weight 2
+        edge = whitney(1, {(0, 1): Fraction(1)})
+        assert edge.terms == {((1, 0), (1,)): Fraction(1),
+                              ((0, 1), (1,)): Fraction(1)}
+        om = OmegaModel(1, 2)
+        assert om.to_vec(1, edge) == om.to_vec(1, PolyForm.dcoord(1, 1))
 
     def test_one_sided_inverse(self):
         for p in range(4):
@@ -260,11 +284,15 @@ class TestWhitney:
                     assert integration_cochain(whitney(p, x)) == x
 
     def test_chain_map(self):
+        # d keeps the weight n + 1 of a Whitney n-form, while the Whitney
+        # form of the coboundary has weight n + 2: compare at weight p + 1
         rng = random.Random(11)
         for p in (1, 2, 3):
+            om = OmegaModel(p, p + 1)
             for n in range(p):
                 x = random_cochain(rng, p, n)
-                assert whitney(p, x).d() == whitney(p, nc_d_on(p, x))
+                assert om.to_vec(n + 1, whitney(p, x).d()) == om.to_vec(
+                    n + 1, whitney(p, nc_d_on(p, x)))
 
     def test_natural_for_injections(self):
         for pp, qq in ((1, 2), (2, 3)):
@@ -324,9 +352,24 @@ class TestOmegaModel:
 
     def test_cutoff_enforced(self):
         om = OmegaModel(2, 1)
-        heavy = PolyForm(2, {((2, 0), ()): Fraction(1)})
+        heavy = PolyForm(2, {((0, 2, 0), ()): Fraction(1)})
         with pytest.raises(ShapeMismatch):
             om.to_vec(0, heavy)
+
+    def test_to_vec_homogenizes_lighter_forms(self):
+        # a form of weight w < P is read as itself times (t_0 + t_1 + t_2)^(P - w)
+        om = OmegaModel(2, 2)
+        total = sum((PolyForm.coord(2, v) for v in range(3)), PolyForm.zero(2))
+        t1 = PolyForm.coord(2, 1)
+        assert om.to_vec(0, t1) == om.to_vec(0, t1.wedge(total))
+        unit = om.to_vec(0, om.unit())
+        assert om.from_vec(0, unit) == total.wedge(total)
+        assert sorted(unit.values()) == [1, 1, 1, 2, 2, 2]
+        mixed = t1 + PolyForm(2, {((0, 1, 1), ()): Fraction(3)})
+        assert om.to_vec(0, mixed) == om.to_vec(
+            0, t1.wedge(total) + PolyForm(2, {((0, 1, 1), ()): Fraction(3)}))
+        with pytest.raises(ShapeMismatch):
+            om.to_vec(0, PolyForm(2, {((1, 1, 1), ()): Fraction(1)}))
 
 
 class TestModelMaps:
@@ -358,6 +401,17 @@ class TestModelMaps:
             assert f.validate()
             count += 1
         assert count == 197
+
+    def test_coface_pullbacks_are_relabelings(self):
+        # nonzeros of the pullbacks from level 4 to level 3: coface 0 sends
+        # t_1 to t_0 and only expands dt_0, so it is denser than the others
+        # but of the same order (eliminating t_0 made it 9,918 and 3,996)
+        for P, want in ((6, [815, 377, 377, 377, 377]),
+                        (5, [486, 231, 231, 231, 231])):
+            small, big = OmegaModel(3, P), OmegaModel(4, P)
+            got = [sum(_model_pullback(small, big, coface(3, i)).mat(s).nnz()
+                       for s in big.cx.degrees()) for i in range(5)]
+            assert got == want, P
 
     def test_a_flipped_integration_entry_is_caught(self):
         f = _model_map(OmegaModel(2, 3), NCModel(2), lambda key: (
