@@ -16,8 +16,8 @@ from .presheaf import (CoverPresheaf, cech, tot, tw, tw_to_tot,
                        whitney_section, inclusion_exclusion,
                        induction_pipeline, verify_descent,
                        presheaf_to_json, presheaf_from_json)
-from .errors import (DescentlabError, RingMismatch, NotInvertible, NotAComplex,
-                     ShapeMismatch, UnsupportedRing, FunctorialityFailure,
+from .errors import (DescentlabError, RingMismatch, NotAComplex, ShapeMismatch,
+                     UnsupportedRing, FunctorialityFailure,
                      CosimplicialIdentityFailure, CutoffTooSmall, AxiomFailure,
                      HypothesisFailure, LemmaViolation, BadSequence,
                      UnknownFixture, InputError)
@@ -33,9 +33,8 @@ __all__ = [
     "CoverPresheaf", "cech", "tot", "tw", "tw_to_tot", "whitney_section",
     "inclusion_exclusion", "induction_pipeline", "verify_descent",
     "presheaf_to_json", "presheaf_from_json",
-    "DescentlabError", "RingMismatch", "NotInvertible", "NotAComplex",
-    "ShapeMismatch", "UnsupportedRing", "FunctorialityFailure",
-    "CosimplicialIdentityFailure", "CutoffTooSmall", "AxiomFailure",
-    "HypothesisFailure", "LemmaViolation", "BadSequence", "UnknownFixture",
-    "InputError",
+    "DescentlabError", "RingMismatch", "NotAComplex", "ShapeMismatch",
+    "UnsupportedRing", "FunctorialityFailure", "CosimplicialIdentityFailure",
+    "CutoffTooSmall", "AxiomFailure", "HypothesisFailure", "LemmaViolation",
+    "BadSequence", "UnknownFixture", "InputError",
 ]

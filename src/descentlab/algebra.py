@@ -122,17 +122,6 @@ def cech_cup(C: CechComplex, prod: ValueProduct, n1, x: dict, n2, y: dict):
     return out
 
 
-def cech_unit(C: CechComplex, prod: ValueProduct):
-    """The degree-0 cocycle whose level-0 components are the value units."""
-    out = {}
-    for p, J, off, q in C.blocks(0):
-        if p != 0:
-            continue
-        for i, v in prod.unit(J).items():
-            out[off + i] = v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # product on the forms totalization
 
@@ -204,15 +193,6 @@ def tw_product(small: TwComplex, big: TwComplex, prod: ValueProduct,
                         r = big.ambient_pos(n, p, i1 + i2, aout, b)
                         amb[r] = amb.get(r, Fraction(0)) + cw * cv * sign
     return big.represent(n, {k: v for k, v in amb.items() if v})
-
-
-def tw_unit(W: TwComplex, prod: ValueProduct):
-    """The degree-0 element: constant function 1 tensor the value units."""
-    nerve = W.nerve
-    return W.unit_tensor(0, [
-        {nerve.pos(p, 0, J, loc): v
-         for J in js for loc, v in prod.unit(J).items()}
-        for p, js in enumerate(nerve.level_subsets)])
 
 
 # ---------------------------------------------------------------------------

@@ -84,15 +84,8 @@ def _load_presheaf(job, default_fixture="triangle-boundary", check=True):
     return presheaf_from_json(_load_json(job.input_path), check=check)
 
 
-def _window(table, win):
-    if win is None:
-        return dict(table)
-    lo, hi = win
-    return {n: v for n, v in table.items() if lo <= n <= hi}
-
-
-def _betti_json(table, win=None):
-    return {str(n): v for n, v in sorted(_window(table, win).items())}
+def _betti_json(table):
+    return {str(n): v for n, v in sorted(table.items())}
 
 
 def _check(check_id, ok, **detail):
@@ -100,11 +93,13 @@ def _check(check_id, ok, **detail):
 
 
 def _homology_check(check_id, c, win):
-    """The homology table of c as one check, Betti numbers windowed."""
-    rep = homology(c)
-    body = rep.to_json()
-    if rep.kind == "betti":
-        body["betti"] = _betti_json(rep.betti, win)
+    """The homology table of c as one check, its Betti numbers or torsion
+    orders cut to the degree window win (lo, hi) when one is given."""
+    body = homology(c).to_json()
+    if win is not None:
+        table = "betti" if body["kind"] == "betti" else "torsion_u_orders"
+        body[table] = {n: v for n, v in body[table].items()
+                       if win[0] <= int(n) <= win[1]}
     return _check(check_id, True, **body)
 
 
@@ -265,6 +260,13 @@ def _cmd_covers_check(job):
             else _DEFAULT_COVER_JOB)
     try:
         pairs = int(data["pairs"])
+        if pairs < 0:
+            raise InputError(f"pairs is {pairs}; it must be at least 0")
+        # before any name is built, so a huge pairs costs nothing
+        if len(data["grid"]) != 2 * pairs:
+            raise InputError("grid must have one range per symplectic "
+                             f"variable: {2 * pairs} for pairs = {pairs}, "
+                             f"not {len(data['grid'])}")
         names = symplectic_names(pairs)
         seqs = [[parse_poly(s, names) for s in seq]
                 for seq in data["sequences"]]
@@ -279,8 +281,6 @@ def _cmd_covers_check(job):
         smoothing = data.get("smoothing")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed covers job: {exc}") from exc
-    if len(ranges) != 2 * pairs:
-        raise InputError("grid must have one range per symplectic variable")
     grid = grid_points(ranges)
     preds = [(lambda pt, c=c: c(pt) <= 0) for c in cutters]
     rep = check_weak_cover_conditions(seqs, grid, preds)

@@ -89,10 +89,6 @@ class Complex:
         return f"Complex(ring={self.ring!r}, dims={dims})"
 
 
-def zero_complex(ring=QQ) -> Complex:
-    return Complex(ring, {0: 0}, {})
-
-
 def single(ring=QQ, degree=0, dim=1) -> Complex:
     """A complex concentrated in one degree with zero differential."""
     return Complex(ring, {degree: dim}, {})
@@ -345,24 +341,6 @@ class TensorComplex:
 
 def tensor(A: Complex, B: Complex) -> TensorComplex:
     return TensorComplex(A, B)
-
-
-def koszul_swap(t_ab: TensorComplex, t_ba: TensorComplex) -> ChainMap:
-    """The symmetry A (x) B -> B (x) A, a (x) b -> (-1)^{ij} b (x) a."""
-    A, B = t_ab.A, t_ab.B
-    mats = {}
-    for n in t_ab.cx.degrees():
-        m = SparseMatrix(t_ba.cx.dim(n), t_ab.cx.dim(n))
-        for i in A.degrees():
-            j = n - i
-            if not (A.dim(i) and B.dim(j)):
-                continue
-            sign = -1 if (i * j) % 2 else 1
-            for a in range(A.dim(i)):
-                for b in range(B.dim(j)):
-                    m.rows[t_ba.pos(n, j, b, a)][t_ab.pos(n, i, a, b)] = Fraction(sign)
-        mats[n] = m
-    return ChainMap(t_ab.cx, t_ba.cx, mats)
 
 
 @dataclass

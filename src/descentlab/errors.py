@@ -14,10 +14,6 @@ class RingMismatch(DescentlabError):
     """Two scalars or complexes with different coefficient rings were combined."""
 
 
-class NotInvertible(DescentlabError):
-    """Element has positive valuation, no inverse below the cutoff."""
-
-
 class NotAComplex(DescentlabError):
     """d composed with d is nonzero; carries the offending degree."""
 

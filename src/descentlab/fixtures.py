@@ -15,15 +15,14 @@ from .linalg import SparseMatrix, kernel_basis
 from .scalars import QQ
 
 
-def random_unimodular(rng: random.Random, n: int, steps=None):
-    """A random integer matrix with determinant +-1, and its exact inverse."""
+def random_unimodular(rng: random.Random, n: int):
+    """A random integer matrix with determinant +-1, and its exact inverse,
+    made by 2n random elementary row operations."""
     u = SparseMatrix.identity(n)
     uinv = SparseMatrix.identity(n)
     if n <= 1:
         return u, uinv
-    if steps is None:
-        steps = 2 * n
-    for _ in range(steps):
+    for _ in range(2 * n):
         i, j = rng.sample(range(n), 2)
         s = Fraction(rng.choice([-2, -1, 1, 2]))
         # row op on u: row_i += s * row_j ; inverse gets the column op

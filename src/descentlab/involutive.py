@@ -556,47 +556,6 @@ def build_cover_functions(f1_seq, f2_seq, mode, delta_seq):
             for f1, f2, d in zip(f1s, f2s, deltas)]
 
 
-def _h_float(mode, delta, u, v):
-    s = math.sqrt((u - v) ** 2 + 4.0 * float(delta))
-    return ((u + v) + (s if mode == INTERSECTION else -s)) / math.sqrt(2.0)
-
-
-def fold_cover_value(tree, deltas, point):
-    """Smooth a union-of-intersections expression tree at one point.
-
-    The tree is a Poly leaf or a tuple (mode, child, child, ...); each
-    node is folded pairwise left to right, consuming one smoothing
-    parameter per pairing in preorder.  Only the first pairing of a flat
-    tree is exact arithmetic; nested folds feed irrational values back
-    into the smoothing, so this evaluator works in floating point and is
-    meant for sampling, not for exact certificates.
-    """
-    deltas = check_delta_sequence(deltas)
-    feed = iter(deltas)
-
-    def rec(node):
-        if isinstance(node, Poly):
-            return float(node(point))
-        if not isinstance(node, tuple) or len(node) < 3 \
-                or node[0] not in (INTERSECTION, UNION):
-            raise InputError(f"bad tree node {node!r}")
-        mode = node[0]
-        value = rec(node[1])
-        for child in node[2:]:
-            try:
-                delta = next(feed)
-            except StopIteration:
-                raise InputError("not enough smoothing parameters for tree")
-            value = _h_float(mode, delta, value, rec(child))
-        return value
-
-    out = rec(tree)
-    leftover = sum(1 for _ in feed)
-    if leftover:
-        raise InputError(f"{leftover} unused smoothing parameters")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # grid-sampled checkers
 

@@ -89,8 +89,8 @@ class SparseMatrix:
         return m
 
     @classmethod
-    def identity(cls, n, one=Fraction(1)):
-        m = cls(n, n)
+    def identity(cls, n):
+        m, one = cls(n, n), Fraction(1)
         for i in range(n):
             m.rows[i][i] = one
         return m

@@ -13,7 +13,9 @@ from .errors import AxiomFailure, ShapeMismatch
 
 
 def _merge_odd(xs, ys):
-    """Merge two increasing index tuples; (sign, merged) or None on overlap."""
+    """Merge two increasing tuples of odd indices: (Koszul sign, merged
+    tuple), or None when they overlap and the product vanishes.  Both the
+    Polyvector and the PolyForm wedge use it."""
     out = []
     sign = 1
     i, j = 0, 0
@@ -120,11 +122,6 @@ class Polyvector:
         return {k: Polyvector._trusted(self.nvars, t)
                 for k, t in sorted(out.items())}
 
-    def odd_degree(self):
-        """The common odd degree, or None if mixed or zero."""
-        degs = {len(xis) for (_, xis) in self.terms}
-        return degs.pop() if len(degs) == 1 else None
-
     # -- linear ops -------------------------------------------------------
     def __add__(self, other):
         if self.nvars != other.nvars:
@@ -178,18 +175,6 @@ class Polyvector:
             ne = list(exps)
             ne[i] = e - 1
             out[(tuple(ne), xis)] = c * e
-        return Polyvector._trusted(self.nvars, out)
-
-    def xi_diff(self, i):
-        """Left derivative with respect to xi_i."""
-        out = {}
-        for (exps, xis), c in self.terms.items():
-            if i not in xis:
-                continue
-            pos = xis.index(i)
-            sign = -1 if pos % 2 else 1
-            nx = xis[:pos] + xis[pos + 1:]
-            out[(exps, nx)] = c * sign
         return Polyvector._trusted(self.nvars, out)
 
     def __repr__(self):
@@ -328,14 +313,13 @@ def schouten_oracle(a: Polyvector, b: Polyvector) -> Polyvector:
 # axiom battery
 
 
-def _all_monomials(nvars, max_degree, lo=0):
-    """Monomials with polynomial degree (sum of nonnegative parts) bounded."""
+def _all_monomials(nvars, max_degree):
+    """Monomials with nonnegative exponents and polynomial degree at most
+    max_degree."""
     exps_list = [()]
     for _ in range(nvars):
-        exps_list = [e + (k,) for e in exps_list
-                     for k in range(lo, max_degree + 1)]
-    exps_list = [e for e in exps_list
-                 if sum(max(k, 0) for k in e) <= max_degree]
+        exps_list = [e + (k,) for e in exps_list for k in range(max_degree + 1)]
+    exps_list = [e for e in exps_list if sum(e) <= max_degree]
     odd_sets = [()]
     for i in range(nvars):
         odd_sets.extend([s + (i,) for s in odd_sets])

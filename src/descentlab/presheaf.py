@@ -472,9 +472,6 @@ class EqualizerTotalization:
         self._echelons[n] = pos, te
         return pos, te
 
-    def ambient_vector(self, n, j) -> dict:
-        return dict(self.kernel[n][j])
-
     def level_component(self, n, ambient_vec, p):
         """The level-p tensor component of an ambient degree-n vector."""
         offs = self._levels.offsets.get(n)
@@ -847,15 +844,29 @@ def presheaf_to_json(F: CoverPresheaf):
     return {"n_sets": F.n_sets, "values": values, "restrictions": restrictions}
 
 
+def _first_spelling(spelled: dict, key, spelling: str, what: str):
+    """Record spelling as the one JSON key for key, and return key; a
+    second spelling of the same subset or arrow is an input error."""
+    if key in spelled:
+        raise InputError(f"{spelled[key]!r} and {spelling!r} name the same "
+                         f"{what}; give each {what} once")
+    spelled[key] = spelling
+    return key
+
+
 def presheaf_from_json(obj, check=True) -> CoverPresheaf:
     from .complexes import chain_map_from_json, complex_from_json
     try:
         n = int(obj["n_sets"])
-        values = {parse_key(k): complex_from_json(v) for k, v in obj["values"].items()}
-        adjacent = {}
+        values, spelled = {}, {}
+        for k, v in obj["values"].items():
+            key = _first_spelling(spelled, parse_key(k), k, "subset")
+            values[key] = complex_from_json(v)
+        adjacent, spelled = {}, {}
         for arrow, blob in obj["restrictions"].items():
             src_s, dst_s = arrow.split("->")
-            src, dst = parse_key(src_s), parse_key(dst_s)
+            src, dst = _first_spelling(
+                spelled, (parse_key(src_s), parse_key(dst_s)), arrow, "arrow")
             adjacent[(src, dst)] = chain_map_from_json(values[src], values[dst], blob)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed presheaf description: {exc}") from exc

@@ -9,14 +9,11 @@ rational cutoff; arithmetic drops every term at or above the cutoff.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInvertible, RingMismatch
-
-INF = math.inf
+from .errors import RingMismatch
 
 #: marker object for the rational coefficient ring
 QQ = "Q"
@@ -145,33 +142,6 @@ class NovikovElem:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def valuation(self):
-        """Least exponent with nonzero coefficient; +inf for the zero element."""
-        return min(self.terms) if self.terms else INF
-
-    def leading_coeff(self) -> Fraction:
-        return self.terms[min(self.terms)]
-
-    def unitize(self) -> "NovikovElem":
-        """Multiplicative inverse below the cutoff.
-
-        Exists iff the valuation is zero; computed by a geometric series in
-        the positive-valuation tail, which terminates at the cutoff.
-        """
-        if self.valuation() != 0:
-            raise NotInvertible("valuation is positive (or element is zero)")
-        c0 = self.terms[Fraction(0)]
-        # self = c0 * (1 + n) with val(n) > 0, so 1/self = (sum_k (-n)^k) / c0
-        n = NovikovElem(self.ring, {a: c / c0 for a, c in self.terms.items() if a != 0})
-        inv = self.ring.one()
-        power = self.ring.one()
-        while True:
-            power = power * (-n)
-            if power.is_zero():
-                break
-            inv = inv + power
-        return inv * (1 / c0)
 
     def __str__(self):
         return format_novikov(self)

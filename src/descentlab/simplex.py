@@ -2,8 +2,8 @@
 
 Two models of the p-simplex on vertices {0, ..., p} are implemented:
 
-* normalized simplicial cochains, with basis the indicator cochains of
-  nonempty vertex subsets F (degree |F| - 1), with cup product;
+* normalized simplicial cochains over Q, with basis the indicator cochains
+  of nonempty vertex subsets F (degree |F| - 1);
 * Sullivan's polynomial differential forms in the barycentric coordinates
   t_0, ..., t_p (t_0 + ... + t_p = 1, so dt_0 = -(dt_1 + ... + dt_p)),
   graded by form degree and cut off at weight = polynomial degree + form
@@ -22,6 +22,7 @@ from math import factorial, prod
 from .complexes import Complex
 from .errors import ShapeMismatch
 from .linalg import SparseMatrix
+from .polyvec import _merge_odd
 from .scalars import QQ, scalar_is_zero
 
 
@@ -61,9 +62,6 @@ class InjMap:
             raise ShapeMismatch("composition domain mismatch")
         return InjMap(tuple(self.verts[v] for v in other.verts), self.q)
 
-    def image(self):
-        return set(self.verts)
-
     def preimage_tuple(self, F):
         """Sorted tuple of f^{-1}(F), or None if F is not inside the image."""
         pos = {w: i for i, w in enumerate(self.verts)}
@@ -80,15 +78,6 @@ def coface(p: int, i: int) -> InjMap:
     if not 0 <= i <= p + 1:
         raise ShapeMismatch(f"coface index {i} out of range for [{p}]")
     return InjMap(tuple(v for v in range(p + 2) if v != i), p + 1)
-
-def vertex_map(p: int, v: int) -> InjMap:
-    """[0] -> [p] hitting vertex v."""
-    return InjMap((v,), p)
-
-
-def face_inclusion(F, p: int) -> InjMap:
-    """[k] -> [p] onto the face with vertex set F."""
-    return InjMap(tuple(sorted(F)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -120,35 +109,6 @@ def nc_d_on(p: int, x: dict) -> dict:
     return out
 
 
-def nc_cup(x: dict, y: dict) -> dict:
-    """Cup product: (x . y)(F) = x(front of F) * y(back of F), overlapping pivot."""
-    out = {}
-    ydeg = {}
-    for G, w in y.items():
-        ydeg.setdefault(len(G), {})[G] = w
-    for F1, v in x.items():
-        if scalar_is_zero(v):
-            continue
-        pivot = F1[-1]
-        for size, ys in ydeg.items():
-            for F2, w in ys.items():
-                if F2[0] != pivot or scalar_is_zero(w):
-                    continue
-                if len(set(F1) & set(F2)) != 1:
-                    continue
-                F = F1[:-1] + F2
-                if any(F[i] >= F[i + 1] for i in range(len(F) - 1)):
-                    continue
-                cur = out.get(F)
-                prod = v * w
-                cur = prod if cur is None else cur + prod
-                if scalar_is_zero(cur):
-                    out.pop(F, None)
-                else:
-                    out[F] = cur
-    return out
-
-
 def nc_pullback(f: InjMap, x: dict) -> dict:
     """(f^* x)(F) = x(f(F)): delta_G pulls back to delta on the preimage of G
     when G lies inside the image of f, and to zero otherwise."""
@@ -169,27 +129,25 @@ def nc_pullback(f: InjMap, x: dict) -> dict:
 
 
 class NCModel:
-    """The normalized-cochain complex of the p-simplex, with basis indexing."""
+    """The normalized-cochain complex of the p-simplex over Q, with basis
+    indexing."""
 
-    def __init__(self, p: int, ring=QQ):
+    def __init__(self, p: int):
         self.p = p
-        self.ring = ring
         self._basis = {n: [tuple(F) for F in combinations(range(p + 1), n + 1)]
                        for n in range(p + 1)}
         self._index = {n: {F: i for i, F in enumerate(bs)}
                        for n, bs in self._basis.items()}
         dims = {n: len(bs) for n, bs in self._basis.items()}
-        one = Fraction(1) if ring == QQ else ring.one()
         diff = {}
         for n in range(p):
             entries = []
             for col, F in enumerate(self._basis[n]):
                 img = nc_d_on(p, {F: Fraction(1)})
                 for F2, s in img.items():
-                    entries.append((self._index[n + 1][F2], col, one * int(s)))
+                    entries.append((self._index[n + 1][F2], col, s))
             diff[n] = SparseMatrix.from_entries(dims[n + 1], dims[n], entries)
-        self.cx = Complex(ring, dims, diff, labels=dict(self._basis),
-                          support=(0, p))
+        self.cx = Complex(QQ, dims, diff, labels=dict(self._basis), support=(0, p))
 
     def basis(self, n):
         return self._basis.get(n, [])
@@ -198,7 +156,7 @@ class NCModel:
         return self._index[n][tuple(F)]
 
     def unit(self) -> dict:
-        """The degree-0 unit of the cup product: the sum of the vertices."""
+        """The constant cochain 1: the sum of the vertices."""
         return {(v,): Fraction(1) for v in range(self.p + 1)}
 
     def pullback(self, f: InjMap, F) -> dict:
@@ -299,11 +257,12 @@ class PolyForm:
         out = {}
         for (b1, I1), c1 in self.terms.items():
             for (b2, I2), c2 in other.terms.items():
-                if set(I1) & set(I2):
+                merged = _merge_odd(I1, I2)
+                if merged is None:
                     continue
-                sign, merged = _merge_sign(I1, I2)
+                sign, I = merged
                 b = tuple(x + y for x, y in zip(b1, b2))
-                _accumulate(out, (b, merged), c1 * c2 * sign)
+                _accumulate(out, (b, I), c1 * c2 * sign)
         return PolyForm(self.p, out)
 
     def d(self) -> "PolyForm":
@@ -313,36 +272,14 @@ class PolyForm:
                 _accumulate(acc, key, c * s)
         return PolyForm(self.p, acc)
 
-    def max_weight(self):
-        return max((sum(b) + len(I) for (b, I) in self.terms), default=0)
-
     def degrees(self):
         return sorted({len(I) for (_, I) in self.terms})
 
     def homogeneous(self, n) -> "PolyForm":
         return PolyForm(self.p, {k: c for k, c in self.terms.items() if len(k[1]) == n})
 
-    def integrate_top(self) -> Fraction:
-        """Integral over the simplex, orientation dt_1 ... dt_p positive."""
-        return integrate_over_face(self, range(self.p + 1))
-
     def __repr__(self):
         return f"PolyForm(p={self.p}, nnz={len(self.terms)})"
-
-
-def _merge_sign(I1, I2):
-    """Koszul sign and merged index tuple for dt_{I1} ^ dt_{I2} (disjoint)."""
-    merged = I1 + I2
-    arr = list(merged)
-    sign = 1
-    # insertion sort counting swaps (tuples are tiny)
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(arr)
 
 
 def _d_monomial(b, I):
@@ -355,9 +292,10 @@ def _d_monomial(b, I):
             continue
         lower = b[:j] + (a - 1,) + b[j + 1:]
         for w in (range(1, len(b)) if j == 0 else (j,)):
-            if w not in I:   # dt_w ^ dt_I = 0 otherwise
-                sign, merged = _merge_sign((w,), I)
-                out.append(((lower, merged), -a * sign if j == 0 else a * sign))
+            merged = _merge_odd((w,), I)
+            if merged is not None:   # dt_w ^ dt_I = 0 otherwise
+                sign, J = merged
+                out.append(((lower, J), -a * sign if j == 0 else a * sign))
     return out
 
 
@@ -383,9 +321,10 @@ def pf_pullback(f: InjMap, form: PolyForm) -> PolyForm:
             _accumulate(out, (e, J), c)
             continue
         for w in range(1, p + 1):
-            if w not in J:
-                sign, merged = _merge_sign((w,), J[1:])
-                _accumulate(out, (e, merged), c if sign < 0 else -c)
+            merged = _merge_odd((w,), J[1:])
+            if merged is not None:
+                sign, K = merged
+                _accumulate(out, (e, K), c if sign < 0 else -c)
     return PolyForm(p, out)
 
 

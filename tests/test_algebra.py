@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from descentlab import fixtures as fx
-from descentlab.algebra import (cech_cup, cech_unit, graph_product,
+from descentlab.algebra import (cech_cup, graph_product,
                                 p1_chart_operator_discrepancy,
                                 p1_polyvector_presheaf, p1_slice_ranks,
                                 point_product, product_homology_agreement,
-                                tw_include, tw_product, tw_unit)
+                                tw_include, tw_product)
 from descentlab.complexes import betti_numbers, single
 from descentlab.errors import InputError, ShapeMismatch
 from descentlab.presheaf import cech, tw
@@ -35,6 +35,25 @@ def vadd(a, b, s=1):
 def circle_cup():
     F = fx.triangle_three_edge_presheaf()
     return F, cech(F), graph_product(F)
+
+
+def cech_unit(C, prod):
+    """The degree-0 cocycle whose level-0 components are the value units."""
+    out = {}
+    for p, J, off, _ in C.blocks(0):
+        if p == 0:
+            for i, v in prod.unit(J).items():
+                out[off + i] = v
+    return out
+
+
+def tw_unit(W, prod):
+    """The degree-0 element: constant function 1 tensor the value units."""
+    nerve = W.nerve
+    return W.unit_tensor(0, [
+        {nerve.pos(p, 0, J, loc): v
+         for J in js for loc, v in prod.unit(J).items()}
+        for p, js in enumerate(nerve.level_subsets)])
 
 
 def rand_cochain(rng, C, n, density=0.7):

@@ -234,6 +234,23 @@ def test_presheaf_restriction_arrows_are_checked(tmp_path, capsys, fixture,
         assert arrow in err
 
 
+@pytest.mark.parametrize("section,first,second", [
+    ("values", "1,2", "2,1"), ("values", "1,2", "1, 2"),
+    ("restrictions", "1,2->1,2,3", "1,2->3,2,1")])
+def test_two_spellings_of_one_key_are_an_input_error(tmp_path, capsys, section,
+                                                     first, second):
+    # both spellings parse to one subset or arrow, so accepting both would
+    # let the later one replace the earlier unseen
+    blob = presheaf_to_json(fx.emit_fixture("three-edge"))
+    blob[section][second] = blob[section][first]
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps(blob))
+    for command in ("validate", "cech", "tot", "descent"):
+        code, out, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 2 and not out and err.startswith("descentlab: ")
+        assert repr(first) in err and repr(second) in err
+
+
 def _bundled_q_complexes():
     """The default homology input and every value of the bundled presheaf
     fixtures."""
@@ -373,6 +390,18 @@ def test_degree_window_filters_table(capsys):
     assert json.loads(out)["checks"][0]["betti"] == {"0": 1}
 
 
+def test_degree_window_cuts_the_torsion_table(tmp_path, capsys):
+    path = tmp_path / "novikov.json"
+    assert cli.main(["emit-fixture", "novikov-telescope",
+                     "--out", str(path)]) == 0
+    capsys.readouterr()
+    for window, want in (("0:0", {"0": [3]}), ("5:6", {})):
+        code, out, _ = run_cli(capsys, "homology", "--input", str(path),
+                               "--degree-window", window)
+        assert code == 0
+        assert json.loads(out)["checks"][0]["torsion_u_orders"] == want
+
+
 def test_bad_degree_window_is_rejected(capsys):
     for command, window in [("homology", "zero"), ("homology", "3:1"),
                             ("cech", "3:1")]:
@@ -459,6 +488,28 @@ def test_malformed_covers_job_is_an_input_error(tmp_path, capsys, grid_range):
     code, out, err = run_cli(capsys, "covers-check", "--input", str(path))
     assert code == 2 and not out
     assert "bad grid range" in err and repr(grid_range) in err
+
+
+@pytest.mark.parametrize("pairs,named", [(10**9, "grid"), (-1, "pairs")])
+def test_covers_job_pairs_are_checked_before_names_are_built(tmp_path, capsys,
+                                                            pairs, named):
+    # the grid is compared with pairs before 2 * pairs variable names are
+    # built, so 10**9 pairs costs nothing
+    job = {"pairs": pairs, "sequences": [["q1 - 1"]], "sets": ["q1"],
+           "grid": [["-1", "1", "1"], ["-1", "1", "1"]]}
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, "covers-check", "--input", str(path))
+    assert code == 2 and not out and named in err and str(pairs) in err
+
+
+def test_covers_job_with_no_pairs_is_accepted(tmp_path, capsys):
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps({"pairs": 0, "sequences": [], "sets": [],
+                                "grid": []}))
+    code, out, _ = run_cli(capsys, "covers-check", "--input", str(path))
+    assert code == 0 and json.loads(out)["options"] == {"grid_size": 1,
+                                                        "pairs": 0}
 
 
 def test_zero_smoothing_denominator_is_an_input_error(tmp_path, capsys):

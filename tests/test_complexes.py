@@ -11,9 +11,8 @@ from descentlab.complexes import (ChainMap, Complex, HomologySpace,
                                   chain_map_to_json, change_basis, cocone,
                                   complete, complex_from_json, complex_to_json,
                                   cone, direct_sum, homology, homology_map,
-                                  is_quasi_iso, koszul_swap, shift, single,
-                                  telescope, telescope_comparison, tensor,
-                                  zero_complex)
+                                  is_quasi_iso, shift, single, telescope,
+                                  telescope_comparison, tensor)
 from descentlab.errors import NotAComplex, ShapeMismatch, UnsupportedRing
 from descentlab.fixtures import (random_chain_map, random_complex,
                                  random_stabilizing_diagram, random_unimodular)
@@ -141,20 +140,6 @@ class TestTensor:
         ba, bb, bt = betti_numbers(A), betti_numbers(B), betti_numbers(t.cx)
         for n in bt:
             assert bt[n] == sum(ba.get(i, 0) * bb.get(n - i, 0) for i in ba)
-
-    @given(seeds)
-    @settings(max_examples=8, deadline=None)
-    def test_koszul_swap_iso(self, seed):
-        rng = random.Random(seed)
-        A, _ = random_complex(rng, max_cells=2)
-        B, _ = random_complex(rng, max_cells=2)
-        tab, tba = tensor(A, B), tensor(B, A)
-        sw = koszul_swap(tab, tba)
-        sw.validate()
-        assert is_quasi_iso(sw).ok
-        # involution up to nothing: swapping back gives the identity on A(x)B
-        back = koszul_swap(tba, tab)
-        assert back.compose(sw) == ChainMap.identity(tab.cx)
 
 
 class TestTelescope:

@@ -40,11 +40,12 @@ from descentlab.complexes import ChainMap, Complex
 from descentlab.errors import ShapeMismatch
 from descentlab.linalg import SparseMatrix, TrackedEchelon
 from descentlab.linalg import rank as linalg_rank
+from descentlab.polyvec import _merge_odd
 from descentlab.presheaf import (TOP, CoverPresheaf, EqualizerTotalization,
                                  TwComplex, _model_map, _transport, tot, tw,
                                  tw_to_tot, whitney_section)
 from descentlab.scalars import QQ
-from descentlab.simplex import (NCModel, OmegaModel, PolyForm, _merge_sign,
+from descentlab.simplex import (NCModel, OmegaModel, PolyForm,
                                 integration_cochain, whitney)
 
 GOLDEN = Path(__file__).parent / "golden" / "totalization_digest.json"
@@ -118,7 +119,7 @@ def test_represent_rejects_vector_outside_kernel():
         if not basis:
             continue
         # a kernel vector is read back as its own coordinate
-        assert W.represent(n, W.ambient_vector(n, 0)) == {0: Fraction(1)}
+        assert W.represent(n, dict(basis[0])) == {0: Fraction(1)}
         # its first key is a free column; moving its weight onto a pivot
         # column leaves the kernel
         pivot_cols = set().union(*basis) - {next(iter(v)) for v in basis}
@@ -315,10 +316,10 @@ class ReducedForm:
         out = {}
         for (e1, I1), c1 in self.terms.items():
             for (e2, I2), c2 in other.terms.items():
-                if not set(I1) & set(I2):
-                    sign, merged = _merge_sign(I1, I2)
-                    _add(out, (tuple(map(sum, zip(e1, e2))), merged),
-                         c1 * c2 * sign)
+                merged = _merge_odd(I1, I2)
+                if merged is not None:
+                    sign, I = merged
+                    _add(out, (tuple(map(sum, zip(e1, e2))), I), c1 * c2 * sign)
         return ReducedForm(self.p, out)
 
     def d(self):
@@ -326,10 +327,11 @@ class ReducedForm:
         for (exps, I), c in self.terms.items():
             for j in range(1, self.p + 1):
                 a = exps[j - 1]
-                if a and j not in I:
+                merged = _merge_odd((j,), I)
+                if a and merged is not None:
+                    sign, J = merged
                     e = exps[:j - 1] + (a - 1,) + exps[j:]
-                    sign, merged = _merge_sign((j,), I)
-                    _add(out, (e, merged), c * a * sign)
+                    _add(out, (e, J), c * a * sign)
         return ReducedForm(self.p, out)
 
 

@@ -13,8 +13,8 @@ from descentlab.involutive import (INTERSECTION, UNION, AlgebraicValue,
                                    build_cover_functions,
                                    check_composition_lemma,
                                    check_weak_cover_conditions,
-                                   cover_monotonicity_report, fold_cover_value,
-                                   format_poly, grid_points, parse_poly,
+                                   cover_monotonicity_report, format_poly,
+                                   grid_points, parse_poly,
                                    poisson_bracket, region_sign, smoothing_h,
                                    symplectic_names)
 from descentlab.polyvec import Polyvector
@@ -353,51 +353,6 @@ def test_build_cover_functions_guards():
         build_cover_functions(q1, p1, INTERSECTION, [1, -1])
     with pytest.raises(InputError):
         build_cover_functions([q1], [p1, p1], INTERSECTION, [1, Fraction(1, 2)])
-
-
-def test_fold_cover_value_matches_direct_computation():
-    names = QP
-    q1, p1 = parse_poly("q1", names), parse_poly("p1", names)
-    shifted = parse_poly("q1 - 2", names)
-    tree = ("union", ("intersection", q1, p1), shifted)
-    deltas = [Fraction(1, 100), Fraction(1, 200)]
-
-    def hh(mode, d, a, b):
-        s = math.sqrt((a - b) ** 2 + 4 * float(d))
-        return ((a + b) + (s if mode == INTERSECTION else -s)) / math.sqrt(2)
-
-    for pt in grid_points([(-2, 2, 1)] * 2):
-        got = fold_cover_value(tree, deltas, pt)
-        inner = hh(INTERSECTION, deltas[0], float(pt[0]), float(pt[1]))
-        want = hh(UNION, deltas[1], inner, float(pt[0]) - 2.0)
-        assert abs(got - want) < 1e-12
-
-
-def test_fold_cover_value_signs_match_set_logic():
-    names = QP
-    q1, p1 = parse_poly("q1", names), parse_poly("p1", names)
-    shifted = parse_poly("q1 - 2", names)
-    tree = ("union", ("intersection", q1, p1), shifted)
-    deltas = [Fraction(1, 1000), Fraction(1, 2000)]
-    for pt in grid_points([(-3, 3, 1)] * 2):
-        vals = (pt[0], pt[1], pt[0] - 2)
-        if any(v == 0 for v in vals):
-            continue  # smoothing blurs the exact boundary
-        member = (vals[0] < 0 and vals[1] < 0) or vals[2] < 0
-        assert (fold_cover_value(tree, deltas, pt) < 0) == member
-
-
-def test_fold_cover_value_guards():
-    q1 = parse_poly("q1", QP)
-    pt = (Fraction(0), Fraction(0))
-    with pytest.raises(InputError):
-        fold_cover_value(("intersection", q1), [1], pt)
-    with pytest.raises(InputError):
-        fold_cover_value(("both", q1, q1), [1], pt)
-    with pytest.raises(InputError):
-        fold_cover_value(("intersection", q1, q1), [1, Fraction(1, 2)], pt)
-    with pytest.raises(BadSequence):
-        fold_cover_value(("intersection", q1, q1), [0], pt)
 
 
 # ---------------------------------------------------------------------------

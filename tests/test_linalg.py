@@ -1,6 +1,5 @@
 import ast
 import random
-import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +11,7 @@ from descentlab.errors import ShapeMismatch
 from descentlab.linalg import (SparseMatrix, TrackedEchelon, kernel_basis,
                                rank, rref, vec_add, vec_axpy, vec_scale)
 from descentlab.scalars import NovikovRing
+from test_liveness import _tokens
 
 
 def rand_matrix(rng, nrows, ncols, density=0.5):
@@ -353,24 +353,6 @@ class TestTrackedEchelonGeneric:
 
 ROOT = Path(__file__).resolve().parent.parent
 LINALG = ROOT / "src" / "descentlab" / "linalg.py"
-
-
-def _tokens(tree):
-    """Names, attribute names and imported names read in tree, and the
-    parts of wrap-target strings such as "linalg:TrackedEchelon.add"."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            hit = re.fullmatch(r"linalg:([\w.]+)", node.value)
-            if hit:
-                out.update(hit.group(1).split("."))
-    return out
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

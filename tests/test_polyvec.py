@@ -23,6 +23,22 @@ def pv(terms):
                           for (e, x), c in terms.items()})
 
 
+def odd_degree(P):
+    """The common odd degree of P's terms, or None if mixed or zero."""
+    degs = {len(xis) for (_, xis) in P.terms}
+    return degs.pop() if len(degs) == 1 else None
+
+
+def xi_diff(P, i):
+    """Left derivative of P with respect to xi_i."""
+    out = {}
+    for (exps, xis), c in P.terms.items():
+        if i in xis:
+            pos = xis.index(i)
+            out[(exps, xis[:pos] + xis[pos + 1:])] = -c if pos % 2 else c
+    return Polyvector(P.nvars, out)
+
+
 @st.composite
 def polyvectors(draw, max_terms=3, lo=-2, hi=2, odd=None):
     terms = {}
@@ -92,9 +108,9 @@ def test_x_diff_product_rule_and_laurent():
 
 def test_xi_diff_left_signs():
     w = XI1 * XI2
-    assert w.xi_diff(0) == XI2
-    assert w.xi_diff(1) == -XI1
-    assert X1.xi_diff(0).is_zero()
+    assert xi_diff(w, 0) == XI2
+    assert xi_diff(w, 1) == -XI1
+    assert xi_diff(X1, 0).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,7 +272,7 @@ def halved(P):
 
 def xi_laplacian(P):
     # even and second order: the derived bracket is not antisymmetric
-    return P.xi_diff(0).xi_diff(1)
+    return xi_diff(xi_diff(P, 0), 1)
 
 
 # The sweep as it was written on validated Polyvectors, kept verbatim as the
@@ -299,7 +315,7 @@ def polyvector_sweep(nvars=2, max_degree=3, delta=None, jacobi=True):
         if not delta(delta(a)).is_zero():
             raise AxiomFailure(witness=("square", format_polyvector(a)))
         checked += 1
-    degs = {id(m): m.odd_degree() for m in monos}
+    degs = {id(m): odd_degree(m) for m in monos}
     for a in monos:
         p = degs[id(a)]
         for b in monos:
@@ -414,7 +430,7 @@ def test_arithmetic_results_are_canonical():
         c = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
         i = rng.randrange(N)
         results = [a + b, a - b, a - a, -a, a.scale(c), a.scale(0),
-                   a.scale(1), a * b, a * a, a.x_diff(i), a.xi_diff(i),
+                   a.scale(1), a * b, a * a, a.x_diff(i), xi_diff(a, i),
                    bv_delta(a), bv_delta(a * b), bv_bracket(a, b),
                    *a.components().values()]
         for P in results:
