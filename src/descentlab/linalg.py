@@ -2,8 +2,9 @@
 
 Vectors are dicts index -> scalar (zero entries absent).  Matrices keep one
 dict per row.  Structural operations (multiply, add, blocks) work over any
-coefficient ring whose elements support +, *, unary - and compare to 0;
-elimination (rank, RREF, kernels) requires field scalars, i.e. Fractions.
+coefficient ring whose elements support +, *, unary - and compare to 0; a
+product over Q runs on integer rows, with one Fraction per output entry.
+Elimination (rank, RREF, kernels) requires field scalars, i.e. Fractions.
 
 Pivots during elimination are chosen Markowitz-style, preferring entries
 whose row and column are sparsest, which keeps fill-in tolerable on the
@@ -144,6 +145,8 @@ class SparseMatrix:
             raise ShapeMismatch(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         out = SparseMatrix(self.nrows, other.ncols)
         orows = other.rows
+        if _matmul_q(self.rows, orows, out):
+            return out
         for r, row in enumerate(self.rows):
             acc = {}
             for k, v in row.items():
@@ -199,6 +202,41 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
+
+
+def _matmul_q(lrows, orows, out) -> bool:
+    """Fill out's rows with the product of two Fraction matrices, on ints:
+    each left row scaled by its denominators' lcm, each right column by its
+    lcm over the rows read, one Fraction(sum, row lcm * column lcm) for each
+    output entry, and rows in the generic loop's key order.  False, with
+    nothing written, when an entry read is not a Fraction."""
+    left, col_den = [], {}
+    for row in lrows:
+        den = 1
+        for v in row.values():
+            if type(v) is not Fraction:
+                return False
+            if v.denominator != 1:
+                den = lcm(den, v.denominator)
+        left.append((den, {k: v.numerator * (den // v.denominator)
+                           for k, v in row.items()}))
+    read = {k: orows[k] for _, row in left for k in row}
+    for orow in read.values():
+        for c, w in orow.items():
+            if type(w) is not Fraction:
+                return False
+            if w.denominator != 1:
+                col_den[c] = lcm(col_den.get(c, 1), w.denominator)
+    read = {k: {c: w.numerator * (col_den.get(c, 1) // w.denominator)
+                for c, w in orow.items()} for k, orow in read.items()}
+    for r, (den, row) in enumerate(left):
+        acc = {}
+        for k, v in row.items():
+            for c, w in read[k].items():
+                acc[c] = acc.get(c, 0) + v * w
+        out.rows[r] = {c: Fraction(u, den * col_den.get(c, 1))
+                       for c, u in acc.items() if u}
+    return True
 
 
 # ---------------------------------------------------------------------------

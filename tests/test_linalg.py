@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from descentlab.errors import ShapeMismatch
 from descentlab.linalg import (SparseMatrix, TrackedEchelon, kernel_basis,
                                rank, rref, vec_add, vec_axpy, vec_scale)
-from descentlab.scalars import NovikovRing
+from descentlab.scalars import NovikovRing, scalar_is_zero
 from test_liveness import _tokens
 
 
@@ -346,6 +346,123 @@ class TestTrackedEchelonGeneric:
             got = te.represent(arg)
             assert arg == off
             assert (got is None) == (not inside)
+
+
+# ---------------------------------------------------------------------------
+# products over Q on integers against the Fraction loop
+#
+# The oracle is the ring-generic product: a plain triple loop over the left
+# row, its entries' right rows and their entries, summing Fractions and
+# dropping zero sums.  SparseMatrix.__matmul__ must give the same rows with
+# the same key order, whatever the denominators.
+
+
+def oracle_matmul(a, b):
+    out = []
+    for row in a.rows:
+        acc = {}
+        for k, v in row.items():
+            for c, w in b.rows[k].items():
+                acc[c] = acc[c] + v * w if c in acc else v * w
+        out.append({c: u for c, u in acc.items() if not scalar_is_zero(u)})
+    return out
+
+
+def assert_generic_product(a, b):
+    prod = a @ b
+    want = oracle_matmul(a, b)
+    assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols)
+    assert prod.rows == want
+    assert [list(row) for row in prod.rows] == [list(row) for row in want]
+    assert [[type(v) for v in row.values()] for row in prod.rows] == \
+        [[type(v) for v in row.values()] for row in want]
+    return prod
+
+
+# coprime denominators up to 10^6 (two primes, a power of 2, one of 3, and
+# 10^6 itself), then any denominator in range
+RATIONALS = st.builds(
+    Fraction, st.integers(-10**6, 10**6).filter(bool),
+    st.sampled_from([1, 999983, 999979, 2**19, 3**12, 10**6])
+    | st.integers(1, 10**6))
+
+
+@st.composite
+def rational_matrices(draw, nrows, ncols):
+    """Rows in drawn key order, often empty; any shape, 0 x k and k x 0
+    included."""
+    rows = []
+    for _ in range(nrows):
+        cols = draw(st.lists(st.integers(0, max(ncols - 1, 0)), unique=True,
+                             max_size=ncols))
+        rows.append({c: draw(RATIONALS) for c in cols})
+    return SparseMatrix(nrows, ncols, rows)
+
+
+@st.composite
+def product_pairs(draw):
+    m, n, p = (draw(st.integers(0, 5)) for _ in range(3))
+    a, b = draw(rational_matrices(m, n)), draw(rational_matrices(n, p))
+    if draw(st.booleans()):
+        # [a | a] @ [b; -b'] with b' part of b: a @ (b - b'), so every sum
+        # that reads only kept entries cancels to 0
+        keep = [{c: v for c, v in row.items() if draw(st.booleans())}
+                for row in b.rows]
+        a = SparseMatrix(m, 2 * n, [{**row, **{k + n: v for k, v in row.items()}}
+                                    for row in a.rows])
+        b = SparseMatrix(2 * n, p, b.rows + [{c: -v for c, v in row.items()}
+                                             for row in keep])
+    return a, b
+
+
+class TestIntegerProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(product_pairs())
+    def test_matches_the_fraction_loop(self, pair):
+        a, b = pair
+        prod = assert_generic_product(a, b)
+        assert all(type(v) is Fraction and v != 0
+                   for row in prod.rows for v in row.values())
+
+    def test_cancelling_sums_are_absent(self):
+        a = SparseMatrix(2, 2, [{1: Fraction(1, 999983), 0: Fraction(2, 3)}, {}])
+        b = SparseMatrix(2, 3, [{2: Fraction(1, 2), 0: Fraction(1, 999983)},
+                                {0: Fraction(-2, 3), 1: Fraction(5, 7)}])
+        prod = assert_generic_product(a, b)
+        assert prod.rows == [{1: Fraction(5, 6999881), 2: Fraction(1, 3)}, {}]
+        assert list(prod.rows[0]) == [1, 2]
+
+    def test_empty_shapes(self):
+        for m, n, p in [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)]:
+            prod = assert_generic_product(SparseMatrix(m, n), SparseMatrix(n, p))
+            assert prod.rows == [{} for _ in range(m)]
+
+    def test_novikov_in_either_factor_takes_the_generic_loop(self):
+        ring = NovikovRing(2, Fraction(3))
+        for side in (0, 1):
+            rng = random.Random(7)
+            a, b = rand_matrix(rng, 3, 4, 0.7), rand_matrix(rng, 4, 3, 0.7)
+            read = {k for row in a.rows for k in row}
+            m = (a, b)[side]
+            r, c = next((r, c) for r, c, _ in m.entries()
+                        if m is a or r in read)
+            m.rows[r][c] = ring.T(Fraction(1, 2), 3)
+            prod = assert_generic_product(a, b)
+            assert any(isinstance(v, type(ring.T(1)))
+                       for row in prod.rows for v in row.values())
+
+    def test_novikov_times_a_fraction_identity(self):
+        ring = NovikovRing(1, Fraction(4))
+        n = SparseMatrix(2, 3, [{2: ring.T(1, -2), 0: ring.scalar(Fraction(1, 3))},
+                                {1: ring.T(2) + ring.T(3)}])
+        prod = assert_generic_product(n, SparseMatrix.identity(3))
+        assert prod.rows == n.rows
+
+    def test_shape_mismatch_still_raises(self):
+        with pytest.raises(ShapeMismatch):
+            SparseMatrix(2, 3) @ SparseMatrix(2, 3)
+        with pytest.raises(ShapeMismatch):
+            SparseMatrix.identity(2) @ SparseMatrix(0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from descentlab.errors import (CutoffTooSmall, FunctorialityFailure,
                                InputError, UnknownFixture, UnsupportedRing)
 from descentlab.linalg import SparseMatrix
 from descentlab.presheaf import (TOP, CechComplex, CoverPresheaf, Nerve,
-                                 _is_permutation, all_subsets, cech,
+                                 _is_permutation, all_subsets, arrows, cech,
                                  drop_first_restrict,
                                  first_intersections, format_key,
                                  inclusion_exclusion, induction_pipeline,
@@ -87,6 +89,125 @@ def test_broken_diamond_is_caught():
     G = CoverPresheaf(3, dict(F.values), bad, check=False)
     with pytest.raises(FunctorialityFailure):
         G.validate()
+
+
+# The oracle is CoverPresheaf.validate as it was before the top triangles
+# were checked on singleton pairs: generators, diamonds, then one top check
+# per arrow, in arrows(n) order.
+
+
+def oracle_validate(F):
+    n = F.n_sets
+    for (src, dst), f in F.adjacent.items():
+        if f.source is not F.value(src) and f.source != F.value(src):
+            raise InputError(f"restriction {format_key(src)}->{format_key(dst)} has wrong source")
+        f.validate()
+    for J in all_subsets(n):
+        rest = [j for j in range(1, n + 1) if j not in J]
+        for a, b in combinations(rest, 2):
+            Ja, Jb = tuple(sorted(J + (a,))), tuple(sorted(J + (b,)))
+            Jab = tuple(sorted(J + (a, b)))
+            if (F._step(Ja, Jab).compose(F._step(J, Ja))
+                    != F._step(Jb, Jab).compose(F._step(J, Jb))):
+                raise FunctorialityFailure(witness=(format_key(J), format_key(Jab)))
+    if F.has_top:
+        for J, _, Jj in arrows(n):
+            if F._step(J, Jj).compose(F.res(TOP, J)) != F.res(TOP, Jj):
+                raise FunctorialityFailure(witness=(TOP, format_key(Jj)))
+    return True
+
+
+def _verdict(check, F):
+    """check(F) on a fresh copy of F: True, or the error's type, witness and
+    text."""
+    G = CoverPresheaf(F.n_sets, F.values, F.adjacent, check=False)
+    try:
+        return check(G)
+    except (FunctorialityFailure, InputError) as exc:
+        return type(exc), getattr(exc, "witness", None), str(exc)
+
+
+@cache
+def top_check_cover(n_sets):
+    """A random_presheaf cover with a top value, one per N."""
+    return fx.random_presheaf(random.Random(10 + n_sets), n_sets)[0]
+
+
+def _broken_copies(F):
+    """F with one top -> {j} or one {j} -> {j,k} map scaled by 2, each."""
+    n = F.n_sets
+    keys = [(TOP, (j,)) for j in range(1, n + 1)]
+    keys += [((j,), tuple(sorted((j, k)))) for j in range(1, n + 1)
+             for k in range(1, n + 1) if k != j]
+    for key in keys:
+        bad = dict(F.adjacent)
+        bad[key] = bad[key].scale(Fraction(2))
+        yield key, CoverPresheaf(n, F.values, bad, check=False)
+
+
+@pytest.mark.parametrize("n_sets", [2, 3, 4, 5])
+def test_pairwise_top_check_matches_the_arrow_scan(n_sets):
+    F = top_check_cover(n_sets)
+    assert F.has_top and _verdict(CoverPresheaf.validate, F) is True
+    caught = 0
+    for key, G in _broken_copies(F):
+        got = _verdict(CoverPresheaf.validate, G)
+        assert got == _verdict(oracle_validate, G), key
+        caught += got is not True
+    assert caught    # the perturbations are seen at all
+
+
+def test_pairwise_top_check_names_the_first_failing_arrow():
+    # top -> {1} doubled: every arrow {k} -> {1,k} fails, the first is
+    # ({2}, 1, {1,2}); with {1} -> {1,2} doubled on N=2 (no diamonds) the
+    # only failing arrow is ({2}, 1, {1,2}) as well
+    F = top_check_cover(2)
+    for key in [(TOP, (1,)), ((1,), (1, 2))]:
+        bad = dict(F.adjacent)
+        bad[key] = bad[key].scale(Fraction(2))
+        with pytest.raises(FunctorialityFailure) as exc:
+            CoverPresheaf(2, F.values, bad)
+        assert exc.value.witness == (TOP, "1,2")
+
+
+def test_pairwise_top_check_leaves_a_missing_map_to_the_scan():
+    F = top_check_cover(3)
+    for key in [(TOP, (2,)), (TOP, (3,))]:
+        gone = {k: f for k, f in F.adjacent.items() if k != key}
+        G = CoverPresheaf(3, F.values, gone, check=False)
+        got = _verdict(CoverPresheaf.validate, G)
+        assert got == _verdict(oracle_validate, G)
+        assert got[0] is InputError and "top -> " in got[2]
+
+
+def test_passing_validate_composes_once_per_diamond_and_pair(monkeypatch):
+    F = top_check_cover(5)
+    G = CoverPresheaf(5, F.values, F.adjacent, check=False)
+    calls = []
+    compose = ChainMap.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(ChainMap, "compose", counted)
+    assert G.validate()
+    assert len(calls) == 2 * (70 + 10)
+
+
+def test_nerve_validate_builds_each_coface_once(monkeypatch):
+    F = top_check_cover(5)
+    built = []
+    dmap = Nerve.dmap
+
+    def counted(self, f):
+        built.append((f.p, f.q, tuple(f.verts)))
+        return dmap(self, f)
+
+    nerve = Nerve(F)
+    monkeypatch.setattr(Nerve, "dmap", counted)
+    assert nerve.validate()
+    assert len(built) == len(set(built)) == 2 + 3 + 4 + 5
 
 
 def test_nerve_validates_and_locates():
