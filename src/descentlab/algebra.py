@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .complexes import ChainMap, Complex, HomologySpace
 from .errors import InputError, ShapeMismatch
-from .linalg import SparseMatrix, rank, vec_axpy
+from .linalg import SparseMatrix, add_into, rank
 from .presheaf import (TOP, CechComplex, CoverPresheaf, TwComplex,
                        _model_map, _transport, tot, tw, tw_to_tot)
 from .scalars import QQ
@@ -21,13 +21,11 @@ class ValueProduct:
     """Multiplication tables for the values of a cover presheaf.
 
     mult(J, q1, vec1, q2, vec2) multiplies within F(J), taking dict-vectors
-    in internal degrees q1 and q2 to one in degree q1 + q2; unit(J) is the
-    degree-0 multiplicative unit.
+    in internal degrees q1 and q2 to one in degree q1 + q2.
     """
 
-    def __init__(self, mult, unit):
+    def __init__(self, mult):
         self.mult = mult
-        self.unit = unit
 
 
 def point_product(F: CoverPresheaf) -> ValueProduct:
@@ -40,7 +38,7 @@ def point_product(F: CoverPresheaf) -> ValueProduct:
         c = v1.get(0, Fraction(0)) * v2.get(0, Fraction(0))
         return {0: c} if c else {}
 
-    return ValueProduct(mult, lambda J: {0: Fraction(1)})
+    return ValueProduct(mult)
 
 
 def graph_product(F: CoverPresheaf) -> ValueProduct:
@@ -52,15 +50,10 @@ def graph_product(F: CoverPresheaf) -> ValueProduct:
     are no 2-cells).
     """
 
-    def tables(J):
-        cx = F.value(J)
-        verts = cx.labels.get(0, []) if cx.labels else []
-        edges = cx.labels.get(1, []) if cx.labels else []
-        vidx = {v: i for i, v in enumerate(verts)}
-        return verts, edges, vidx
-
     def mult(J, q1, v1, q2, v2):
-        verts, edges, vidx = tables(J)
+        labels = F.value(J).labels or {}
+        edges = labels.get(1, [])
+        vidx = {v: i for i, v in enumerate(labels.get(0, []))}
         out = {}
         if q1 == 0 and q2 == 0:
             for i, a in v1.items():
@@ -79,11 +72,7 @@ def graph_product(F: CoverPresheaf) -> ValueProduct:
                     out[k] = w * g
         return {k: v for k, v in out.items() if v}
 
-    def unit(J):
-        verts, _, _ = tables(J)
-        return {i: Fraction(1) for i in range(len(verts))}
-
-    return ValueProduct(mult, unit)
+    return ValueProduct(mult)
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +103,9 @@ def cech_cup(C: CechComplex, prod: ValueProduct, n1, x: dict, n2, y: dict):
             piece = prod.mult(K, q1, rx, q2, ry)
             if not piece:
                 continue
-            sign = -1 if (q1 * p2) % 2 else 1
-            acc = vec_axpy(acc, piece, Fraction(sign))
+            add_into(acc, piece, -1 if (q1 * p2) % 2 else 1)
         for i, v in acc.items():
-            if v:
-                out[off + i] = v
+            out[off + i] = v
     return out
 
 
@@ -155,7 +142,7 @@ def tw_product(small: TwComplex, big: TwComplex, prod: ValueProduct,
     def amb_of(deg, coords):
         out = {}
         for j, c in coords.items():
-            out = vec_axpy(out, small.kernel[deg][j], c)
+            add_into(out, small.kernel[deg][j], c)
         return out
 
     ax, ay = amb_of(n1, x), amb_of(n2, y)
@@ -233,7 +220,7 @@ def product_homology_agreement(F: CoverPresheaf, cutoff: int,
                     ua = push_s[n1].matvec(a)
                     ub = push_s[n2].matvec(b)
                     rhs = cech_cup(C, prod, n1, ua, n2, ub)
-                    diff = vec_axpy(lhs, rhs, Fraction(-1))
+                    diff = add_into(lhs, rhs, -1)
                     if diff and any(hc.project(diff).values()):
                         raise ShapeMismatch(
                             f"products disagree on classes at degrees "

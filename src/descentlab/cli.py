@@ -20,7 +20,8 @@ from .algebra import (p1_chart_operator_discrepancy, p1_polyvector_presheaf,
                       p1_slice_ranks)
 from .complexes import (Complex, betti_numbers, chain_map_from_json,
                         complex_from_json, complex_to_json, homology,
-                        homology_map, is_quasi_iso, novikov_q_expansion_complex,
+                        homology_map, is_quasi_iso, json_int,
+                        novikov_q_expansion_complex,
                         novikov_q_expansion_map, telescope,
                         telescope_comparison)
 from .linalg import SparseMatrix, rank
@@ -37,10 +38,6 @@ from .presheaf import (TOP, cech, inclusion_exclusion, induction_pipeline,
                        presheaf_to_json, tot, tw, tw_to_tot, verify_descent,
                        whitney_section)
 from .scalars import QQ
-
-COMMANDS = ("validate", "homology", "cech", "tot", "tw", "compare", "descent",
-            "incl-excl", "bv-check", "p1-demo", "covers-check", "telescope",
-            "emit-fixture")
 
 _INPUT_FAULTS = (InputError, UnknownFixture, CutoffTooSmall, UnsupportedRing,
                  ShapeMismatch, RingMismatch, NotAComplex, BadSequence)
@@ -259,7 +256,7 @@ def _cmd_covers_check(job):
     data = (_load_json(job.input_path) if job.input_path is not None
             else _DEFAULT_COVER_JOB)
     try:
-        pairs = int(data["pairs"])
+        pairs = json_int(data["pairs"], "pairs")
         if pairs < 0:
             raise InputError(f"pairs is {pairs}; it must be at least 0")
         # before any name is built, so a huge pairs costs nothing
@@ -374,6 +371,7 @@ _BODIES = {
     "telescope": _cmd_telescope,
     "emit-fixture": _cmd_emit_fixture,
 }
+COMMANDS = tuple(_BODIES)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,7 @@ from .errors import (InputError, NotAComplex, RingMismatch, ShapeMismatch,
                      UnsupportedRing)
 from .linalg import SparseMatrix, TrackedEchelon, kernel_basis, rank
 from .scalars import (QQ, NovikovElem, NovikovRing, format_novikov,
-                      format_rational, parse_novikov, scalar_is_zero)
+                      format_rational, parse_novikov)
 
 
 class Complex:
@@ -608,7 +609,7 @@ class HomologySpace:
 
     def project(self, vec: dict):
         """Coordinates of a cycle's class in the representative basis."""
-        if not all(scalar_is_zero(v) for v in self.cx.d(self.n).matvec(vec).values()):
+        if self.cx.d(self.n).matvec(vec):
             raise ShapeMismatch("vector is not a cycle")
         coords = self._te.represent(vec)
         if coords is None:
@@ -679,12 +680,20 @@ def ring_to_json(ring):
     return {"novikov": {"den": ring.den, "cutoff": format_rational(ring.cutoff)}}
 
 
+def json_int(x, field):
+    """x when it is a JSON integer (an int, not a bool); otherwise an
+    InputError naming field, so that 2.9 or true is never read as 2 or 1."""
+    if type(x) is int:
+        return x
+    raise InputError(f"{field} must be an integer, not {json.dumps(x)}")
+
+
 def ring_from_json(obj):
     if obj == "Q":
         return QQ
     if isinstance(obj, dict) and "novikov" in obj:
         nv = obj["novikov"]
-        return NovikovRing(int(nv["den"]), Fraction(str(nv["cutoff"])))
+        return NovikovRing(json_int(nv["den"], "den"), Fraction(str(nv["cutoff"])))
     raise ValueError(f"unknown ring descriptor {obj!r}")
 
 
@@ -733,13 +742,15 @@ def complex_from_json(obj) -> Complex:
     try:
         ring = ring_from_json(obj["coeff"])
         lo, hi = obj["support"]
-        lo, hi = int(lo), int(hi)
-        dims = {int(n): int(d) for n, d in obj["dims"].items()}
+        lo, hi = json_int(lo, "support"), json_int(hi, "support")
+        dims = {int(n): json_int(d, f"dims at degree {n}")
+                for n, d in obj["dims"].items()}
         triples_at = {int(n): t for n, t in obj.get("diff", {}).items()}
         _check_shape(lo, hi, dims, [n for n, t in triples_at.items() if t])
         diff = {}
         for n, triples in triples_at.items():
-            entries = [(int(r), int(col), parse_scalar(ring, v)) for r, col, v in triples]
+            entries = [(json_int(r, "diff row"), json_int(col, "diff column"),
+                        parse_scalar(ring, v)) for r, col, v in triples]
             diff[n] = SparseMatrix.from_entries(dims.get(n + 1, 0), dims.get(n, 0), entries)
     except (KeyError, ValueError, TypeError, ZeroDivisionError,
             AttributeError) as exc:
@@ -760,11 +771,12 @@ def chain_map_to_json(f: ChainMap):
 def chain_map_from_json(source: Complex, target: Complex, obj) -> ChainMap:
     """Load a chain map between given complexes; InputError when malformed."""
     try:
-        s = int(obj.get("shift", 0))
+        s = json_int(obj.get("shift", 0), "shift")
         mats = {}
         for n_str, triples in obj.get("mats", {}).items():
             n = int(n_str)
-            entries = [(int(r), int(c), parse_scalar(source.ring, v)) for r, c, v in triples]
+            entries = [(json_int(r, "mats row"), json_int(c, "mats column"),
+                        parse_scalar(source.ring, v)) for r, c, v in triples]
             mats[n] = SparseMatrix.from_entries(target.dim(n + s), source.dim(n), entries)
     except (KeyError, ValueError, TypeError, ZeroDivisionError,
             AttributeError) as exc:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .complexes import ChainMap, Complex, change_basis, direct_sum, single
 from .errors import UnknownFixture
-from .linalg import SparseMatrix, kernel_basis
+from .linalg import SparseMatrix, accumulate, add_into, kernel_basis
 from .scalars import QQ
 
 
@@ -26,23 +26,11 @@ def random_unimodular(rng: random.Random, n: int):
         i, j = rng.sample(range(n), 2)
         s = Fraction(rng.choice([-2, -1, 1, 2]))
         # row op on u: row_i += s * row_j ; inverse gets the column op
-        for c, v in list(u.rows[j].items()):
-            w = u.rows[i].get(c)
-            w = v * s if w is None else w + v * s
-            if w == 0:
-                u.rows[i].pop(c, None)
-            else:
-                u.rows[i][c] = w
-        for r in range(n):
-            v = uinv.rows[r].get(i)
-            if v is None:
-                continue
-            w = uinv.rows[r].get(j)
-            w = -v * s if w is None else w - v * s
-            if w == 0:
-                uinv.rows[r].pop(j, None)
-            else:
-                uinv.rows[r][j] = w
+        add_into(u.rows[i], u.rows[j], s)
+        for row in uinv.rows:
+            v = row.get(i)
+            if v is not None:
+                accumulate(row, j, -v * s)
     return u, uinv
 
 
@@ -120,12 +108,7 @@ def random_chain_map(rng: random.Random, A: Complex, B: Complex) -> ChainMap:
         if not s:
             continue
         for (n, r, c), v in b.items():
-            w = mats[n].rows[r].get(c)
-            w = v * s if w is None else w + v * s
-            if w == 0:
-                mats[n].rows[r].pop(c, None)
-            else:
-                mats[n].rows[r][c] = w
+            accumulate(mats[n].rows[r], c, v * s)
     return ChainMap(A, B, mats)
 
 

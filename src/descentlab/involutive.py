@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .errors import (BadSequence, HypothesisFailure, InputError,
                      LemmaViolation, ShapeMismatch)
+from .linalg import accumulate, add_into
 
 INTERSECTION = "intersection"
 UNION = "union"
@@ -86,14 +87,7 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return Poly._trusted(self.nvars, out)
+        return Poly._trusted(self.nvars, add_into(dict(self.terms), other.terms))
 
     def __neg__(self):
         return self.scale(-1)
@@ -115,12 +109,7 @@ class Poly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
+                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return Poly._trusted(self.nvars, out)
 
     def __pow__(self, k):

@@ -1,10 +1,16 @@
 """Sparse exact linear algebra.
 
-Vectors are dicts index -> scalar (zero entries absent).  Matrices keep one
-dict per row.  Structural operations (multiply, add, blocks) work over any
-coefficient ring whose elements support +, *, unary - and compare to 0; a
-product over Q runs on integer rows, with one Fraction per output entry.
-Elimination (rank, RREF, kernels) requires field scalars, i.e. Fractions.
+Vectors are dicts index -> scalar (zero entries absent).  A stored scalar is
+an int, a Fraction or a NovikovElem, and it is zero exactly when it is
+falsy, so ``not x`` is the package's one zero test.  This module owns
+dict-vector accumulation: ``accumulate`` and ``add_into`` are the one "add,
+drop the key if the sum cancels" step, for callers in every layer.
+
+Matrices keep one dict per row.  Structural operations (multiply, add,
+blocks) work over any coefficient ring whose elements support +, * and
+unary -; a product over Q runs on integer rows, with one Fraction per
+output entry.  Elimination (rank, RREF, kernels) requires field scalars,
+i.e. Fractions.
 
 Pivots during elimination are chosen Markowitz-style, preferring entries
 whose row and column are sparsest, which keeps fill-in tolerable on the
@@ -23,44 +29,43 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import ShapeMismatch
-from .scalars import scalar_is_zero
 
 
 # ---------------------------------------------------------------------------
-# vector helpers
+# dict-vectors
+#
+# Both helpers work in place and keep key order: a new key goes to the end,
+# an updated key keeps its place, and a key whose sum is zero is deleted.
 
 
-def vec_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for i, v in b.items():
-        w = out.get(i)
-        w = v if w is None else w + v
-        if scalar_is_zero(w):
-            out.pop(i, None)
+def accumulate(acc: dict, key, c):
+    """acc[key] += c, dropping key when the sum is zero."""
+    cur = acc.get(key)
+    if cur is None:
+        if c:
+            acc[key] = c
+    else:
+        cur = cur + c
+        if cur:
+            acc[key] = cur
         else:
-            out[i] = w
-    return out
+            del acc[key]
+
+
+def add_into(acc: dict, terms: dict, c=1) -> dict:
+    """acc += c * terms, one ``accumulate`` per entry; returns acc."""
+    if not c:
+        return acc
+    plain = c == 1
+    for key, v in terms.items():
+        accumulate(acc, key, v if plain else v * c)
+    return acc
 
 
 def vec_scale(a: dict, s) -> dict:
-    if scalar_is_zero(s):
+    if not s:
         return {}
     return {i: v * s for i, v in a.items()}
-
-
-def vec_axpy(a: dict, b: dict, s) -> dict:
-    """a + s*b without building an intermediate."""
-    if scalar_is_zero(s):
-        return dict(a)
-    out = dict(a)
-    for i, v in b.items():
-        w = out.get(i)
-        w = v * s if w is None else w + v * s
-        if scalar_is_zero(w):
-            out.pop(i, None)
-        else:
-            out[i] = w
-    return out
 
 
 class SparseMatrix:
@@ -80,13 +85,7 @@ class SparseMatrix:
         for r, c, v in entries:
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise ShapeMismatch(f"entry ({r},{c}) outside {nrows}x{ncols}")
-            if not scalar_is_zero(v):
-                w = m.rows[r].get(c)
-                w = v if w is None else w + v
-                if scalar_is_zero(w):
-                    m.rows[r].pop(c, None)
-                else:
-                    m.rows[r][c] = w
+            accumulate(m.rows[r], c, v)
         return m
 
     @classmethod
@@ -125,7 +124,7 @@ class SparseMatrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeMismatch("matrix add shape mismatch")
         return SparseMatrix(self.nrows, self.ncols,
-                            [vec_add(a, b) for a, b in zip(self.rows, other.rows)])
+                            [add_into(dict(a), b) for a, b in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -154,7 +153,7 @@ class SparseMatrix:
                     u = acc.get(c)
                     u = v * w if u is None else u + v * w
                     acc[c] = u
-            out.rows[r] = {c: u for c, u in acc.items() if not scalar_is_zero(u)}
+            out.rows[r] = {c: u for c, u in acc.items() if u}
         return out
 
     def matvec(self, vec: dict) -> dict:
@@ -166,7 +165,7 @@ class SparseMatrix:
                 w = vec.get(c)
                 if w is not None:
                     s = v * w if s is None else s + v * w
-            if s is not None and not scalar_is_zero(s):
+            if s:
                 acc[r] = s
         return acc
 
@@ -175,9 +174,8 @@ class SparseMatrix:
 
     def paste(self, other: "SparseMatrix", roff: int, coff: int, factor=1):
         """Add factor*other into self at the given offset (in place); a sign
-        factor negates instead of multiplying.  An entry landing on an empty
-        position is stored when it is truthy (exact for Fraction and
-        NovikovElem); only a sum with an existing entry is zero-tested."""
+        factor negates instead of multiplying.  Zero entries and sums that
+        cancel are not stored."""
         plain, neg = factor == 1, factor == -1
         for r, orow in enumerate(other.rows):
             if not orow:
@@ -195,10 +193,10 @@ class SparseMatrix:
                         row[cc] = v
                     continue
                 w = w + v
-                if scalar_is_zero(w):
-                    del row[cc]
-                else:
+                if w:
                     row[cc] = w
+                else:
+                    del row[cc]
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"

@@ -10,6 +10,7 @@ number of xi factors.
 from fractions import Fraction
 
 from .errors import AxiomFailure, ShapeMismatch
+from .linalg import accumulate, add_into
 
 
 def _merge_odd(xs, ys):
@@ -36,17 +37,6 @@ def _merge_odd(xs, ys):
     return sign, tuple(out)
 
 
-def _add_into(out, terms, c=1):
-    """out += c * terms, on dicts {monomial key: coefficient}."""
-    for key, v in terms.items():
-        tot = out.get(key, 0) + c * v
-        if tot == 0:
-            out.pop(key, None)
-        else:
-            out[key] = tot
-    return out
-
-
 class Polyvector:
     """A finite Q-combination of monomials x^a xi_I."""
 
@@ -58,17 +48,11 @@ class Polyvector:
         if terms:
             for (exps, xis), c in terms.items():
                 c = Fraction(c)
-                if c == 0:
+                if not c:
                     continue
                 if len(exps) != nvars:
                     raise ShapeMismatch(f"exponent tuple {exps} wants {nvars} slots")
-                key = (tuple(exps), tuple(xis))
-                got = self.terms.get(key)
-                tot = c if got is None else got + c
-                if tot == 0:
-                    self.terms.pop(key, None)
-                else:
-                    self.terms[key] = tot
+                accumulate(self.terms, (tuple(exps), tuple(xis)), c)
 
     @classmethod
     def _trusted(cls, nvars, terms):
@@ -127,7 +111,7 @@ class Polyvector:
         if self.nvars != other.nvars:
             raise ShapeMismatch("sum across different variable counts")
         return Polyvector._trusted(self.nvars,
-                                   _add_into(dict(self.terms), other.terms))
+                                   add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -139,7 +123,7 @@ class Polyvector:
         c = Fraction(c)
         if c == 1:
             return self
-        if c == 0:
+        if not c:
             return Polyvector.zero(self.nvars)
         return Polyvector._trusted(self.nvars,
                                    {k: v * c for k, v in self.terms.items()})
@@ -156,11 +140,7 @@ class Polyvector:
                     continue
                 sign, xs = merged
                 key = (tuple(a + b for a, b in zip(e1, e2)), xs)
-                tot = out.get(key, 0) + sign * c1 * c2
-                if tot == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = tot
+                accumulate(out, key, sign * c1 * c2)
         return Polyvector._trusted(self.nvars, out)
 
     __mul__ = wedge
@@ -215,11 +195,7 @@ def bv_delta(P: Polyvector) -> Polyvector:
             ne = list(exps)
             ne[i] = e - 1
             key = (tuple(ne), xis[:pos] + xis[pos + 1:])
-            tot = out.get(key, 0) + (-c * e if pos % 2 else c * e)
-            if tot == 0:
-                out.pop(key, None)
-            else:
-                out[key] = tot
+            accumulate(out, key, -c * e if pos % 2 else c * e)
     return Polyvector._trusted(P.nvars, out)
 
 
@@ -386,10 +362,10 @@ def bv_axiom_check(nvars=2, max_degree=3, delta=None, jacobi=True):
                 if w is not None:
                     key = w[1]
                     tot = out.get(key, 0) + c * w[0] * ca * cb
-                    if tot == 0:
-                        out.pop(key, None)
-                    else:
+                    if tot:
                         out[key] = tot
+                    else:
+                        out.pop(key, None)
         return out
 
     def b_key(ka, kb):
@@ -403,7 +379,7 @@ def bv_axiom_check(nvars=2, max_degree=3, delta=None, jacobi=True):
             wedge(d_key(ka), {kb: 1}, -sign, out)
             w = w_key(ka, kb)
             if w is not None:
-                _add_into(out, d_key(w[1]), sign * w[0])
+                add_into(out, d_key(w[1]), sign * w[0])
             brackets[ka, kb] = out
             return out
 
@@ -412,13 +388,13 @@ def bv_axiom_check(nvars=2, max_degree=3, delta=None, jacobi=True):
         out = {} if out is None else out
         for ka, ca in left.items():
             for kb, cb in right.items():
-                _add_into(out, b_key(ka, kb), c * ca * cb)
+                add_into(out, b_key(ka, kb), c * ca * cb)
         return out
 
     def delta_of(terms):
         out = {}
         for key, c in terms.items():
-            _add_into(out, d_key(key), c)
+            add_into(out, d_key(key), c)
         return out
 
     monos = _all_monomials(nvars, max_degree)

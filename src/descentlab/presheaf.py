@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .complexes import (ChainMap, Complex, DirectSum, TensorComplex,
                         betti_numbers, cocone, direct_sum, is_quasi_iso,
-                        shift)
+                        json_int, shift)
 from .errors import (CosimplicialIdentityFailure, CutoffTooSmall,
                      FunctorialityFailure, InputError, RingMismatch,
                      ShapeMismatch, UnsupportedRing)
@@ -879,7 +879,7 @@ def _first_spelling(spelled: dict, key, spelling: str, what: str):
 def presheaf_from_json(obj, check=True) -> CoverPresheaf:
     from .complexes import chain_map_from_json, complex_from_json
     try:
-        n = int(obj["n_sets"])
+        n = json_int(obj["n_sets"], "n_sets")
         values, spelled = {}, {}
         for k, v in obj["values"].items():
             key = _first_spelling(spelled, parse_key(k), k, "subset")
@@ -889,7 +889,11 @@ def presheaf_from_json(obj, check=True) -> CoverPresheaf:
             src_s, dst_s = arrow.split("->")
             src, dst = _first_spelling(
                 spelled, (parse_key(src_s), parse_key(dst_s)), arrow, "arrow")
-            adjacent[(src, dst)] = chain_map_from_json(values[src], values[dst], blob)
+            try:
+                adjacent[(src, dst)] = chain_map_from_json(values[src],
+                                                           values[dst], blob)
+            except InputError as exc:
+                raise InputError(f"restriction {arrow}: {exc}") from exc
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed presheaf description: {exc}") from exc
     for (src, dst), f in adjacent.items():

@@ -5,6 +5,11 @@ Two coefficient rings are supported everywhere: the rationals (plain
 truncated ring is a finite sum  c_1*T^(a_1) + ... + c_k*T^(a_k)  with rational
 coefficients and exponents a_i in (1/den)*Z_{>=0}, kept strictly below a
 rational cutoff; arithmetic drops every term at or above the cutoff.
+
+A scalar of either ring is zero exactly when it is falsy: ints and
+Fractions as usual, and a NovikovElem when it has no term left (a product
+truncated away entirely is falsy too).  Code that stores scalars tests
+zero with ``not x``.
 """
 
 from __future__ import annotations
@@ -84,12 +89,12 @@ class NovikovElem:
         clean = {}
         for a, c in terms.items():
             a, c = as_fraction(a), as_fraction(c)
-            if c == 0 or a >= ring.cutoff:
+            if not c or a >= ring.cutoff:
                 continue
             if a < 0 or (a * ring.den).denominator != 1:
                 raise ValueError(f"exponent {a} not in (1/{ring.den})Z_{{>=0}}")
             clean[a] = clean.get(a, Fraction(0)) + c
-        self.terms = {a: c for a, c in clean.items() if c != 0}
+        self.terms = {a: c for a, c in clean.items() if c}
 
     def _check_ring(self, other: "NovikovElem"):
         if self.ring != other.ring:
@@ -192,10 +197,3 @@ def parse_novikov(ring: NovikovRing, text: str) -> NovikovElem:
         if sep:
             start, sign = sep.end(), -1 if sep.group().endswith("-") else 1
     return ring.elem(terms)
-
-
-def scalar_is_zero(x) -> bool:
-    if isinstance(x, NovikovElem):
-        return x.is_zero()
-    return x == 0
-

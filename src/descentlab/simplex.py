@@ -21,9 +21,9 @@ from math import factorial, prod
 
 from .complexes import Complex
 from .errors import ShapeMismatch
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, accumulate, add_into
 from .polyvec import _merge_odd
-from .scalars import QQ, scalar_is_zero
+from .scalars import QQ
 
 
 class InjMap:
@@ -91,21 +91,12 @@ def nc_d_on(p: int, x: dict) -> dict:
     """Coboundary of a cochain on the p-simplex."""
     out = {}
     for F, val in x.items():
-        if scalar_is_zero(val):
-            continue
         Fs = set(F)
         for w in range(p + 1):
             if w in Fs:
                 continue
             F2 = tuple(sorted(F + (w,)))
-            i = F2.index(w)
-            sign = -1 if i % 2 else 1
-            cur = out.get(F2)
-            cur = val * sign if cur is None else cur + val * sign
-            if scalar_is_zero(cur):
-                out.pop(F2, None)
-            else:
-                out[F2] = cur
+            accumulate(out, F2, -val if F2.index(w) % 2 else val)
     return out
 
 
@@ -114,17 +105,9 @@ def nc_pullback(f: InjMap, x: dict) -> dict:
     when G lies inside the image of f, and to zero otherwise."""
     out = {}
     for G, v in x.items():
-        if scalar_is_zero(v):
-            continue
         F = f.preimage_tuple(G)
-        if F is None:
-            continue
-        cur = out.get(F)
-        cur = v if cur is None else cur + v
-        if scalar_is_zero(cur):
-            out.pop(F, None)
-        else:
-            out[F] = cur
+        if F is not None:
+            accumulate(out, F, v)
     return out
 
 
@@ -168,12 +151,12 @@ class NCModel:
         for F, v in x.items():
             if len(F) - 1 != n:
                 raise ShapeMismatch("mixed-degree cochain")
-            if not scalar_is_zero(v):
+            if v:
                 out[self._index[n][F]] = v
         return out
 
     def from_vec(self, n, vec: dict) -> dict:
-        return {self._basis[n][i]: v for i, v in vec.items() if not scalar_is_zero(v)}
+        return {self._basis[n][i]: v for i, v in vec.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +168,6 @@ class NCModel:
 # weight of a monomial is |b| + |I|.  Since t_0 + ... + t_p = 1, many dicts
 # represent one form; a form of weight w is also the form of weight w + 1
 # got by multiplying by t_0 + ... + t_p.
-
-
-def _accumulate(acc: dict, key, c):
-    """acc[key] += c, dropping the key when the sum vanishes."""
-    cur = acc.get(key)
-    cur = c if cur is None else cur + c
-    if cur:
-        acc[key] = cur
-    else:
-        acc.pop(key, None)
 
 
 class PolyForm:
@@ -237,10 +210,7 @@ class PolyForm:
         return isinstance(other, PolyForm) and self.p == other.p and self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _accumulate(out, k, c)
-        return PolyForm(self.p, out)
+        return PolyForm(self.p, add_into(dict(self.terms), other.terms))
 
     def scale(self, s):
         s = Fraction(s)
@@ -262,14 +232,14 @@ class PolyForm:
                     continue
                 sign, I = merged
                 b = tuple(x + y for x, y in zip(b1, b2))
-                _accumulate(out, (b, I), c1 * c2 * sign)
+                accumulate(out, (b, I), c1 * c2 * sign)
         return PolyForm(self.p, out)
 
     def d(self) -> "PolyForm":
         acc = {}
         for (b, I), c in self.terms.items():
             for key, s in _d_monomial(b, I):
-                _accumulate(acc, key, c * s)
+                accumulate(acc, key, c * s)
         return PolyForm(self.p, acc)
 
     def degrees(self):
@@ -318,13 +288,13 @@ def pf_pullback(f: InjMap, form: PolyForm) -> PolyForm:
             continue
         J = tuple(pre[w] for w in I)
         if not J or J[0]:
-            _accumulate(out, (e, J), c)
+            accumulate(out, (e, J), c)
             continue
         for w in range(1, p + 1):
             merged = _merge_odd((w,), J[1:])
             if merged is not None:
                 sign, K = merged
-                _accumulate(out, (e, K), c if sign < 0 else -c)
+                accumulate(out, (e, K), c if sign < 0 else -c)
     return PolyForm(p, out)
 
 
@@ -386,7 +356,7 @@ def whitney(p: int, x: dict) -> PolyForm:
     """
     out = PolyForm.zero(p)
     for F, c in x.items():
-        if scalar_is_zero(c):
+        if not c:
             continue
         k = len(F) - 1
         acc = PolyForm.zero(p)
@@ -462,7 +432,7 @@ class OmegaModel:
             for e in _exps(self.p + 1, lift):
                 key = (tuple(x + y for x, y in zip(b, e)), I)
                 m = factorial(lift) // prod(map(factorial, e))
-                _accumulate(out, index[key], c * m)
+                accumulate(out, index[key], c * m)
         return out
 
     def from_vec(self, n, vec: dict) -> PolyForm:

@@ -190,7 +190,7 @@ def test_04_inclusion_exclusion():
         assert hit >= 10, f"only {hit} presheaves with 3 or 4 sets"
         F, G, aug_rest, aug_int = fx.triangle_pipeline_data()
         rep = induction_pipeline(F, G, aug_rest, aug_int)
-        assert rep.ok, f"induction pipeline: {rep.to_json()}"
+        assert rep.ok, f"induction pipeline: {rep}"
         return f"{hit} decompositions exact, 3-fold reproved from 2-fold"
 
     run_criterion(4, "inclusion-exclusion", 10, body)

@@ -37,22 +37,29 @@ def circle_cup():
     return F, cech(F), graph_product(F)
 
 
-def cech_unit(C, prod):
-    """The degree-0 cocycle whose level-0 components are the value units."""
+def graph_unit(F, J):
+    """The unit of graph_product on F(J): 1 on every vertex."""
+    return {i: Fraction(1) for i in range(len(F.value(J).labels[0]))}
+
+
+def cech_unit(C):
+    """The degree-0 cocycle whose level-0 components are the graph_product
+    units."""
     out = {}
     for p, J, off, _ in C.blocks(0):
         if p == 0:
-            for i, v in prod.unit(J).items():
+            for i, v in graph_unit(C.F, J).items():
                 out[off + i] = v
     return out
 
 
-def tw_unit(W, prod):
-    """The degree-0 element: constant function 1 tensor the value units."""
+def tw_unit(W):
+    """The degree-0 element: constant function 1 tensor the graph_product
+    units."""
     nerve = W.nerve
     return W.unit_tensor(0, [
         {nerve.pos(p, 0, J, loc): v
-         for J in js for loc, v in prod.unit(J).items()}
+         for J in js for loc, v in graph_unit(W.F, J).items()}
         for p, js in enumerate(nerve.level_subsets)])
 
 
@@ -69,7 +76,7 @@ def rand_cochain(rng, C, n, density=0.7):
 def test_cup_unit_is_closed_two_sided(circle_cup):
     F, C, gp = circle_cup
     rng = random.Random(1)
-    u = cech_unit(C, gp)
+    u = cech_unit(C)
     assert not C.cx.d(0).matvec(u)
     for n in (0, 1):
         x = rand_cochain(rng, C, n)
@@ -144,7 +151,7 @@ def test_tw_product_cutoff_guard(arc_tower):
 
 def test_tw_unit_law(arc_tower):
     F, gp, W2, W4 = arc_tower
-    u = tw_unit(W2, gp)
+    u = tw_unit(W2)
     assert not W2.cx.d(0).matvec(u)
     inc = tw_include(W2, W4)
     for n in W2.cx.degrees():

@@ -160,10 +160,17 @@ def test_novikov_stray_minus_is_an_input_error(tmp_path, capsys, text):
     _q_complex({"2": [[0, 0, "1"]]}),
     # the emitted Novikov telescope, support narrowed below its dims
     _narrowed_novikov_telescope(),
+    # integer fields given as JSON floats or booleans, which int() would
+    # read as 2, 1, 1 and 1
+    _q_complex({}, dims={"0": 2.9, "1": 1, "2": 1}),
+    _q_complex({"0": [[0, 1.7, "1"]]}, dims={"0": 2, "1": 1, "2": 1}),
+    _q_complex({}, dims={"0": True, "1": 1, "2": 1}),
+    _q_complex({}, dims={"0": 1, "1": 1}, support=(0, 1.5)),
 ], ids=["d-squared-nonzero", "bad-scalar", "missing-support",
         "novikov-trailing-minus", "novikov-double-minus", "negative-dim-top", "negative-dim-bottom",
         "reversed-support", "dim-outside-support", "diff-outside-support",
-        "novikov-narrowed-support"])
+        "novikov-narrowed-support", "fractional-dim", "fractional-column",
+        "boolean-dim", "fractional-support"])
 def test_unusable_complex_is_an_input_error(tmp_path, capsys, blob):
     path = tmp_path / "cx.json"
     path.write_text(json.dumps(blob))
@@ -189,7 +196,9 @@ def test_shape_fault_names_the_degree(tmp_path, capsys, blob, degree):
 
 @pytest.mark.parametrize("n_sets,key", [(0, None), (-1, None),
                                         (2, "1,2,3"), (3, "1,1"), (4, None),
-                                        (26, None), (10**9, None)])
+                                        (26, None), (10**9, None),
+                                        (2.5, None), (3.0, None),
+                                        (True, None)])
 def test_presheaf_index_set_is_checked(tmp_path, capsys, n_sets, key):
     # n_sets 26 would list 2^26 - 1 subsets if coverage were checked by
     # enumeration; the count of values is compared first
@@ -219,9 +228,16 @@ def _two_step_restriction(blob):
     blob["restrictions"]["1->1,2,3"] = {"shift": 0, "mats": {}}
 
 
+def _half_shift_restriction(blob):
+    """three-edge with the shift of 1->1,2 given as 0.5, which int() would
+    read as 0."""
+    blob["restrictions"]["1->1,2"]["shift"] = 0.5
+
+
 @pytest.mark.parametrize("fixture,edit,arrow", [
     ("triangle-boundary", _shifted_restriction, "1->1,2"),
-    ("three-edge", _two_step_restriction, "1->1,2,3")])
+    ("three-edge", _two_step_restriction, "1->1,2,3"),
+    ("three-edge", _half_shift_restriction, "1->1,2")])
 def test_presheaf_restriction_arrows_are_checked(tmp_path, capsys, fixture,
                                                  edit, arrow):
     blob = presheaf_to_json(fx.emit_fixture(fixture))
@@ -490,7 +506,8 @@ def test_malformed_covers_job_is_an_input_error(tmp_path, capsys, grid_range):
     assert "bad grid range" in err and repr(grid_range) in err
 
 
-@pytest.mark.parametrize("pairs,named", [(10**9, "grid"), (-1, "pairs")])
+@pytest.mark.parametrize("pairs,named", [(10**9, "grid"), (-1, "pairs"),
+                                        (1.5, "pairs")])
 def test_covers_job_pairs_are_checked_before_names_are_built(tmp_path, capsys,
                                                             pairs, named):
     # the grid is compared with pairs before 2 * pairs variable names are

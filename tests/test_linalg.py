@@ -8,10 +8,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descentlab.errors import ShapeMismatch
-from descentlab.linalg import (SparseMatrix, TrackedEchelon, kernel_basis,
-                               rank, rref, vec_add, vec_axpy, vec_scale)
-from descentlab.scalars import NovikovRing, scalar_is_zero
+from descentlab.linalg import (SparseMatrix, TrackedEchelon, accumulate,
+                               add_into, kernel_basis, rank, rref, vec_scale)
+from descentlab.scalars import NovikovElem, NovikovRing
 from test_liveness import _tokens
+
+
+# ---------------------------------------------------------------------------
+# oracles: the zero test and the copying vector sums linalg once exported,
+# written out in full; the in-place helpers must agree with them
+
+
+def scalar_is_zero(x) -> bool:
+    if isinstance(x, NovikovElem):
+        return not x.terms
+    return x == 0
+
+
+def vec_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for i, v in b.items():
+        w = out.get(i)
+        w = v if w is None else w + v
+        if scalar_is_zero(w):
+            out.pop(i, None)
+        else:
+            out[i] = w
+    return out
+
+
+def vec_axpy(a: dict, b: dict, s) -> dict:
+    """a + s*b without building an intermediate."""
+    if scalar_is_zero(s):
+        return dict(a)
+    out = dict(a)
+    for i, v in b.items():
+        w = out.get(i)
+        w = v * s if w is None else w + v * s
+        if scalar_is_zero(w):
+            out.pop(i, None)
+        else:
+            out[i] = w
+    return out
 
 
 def rand_matrix(rng, nrows, ncols, density=0.5):
@@ -119,6 +157,65 @@ class TestSparseMatrix:
         big.paste(x, 0, 0, -1)
         big.paste(x, 0, 0, 2)
         assert big.rows == [{2: Fraction(7)}]
+
+
+# ---------------------------------------------------------------------------
+# the zero contract: a stored scalar is zero exactly when it is falsy, and
+# no accumulation stores a zero
+
+
+R = NovikovRing(2, Fraction(2))
+HALF = R.T(Fraction(1, 2))
+
+
+class TestZeroContract:
+    def test_falsy_exactly_at_zero(self):
+        for zero in (0, Fraction(0), Fraction(3, 4) - Fraction(3, 4), R.zero(),
+                     HALF - HALF, R.T(Fraction(3, 2)) * R.T(Fraction(1, 2)),
+                     R.T(1) * R.T(1), R.T(Fraction(5, 2))):
+            assert not zero and scalar_is_zero(zero)
+        for nonzero in (1, -3, Fraction(1, 7), R.one(), HALF, -HALF,
+                        R.T(Fraction(1, 2)) * R.T(1), R.scalar(Fraction(-2, 5))):
+            assert nonzero and not scalar_is_zero(nonzero)
+
+    @pytest.mark.parametrize("x", [Fraction(2, 3), HALF],
+                             ids=["fraction", "novikov"])
+    def test_accumulate_drops_a_cancelling_sum(self, x):
+        acc = {"a": x, "b": x, "c": x}
+        accumulate(acc, "b", -x)
+        assert list(acc) == ["a", "c"]
+        accumulate(acc, "d", x - x)
+        assert list(acc) == ["a", "c"]
+        accumulate(acc, "b", x)
+        accumulate(acc, "a", x)
+        assert list(acc) == ["a", "c", "b"] and acc["a"] == x + x
+
+    @pytest.mark.parametrize("x", [Fraction(2, 3), HALF],
+                             ids=["fraction", "novikov"])
+    def test_add_into_matches_the_copying_oracle(self, x):
+        a = {3: x, 1: x + x, 4: x}
+        b = {1: -(x + x), 5: x, 3: x, 4: -x}
+        for c in (1, -1, 2, 0, Fraction(1, 2)):
+            want = vec_axpy(a, b, c)
+            acc = dict(a)
+            assert add_into(acc, b, c) is acc
+            assert list(acc.items()) == list(want.items())
+        acc = dict(a)
+        add_into(acc, b)
+        assert list(acc.items()) == list(vec_add(a, b).items()) == [(3, x + x), (5, x)]
+
+    @pytest.mark.parametrize("x", [Fraction(2, 3), HALF],
+                             ids=["fraction", "novikov"])
+    def test_matrix_sums_store_no_zero(self, x):
+        m = SparseMatrix.from_entries(2, 3, [(0, 2, x), (0, 0, x), (0, 2, -x),
+                                             (1, 1, x - x), (1, 0, x)])
+        assert m.rows == [{0: x}, {0: x}]
+        assert list(m.rows[0]) == [0]
+        n = SparseMatrix(2, 3, [{1: x, 0: -x}, {2: x}])
+        total = m + n
+        assert total.rows == [{1: x}, {0: x, 2: x}]
+        assert [list(r) for r in total.rows] == [[1], [0, 2]]
+        assert (m - m).is_zero() and (m - m).rows == [{}, {}]
 
 
 class TestElimination:
