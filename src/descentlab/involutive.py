@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from .errors import (BadSequence, HypothesisFailure, InputError,
                      LemmaViolation, ShapeMismatch)
-from .linalg import accumulate, add_into
+from .linalg import accumulate
+from .polyvec import Monomials
 
 INTERSECTION = "intersection"
 UNION = "union"
@@ -26,10 +27,10 @@ UNION = "union"
 # exact polynomials
 
 
-class Poly:
+class Poly(Monomials):
     """Multivariate polynomial over the rationals, sparse monomial dict."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ()
 
     def __init__(self, nvars, terms=None):
         self.nvars = int(nvars)
@@ -45,19 +46,6 @@ class Poly:
         self.terms = clean
 
     @classmethod
-    def _trusted(cls, nvars, terms):
-        """Wrap terms the arithmetic below already made canonical: exponent
-        tuples of the right length, Fraction coefficients, none zero."""
-        self = object.__new__(cls)
-        self.nvars = nvars
-        self.terms = terms
-        return self
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def const(cls, nvars, c):
         return cls(nvars, {(0,) * nvars: Fraction(c)})
 
@@ -71,46 +59,13 @@ class Poly:
     def monomial(cls, nvars, exps, c=1):
         return cls(nvars, {tuple(exps): Fraction(c)})
 
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if not isinstance(other, Poly) or other.nvars != self.nvars:
-            raise ShapeMismatch("polynomials in different variable sets")
-
-    def __eq__(self, other):
-        return (isinstance(other, Poly) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        self._check(other)
-        return Poly._trusted(self.nvars, add_into(dict(self.terms), other.terms))
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 1:
-            return self
-        if not c:
-            return Poly.zero(self.nvars)
-        return Poly._trusted(self.nvars,
-                             {e: c * v for e, v in self.terms.items()})
-
     def __mul__(self, other):
         self._check(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return Poly._trusted(self.nvars, out)
+        return self._trusted(self.nvars, out)
 
     def __pow__(self, k):
         if k < 0:
@@ -127,7 +82,7 @@ class Poly:
                 de = list(e)
                 de[i] -= 1
                 out[tuple(de)] = c * e[i]
-        return Poly._trusted(self.nvars, out)
+        return self._trusted(self.nvars, out)
 
     def compose(self, args):
         """Substitute args[i] (all in a common variable set) for variable i."""
@@ -329,19 +284,8 @@ def _exact_sqrt(d):
     return None
 
 
-def _sqrt_bounds(d, eps):
-    lo, hi = Fraction(0), max(Fraction(1), Fraction(d))
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        if mid * mid <= d:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def _two_term_sign(a, b, d):
-    """Sign of a + b*sqrt(d) with d positive and not a perfect square."""
+    """Sign of a + b*sqrt(d) with d not a perfect square, or b zero."""
     if a == 0:
         return _sgn(b)
     if _sgn(a) == _sgn(b):
@@ -357,8 +301,8 @@ class AlgebraicValue:
 
     Rational square roots are folded into the rational part on
     construction, so afterwards disc is zero or irrational.  Instances
-    compare exactly (a squaring argument settles equality; interval
-    refinement of the square roots settles strict order), and adding a
+    compare exactly: the sign of a + b*sqrt(d1) + c*sqrt(d2) is settled by
+    squaring once, with no approximation of the square roots, and adding a
     rational multiple of sqrt(2) stays in the representation — which is
     all the smoothing calculus needs.
     """
@@ -403,29 +347,23 @@ class AlgebraicValue:
         A = self.a - other.a
         B, d1 = self.b, self.disc
         C, d2 = -other.b, other.disc
-        if B == 0 and C == 0:
-            return _sgn(A)
-        if B == 0:
+        if not C or d1 == d2:       # at most one surd
+            return _two_term_sign(A, B + C, d1)
+        if not B:
             return _two_term_sign(A, C, d2)
-        if C == 0:
-            return _two_term_sign(A, B, d1)
-        if d1 == d2:
-            return _two_term_sign(A, B + C, d1) if B + C else _sgn(A)
-        if A == 0 and B * B * d1 == C * C * d2 and _sgn(B) == -_sgn(C):
-            return 0
-        # nonzero: B*sqrt(d1) + C*sqrt(d2) = -A would force a rational
-        # square root after squaring, so intervals must separate
-        eps = Fraction(1, 4)
-        while True:
-            lo1, hi1 = _sqrt_bounds(d1, eps)
-            lo2, hi2 = _sqrt_bounds(d2, eps)
-            lo = A + B * (lo1 if B > 0 else hi1) + C * (lo2 if C > 0 else hi2)
-            hi = A + B * (hi1 if B > 0 else lo1) + C * (hi2 if C > 0 else lo2)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            eps /= 16
+        # the sign of u = B*sqrt(d1) + C*sqrt(d2): when the signs of B and C
+        # differ, the term with the larger square wins
+        bb, cc = B * B * d1, C * C * d2
+        su = _sgn(B) if _sgn(B) == _sgn(C) else _sgn(bb - cc) * _sgn(B)
+        sa = _sgn(A)
+        if not sa or sa == su:
+            return su
+        # A and u have opposite signs: compare A^2 with
+        # u^2 = B^2 d1 + C^2 d2 + 2BC sqrt(d1 d2)
+        r, s, d = A * A - bb - cc, -2 * B * C, d1 * d2
+        root = _exact_sqrt(d)
+        return sa * (_sgn(r + s * root) if root is not None
+                     else _two_term_sign(r, s, d))
 
     def __eq__(self, other):
         return self._cmp(other) == 0

@@ -4,7 +4,8 @@ Elements live in Q[x_1..x_n] (Laurent exponents allowed) tensored with an
 exterior algebra on odd generators xi_1..xi_n, xi_i standing for d/dx_i.
 A monomial is keyed by (exponent tuple, strictly increasing tuple of odd
 indices); coefficients are Fractions.  The odd degree of a monomial is the
-number of xi factors.
+number of xi factors.  `Monomials` holds the linear structure of a sparse
+monomial dict; `simplex.PolyForm` and `involutive.Poly` share it.
 """
 
 from fractions import Fraction
@@ -37,10 +38,65 @@ def _merge_odd(xs, ys):
     return sign, tuple(out)
 
 
-class Polyvector:
-    """A finite Q-combination of monomials x^a xi_I."""
+class Monomials:
+    """A finite Q-combination of monomials in nvars variables: terms is a
+    dict {monomial key: nonzero Fraction}.  The linear structure lives here;
+    a subclass fixes what a key is and how two of them multiply.  Values of
+    different subclasses, or over different variable counts, never mix."""
 
     __slots__ = ("nvars", "terms")
+
+    @classmethod
+    def _trusted(cls, nvars, terms):
+        """Wrap terms the arithmetic already made canonical: keys of the
+        right shape, Fraction coefficients, none of them zero."""
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.terms = terms
+        return self
+
+    @classmethod
+    def zero(cls, nvars):
+        return cls._trusted(nvars, {})
+
+    def is_zero(self):
+        return not self.terms
+
+    def _check(self, other):
+        if type(other) is not type(self) or other.nvars != self.nvars:
+            raise ShapeMismatch(f"{type(self).__name__} in {self.nvars} variables "
+                                f"against {type(other).__name__}")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.nvars == other.nvars \
+            and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        self._check(other)
+        return self._trusted(self.nvars, add_into(dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        c = Fraction(c)
+        if c == 1:
+            return self
+        if not c:   # not self.zero: PolyForm.zero takes p, not nvars
+            return self._trusted(self.nvars, {})
+        return self._trusted(self.nvars, {k: v * c for k, v in self.terms.items()})
+
+
+class Polyvector(Monomials):
+    """A finite Q-combination of monomials x^a xi_I."""
+
+    __slots__ = ()
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -54,20 +110,7 @@ class Polyvector:
                     raise ShapeMismatch(f"exponent tuple {exps} wants {nvars} slots")
                 accumulate(self.terms, (tuple(exps), tuple(xis)), c)
 
-    @classmethod
-    def _trusted(cls, nvars, terms):
-        """Wrap terms the arithmetic below already made canonical: tuple
-        keys of the right shape, Fraction coefficients, none of them zero."""
-        self = object.__new__(cls)
-        self.nvars = nvars
-        self.terms = terms
-        return self
-
     # -- constructors -----------------------------------------------------
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
     @classmethod
     def monomial(cls, nvars, exps, xis=(), coeff=1):
         return cls(nvars, {(tuple(exps), tuple(sorted(xis))): Fraction(coeff)})
@@ -87,51 +130,17 @@ class Polyvector:
         return cls.monomial(nvars, (0,) * nvars, (i,))
 
     # -- structure --------------------------------------------------------
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, Polyvector) and self.nvars == other.nvars \
-            and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def components(self):
         """Split by odd degree: {k: homogeneous part}."""
         out = {}
         for (exps, xis), c in self.terms.items():
             k = len(xis)
             out.setdefault(k, {})[(exps, xis)] = c
-        return {k: Polyvector._trusted(self.nvars, t)
-                for k, t in sorted(out.items())}
-
-    # -- linear ops -------------------------------------------------------
-    def __add__(self, other):
-        if self.nvars != other.nvars:
-            raise ShapeMismatch("sum across different variable counts")
-        return Polyvector._trusted(self.nvars,
-                                   add_into(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 1:
-            return self
-        if not c:
-            return Polyvector.zero(self.nvars)
-        return Polyvector._trusted(self.nvars,
-                                   {k: v * c for k, v in self.terms.items()})
+        return {k: self._trusted(self.nvars, t) for k, t in sorted(out.items())}
 
     # -- multiplication ---------------------------------------------------
     def wedge(self, other):
-        if self.nvars != other.nvars:
-            raise ShapeMismatch("wedge across different variable counts")
+        self._check(other)
         out = {}
         for (e1, x1), c1 in self.terms.items():
             for (e2, x2), c2 in other.terms.items():
@@ -141,7 +150,7 @@ class Polyvector:
                 sign, xs = merged
                 key = (tuple(a + b for a, b in zip(e1, e2)), xs)
                 accumulate(out, key, sign * c1 * c2)
-        return Polyvector._trusted(self.nvars, out)
+        return self._trusted(self.nvars, out)
 
     __mul__ = wedge
 

@@ -28,8 +28,8 @@ from .complexes import (ChainMap, Complex, DirectSum, TensorComplex,
                         betti_numbers, cocone, direct_sum, is_quasi_iso,
                         json_int, shift)
 from .errors import (CosimplicialIdentityFailure, CutoffTooSmall,
-                     FunctorialityFailure, InputError, RingMismatch,
-                     ShapeMismatch, UnsupportedRing)
+                     FunctorialityFailure, InputError, NotAComplex,
+                     RingMismatch, ShapeMismatch, UnsupportedRing)
 from .linalg import SparseMatrix, TrackedEchelon, kernel_basis
 from .scalars import QQ
 from .simplex import (InjMap, NCModel, OmegaModel, PolyForm, coface,
@@ -883,7 +883,10 @@ def presheaf_from_json(obj, check=True) -> CoverPresheaf:
         values, spelled = {}, {}
         for k, v in obj["values"].items():
             key = _first_spelling(spelled, parse_key(k), k, "subset")
-            values[key] = complex_from_json(v)
+            try:
+                values[key] = complex_from_json(v)
+            except (InputError, NotAComplex) as exc:
+                raise InputError(f"value {k}: {exc}") from exc
         adjacent, spelled = {}, {}
         for arrow, blob in obj["restrictions"].items():
             src_s, dst_s = arrow.split("->")

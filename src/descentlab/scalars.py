@@ -142,9 +142,6 @@ class NovikovElem:
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items()))))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -21,8 +21,8 @@ from math import factorial, prod
 
 from .complexes import Complex
 from .errors import ShapeMismatch
-from .linalg import SparseMatrix, accumulate, add_into
-from .polyvec import _merge_odd
+from .linalg import SparseMatrix, accumulate
+from .polyvec import Polyvector, _merge_odd
 from .scalars import QQ
 
 
@@ -161,25 +161,32 @@ class NCModel:
 
 # ---------------------------------------------------------------------------
 # polynomial forms
-#
-# A form on the p-simplex is a dict {(b, I): Fraction}: b is a length-(p+1)
-# tuple of exponents of the barycentric coordinates t_0..t_p and I the sorted
-# tuple of dt indices, drawn from 1..p (dt_0 = -(dt_1 + ... + dt_p)).  The
-# weight of a monomial is |b| + |I|.  Since t_0 + ... + t_p = 1, many dicts
-# represent one form; a form of weight w is also the form of weight w + 1
-# got by multiplying by t_0 + ... + t_p.
 
 
-class PolyForm:
-    __slots__ = ("p", "terms")
+class PolyForm(Polyvector):
+    """A form on the p-simplex: a polyvector in the barycentric coordinates
+    t_0..t_p (nvars = p + 1) whose odd generators are dt_1..dt_p, so its
+    wedge is the polyvector wedge.  A key (b, I) is a length-(p+1) exponent
+    tuple and the sorted tuple of dt indices, drawn from 1..p (dt_0 =
+    -(dt_1 + ... + dt_p)); the weight of a monomial is |b| + |I|.  Since
+    t_0 + ... + t_p = 1, many dicts represent one form, and == compares
+    representations: a form of weight w is also the form of weight w + 1
+    got by multiplying by t_0 + ... + t_p, but the two compare unequal.
+    """
+
+    __slots__ = ()
 
     def __init__(self, p: int, terms=None):
-        self.p = p
+        self.nvars = p + 1
         self.terms = {k: c for k, c in (terms or {}).items() if c}
+
+    @property
+    def p(self):
+        return self.nvars - 1
 
     @classmethod
     def zero(cls, p):
-        return cls(p)
+        return cls._trusted(p + 1, {})
 
     @classmethod
     def const(cls, p, c=Fraction(1)):
@@ -200,40 +207,6 @@ class PolyForm:
         if j == 0:
             return cls(p, {(flat, (w,)): Fraction(-1) for w in range(1, p + 1)})
         return cls(p, {(flat, (j,)): Fraction(1)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        """Equal representations: the same form at two weights compares
-        unequal."""
-        return isinstance(other, PolyForm) and self.p == other.p and self.terms == other.terms
-
-    def __add__(self, other):
-        return PolyForm(self.p, add_into(dict(self.terms), other.terms))
-
-    def scale(self, s):
-        s = Fraction(s)
-        if not s:
-            return PolyForm(self.p)
-        return PolyForm(self.p, {k: c * s for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def wedge(self, other: "PolyForm") -> "PolyForm":
-        if self.p != other.p:
-            raise ShapeMismatch("wedge of forms on different simplices")
-        out = {}
-        for (b1, I1), c1 in self.terms.items():
-            for (b2, I2), c2 in other.terms.items():
-                merged = _merge_odd(I1, I2)
-                if merged is None:
-                    continue
-                sign, I = merged
-                b = tuple(x + y for x, y in zip(b1, b2))
-                accumulate(out, (b, I), c1 * c2 * sign)
-        return PolyForm(self.p, out)
 
     def d(self) -> "PolyForm":
         acc = {}
@@ -295,7 +268,7 @@ def pf_pullback(f: InjMap, form: PolyForm) -> PolyForm:
             if merged is not None:
                 sign, K = merged
                 accumulate(out, (e, K), c if sign < 0 else -c)
-    return PolyForm(p, out)
+    return PolyForm._trusted(p + 1, out)
 
 
 def integrate_over_face(form: PolyForm, F) -> Fraction:

@@ -234,10 +234,17 @@ def _half_shift_restriction(blob):
     blob["restrictions"]["1->1,2"]["shift"] = 0.5
 
 
+def _half_support_value(blob):
+    """three-edge with the support of the value on {1} given as [0, 1.5]; the
+    error names the value, as it names the arrow of a bad restriction."""
+    blob["values"]["1"]["support"] = [0, 1.5]
+
+
 @pytest.mark.parametrize("fixture,edit,arrow", [
     ("triangle-boundary", _shifted_restriction, "1->1,2"),
     ("three-edge", _two_step_restriction, "1->1,2,3"),
-    ("three-edge", _half_shift_restriction, "1->1,2")])
+    ("three-edge", _half_shift_restriction, "1->1,2"),
+    ("three-edge", _half_support_value, "value 1:")])
 def test_presheaf_restriction_arrows_are_checked(tmp_path, capsys, fixture,
                                                  edit, arrow):
     blob = presheaf_to_json(fx.emit_fixture(fixture))

@@ -228,9 +228,22 @@ def test_algebraic_value_ordering():
     sqrt2 = AlgebraicValue(2)
     assert AlgebraicValue.from_rational(Fraction(7, 5)) < sqrt2
     assert sqrt2 < AlgebraicValue.from_rational(Fraction(3, 2))
-    # three-term comparison that needs interval refinement
+    # three-term comparisons across distinct discriminants
     assert AlgebraicValue(1, 1, 3) < AlgebraicValue(0, 1, 8)
     assert AlgebraicValue(1, 1, 3) > AlgebraicValue(0, 1, 7)
+    # d1 * d2 a square: 3 + sqrt(2) against sqrt(18) = 3 sqrt(2)
+    assert AlgebraicValue(3, 1, 2) > AlgebraicValue(0, 1, 18)
+    assert AlgebraicValue(4, 1, 2) < AlgebraicValue(0, 2, 8)
+    # exact cancellation: 2 sqrt(2) = sqrt(8), and 1 + 2 sqrt(2) = 1 + sqrt(8)
+    assert AlgebraicValue(0, 2, 2)._cmp(AlgebraicValue(0, 1, 8)) == 0
+    assert AlgebraicValue(1, 2, 2) == AlgebraicValue(1, 1, 8)
+    assert AlgebraicValue(1, 1, 2) < AlgebraicValue(1, 1, 8)
+    # the rational part and the root part of the difference have opposite
+    # signs, with either one winning, on both sides
+    assert AlgebraicValue(1, 1, 2) > AlgebraicValue(0, 1, 5)
+    assert AlgebraicValue(1, 1, 2) < AlgebraicValue(0, 1, 7)
+    assert AlgebraicValue(-1, 1, 5) < AlgebraicValue(0, 1, 2)
+    assert AlgebraicValue(-1, 1, 7) > AlgebraicValue(0, 1, 2)
     # equal discriminants whose root parts cancel, and an equal pair
     assert AlgebraicValue(1, 2, 3) > AlgebraicValue(0, 2, 3)
     assert AlgebraicValue(1, 2, 3)._cmp(AlgebraicValue(1, 2, 3)) == 0

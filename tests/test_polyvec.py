@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descentlab.errors import AxiomFailure, ShapeMismatch
+from descentlab.involutive import Poly
 from descentlab.polyvec import (Polyvector, _all_monomials, bv_axiom_check,
                                 bv_bracket, bv_delta, bracket_from_delta,
                                 format_polyvector, schouten_oracle)
+from descentlab.simplex import PolyForm
 
 N = 2
 X1, X2 = Polyvector.var(N, 0), Polyvector.var(N, 1)
@@ -442,3 +444,61 @@ def test_constructor_still_validates():
     with pytest.raises(ShapeMismatch):
         Polyvector(2, {((0,), ()): 1})
     assert Polyvector(2, {((0, 1), ()): 0}).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the linear structure Poly, Polyvector and PolyForm share, in 3 variables
+
+
+def random_monomials(kind, rng):
+    """A random value of kind over 3 variables: a Poly, a Polyvector in
+    x_1..x_3, or a PolyForm on the 2-simplex (t_0..t_2 with dt_1, dt_2)."""
+    terms = {}
+    for _ in range(rng.randrange(1, 5)):
+        exps = tuple(rng.randrange(3) for _ in range(3))
+        odd = tuple(i for i in range(3) if rng.random() < 0.4)
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        if kind is Poly:
+            terms[exps] = c
+        elif kind is Polyvector:
+            terms[(exps, odd)] = c
+        else:
+            terms[(exps, tuple(i for i in odd if i))] = Fraction(c)
+    return PolyForm(2, terms) if kind is PolyForm else kind(3, terms)
+
+
+@pytest.mark.parametrize("kind", [Poly, Polyvector, PolyForm],
+                         ids=lambda kind: kind.__name__)
+def test_shared_linear_structure(kind):
+    rng = random.Random(31)
+    for _ in range(40):
+        a, b, c = (random_monomials(kind, rng) for _ in range(3))
+        q, r = (Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+                for _ in range(2))
+        zero = a.scale(0)
+        assert type(zero) is kind and zero.nvars == 3 and zero.is_zero()
+        assert (a + b) + c == a + (b + c) and a + b == b + a
+        assert a + zero == a and (a - a).is_zero() and -(-a) == a
+        assert a - b == a + -b == a + b.scale(-1)
+        assert (a + b).scale(q) == a.scale(q) + b.scale(q)
+        assert a.scale(q).scale(r) == a.scale(q * r)
+        assert a.scale(q) + a.scale(r) == a.scale(q + r)
+        # equal values hash equal, whatever order their terms were added in
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+        assert hash(a + b) == hash(b + a)
+        assert all(type(x) is kind for x in (a + b, a - b, -a, a.scale(q)))
+
+
+@pytest.mark.parametrize("left,right", [(PolyForm, Polyvector),
+                                        (Polyvector, PolyForm),
+                                        (Poly, Polyvector), (Polyvector, Poly)],
+                         ids=["PolyForm+Polyvector", "Polyvector+PolyForm",
+                              "Poly+Polyvector", "Polyvector+Poly"])
+def test_sums_across_kinds_are_shape_mismatches(left, right):
+    # PolyForm(2, ...) and the others all have nvars 3: only the kind differs
+    rng = random.Random(37)
+    a, b = random_monomials(left, rng), random_monomials(right, rng)
+    assert a != b
+    for op in (lambda: a + b, lambda: a - b):
+        with pytest.raises(ShapeMismatch):
+            op()

@@ -37,9 +37,9 @@ class TestRingBasics:
             NovikovRing(2, Fraction(-1))
 
     def test_cutoff_truncates(self):
-        assert R.T(Fraction(3, 2)).is_zero()
-        assert R.T(Fraction(2)).is_zero()
-        assert not R.T(Fraction(1)).is_zero()
+        assert not R.T(Fraction(3, 2))
+        assert not R.T(Fraction(2))
+        assert R.T(Fraction(1))
 
     def test_exponent_lattice_enforced(self):
         with pytest.raises(ValueError):
@@ -68,7 +68,7 @@ class TestArithmetic:
 
     @given(elem())
     def test_additive_inverse(self, a):
-        assert (a - a).is_zero()
+        assert not (a - a)
 
     @given(elem(), elem())
     def test_valuation_superadditive(self, a, b):
