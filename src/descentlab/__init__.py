@@ -8,7 +8,7 @@ and involutivity checks for exact cover functions.
 
 from .scalars import QQ, NovikovRing, NovikovElem
 from .complexes import (Complex, ChainMap, shift, cone, cocone, direct_sum,
-                        tensor, telescope, complete, homology, betti_numbers,
+                        tensor, telescope, homology, betti_numbers,
                         is_quasi_iso, homology_map, HomologySpace,
                         complex_to_json, complex_from_json,
                         chain_map_to_json, chain_map_from_json)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "QQ", "NovikovRing", "NovikovElem",
     "Complex", "ChainMap", "shift", "cone", "cocone", "direct_sum", "tensor",
-    "telescope", "complete", "homology", "betti_numbers", "is_quasi_iso",
+    "telescope", "homology", "betti_numbers", "is_quasi_iso",
     "homology_map", "HomologySpace", "complex_to_json", "complex_from_json",
     "chain_map_to_json", "chain_map_from_json",
     "CoverPresheaf", "cech", "tot", "tw", "tw_to_tot", "whitney_section",

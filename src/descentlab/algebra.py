@@ -3,7 +3,9 @@
 Two cochain-level products are implemented: the front/back-face cup product
 on the Cech complex of a cover, and the levelwise wedge-times-value product
 on the polynomial-forms totalization.  Both need the presheaf values to be
-graded algebras, supplied as a ValueProduct.
+graded algebras, supplied as a value product: a function
+mult(J, q1, vec1, q2, vec2) that multiplies within F(J), taking dict-vectors
+in internal degrees q1 and q2 to one in degree q1 + q2.
 """
 
 from fractions import Fraction
@@ -17,18 +19,7 @@ from .scalars import QQ
 from .simplex import PolyForm
 
 
-class ValueProduct:
-    """Multiplication tables for the values of a cover presheaf.
-
-    mult(J, q1, vec1, q2, vec2) multiplies within F(J), taking dict-vectors
-    in internal degrees q1 and q2 to one in degree q1 + q2.
-    """
-
-    def __init__(self, mult):
-        self.mult = mult
-
-
-def point_product(F: CoverPresheaf) -> ValueProduct:
+def point_product(F: CoverPresheaf):
     """Scalar multiplication, for presheaves of one-dimensional degree-0
     values."""
 
@@ -38,10 +29,10 @@ def point_product(F: CoverPresheaf) -> ValueProduct:
         c = v1.get(0, Fraction(0)) * v2.get(0, Fraction(0))
         return {0: c} if c else {}
 
-    return ValueProduct(mult)
+    return mult
 
 
-def graph_product(F: CoverPresheaf) -> ValueProduct:
+def graph_product(F: CoverPresheaf):
     """Front/back vertex-evaluation product on cell-graph cochains.
 
     On vertices the product is pointwise; a function multiplies an edge
@@ -72,14 +63,14 @@ def graph_product(F: CoverPresheaf) -> ValueProduct:
                     out[k] = w * g
         return {k: v for k, v in out.items() if v}
 
-    return ValueProduct(mult)
+    return mult
 
 
 # ---------------------------------------------------------------------------
 # cup product on the Cech side
 
 
-def cech_cup(C: CechComplex, prod: ValueProduct, n1, x: dict, n2, y: dict):
+def cech_cup(C: CechComplex, prod, n1, x: dict, n2, y: dict):
     """Front-face/back-face product of Cech cochains.
 
     The (p1+p2, K) component collects x's front (p1, K[:p1+1]) component
@@ -100,7 +91,7 @@ def cech_cup(C: CechComplex, prod: ValueProduct, n1, x: dict, n2, y: dict):
                 continue
             rx = F.res(J1, K).mat(q1).matvec(xc)
             ry = F.res(J2, K).mat(q2).matvec(yc)
-            piece = prod.mult(K, q1, rx, q2, ry)
+            piece = prod(K, q1, rx, q2, ry)
             if not piece:
                 continue
             add_into(acc, piece, -1 if (q1 * p2) % 2 else 1)
@@ -123,7 +114,7 @@ def tw_include(small: TwComplex, big: TwComplex) -> ChainMap:
         for p, (ms, mb) in enumerate(zip(small.models, big.models))])
 
 
-def tw_product(small: TwComplex, big: TwComplex, prod: ValueProduct,
+def tw_product(small: TwComplex, big: TwComplex, prod,
                n1, x: dict, n2, y: dict):
     """Product of two forms-totalization elements, landing at doubled cutoff.
 
@@ -169,7 +160,7 @@ def tw_product(small: TwComplex, big: TwComplex, prod: ValueProduct,
                 wprod = w1.wedge(w2)
                 if wprod.is_zero():
                     continue
-                piece = prod.mult(J1, q1, {loc1: c1}, q2, {loc2: c2})
+                piece = prod(J1, q1, {loc1: c1}, q2, {loc2: c2})
                 if not piece:
                     continue
                 sign = -1 if (q1 * i2) % 2 else 1
@@ -186,8 +177,7 @@ def tw_product(small: TwComplex, big: TwComplex, prod: ValueProduct,
 # homology-level comparison of the two products
 
 
-def product_homology_agreement(F: CoverPresheaf, cutoff: int,
-                               prod: ValueProduct):
+def product_homology_agreement(F: CoverPresheaf, cutoff: int, prod):
     """Compare the two products on cohomology classes through the zigzag.
 
     For every pair of classes on the forms side, multiply there, push to the

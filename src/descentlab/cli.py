@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fixtures as fx
@@ -22,7 +21,7 @@ from .complexes import (Complex, betti_numbers, chain_map_from_json,
                         complex_from_json, complex_to_json, homology,
                         homology_map, is_quasi_iso, json_int,
                         novikov_q_expansion_complex,
-                        novikov_q_expansion_map, telescope,
+                        novikov_q_expansion_map, parse_scalar, telescope,
                         telescope_comparison)
 from .linalg import SparseMatrix, rank
 from .errors import (AxiomFailure, BadSequence, CosimplicialIdentityFailure,
@@ -43,24 +42,6 @@ _INPUT_FAULTS = (InputError, UnknownFixture, CutoffTooSmall, UnsupportedRing,
                  ShapeMismatch, RingMismatch, NotAComplex, BadSequence)
 
 
-@dataclass
-class JobSpec:
-    """One batch job: a subcommand plus its resolved options."""
-
-    command: str
-    input_path: str | None = None
-    out_path: str | None = None
-    fmt: str = "json"
-    weight_cutoff: int | None = None
-    laurent_cutoff: int | None = None
-    novikov_den: int | None = None
-    novikov_e: Fraction | None = None
-    seed: int = 0
-    degree_window: tuple | None = None
-    threads: int = 1
-    fixture_name: str | None = None
-
-
 # ---------------------------------------------------------------------------
 # small helpers
 
@@ -76,9 +57,9 @@ def _load_json(path):
 
 
 def _load_presheaf(job, default_fixture="triangle-boundary", check=True):
-    if job.input_path is None:
+    if job.input is None:
         return fx.emit_fixture(default_fixture, seed=job.seed)
-    return presheaf_from_json(_load_json(job.input_path), check=check)
+    return presheaf_from_json(_load_json(job.input), check=check)
 
 
 def _betti_json(table):
@@ -123,10 +104,10 @@ def _cmd_validate(job):
 
 
 def _cmd_homology(job):
-    if job.input_path is None:
+    if job.input is None:
         c = fx.circle_complex()
     else:
-        c = complex_from_json(_load_json(job.input_path))
+        c = complex_from_json(_load_json(job.input))
     return ({"degree_window": list(job.degree_window)}
             if job.degree_window else {}), \
         [_homology_check("homology-table", c, job.degree_window)], None
@@ -197,7 +178,7 @@ def _cmd_descent(job):
 
 
 def _cmd_incl_excl(job):
-    bundled = job.input_path is None
+    bundled = job.input is None
     F = _load_presheaf(job, default_fixture="three-edge")
     dec = inclusion_exclusion(F)
     checks = [_check("inclusion-exclusion-iso", dec.ok)]
@@ -253,7 +234,7 @@ _DEFAULT_COVER_JOB = {
 
 
 def _cmd_covers_check(job):
-    data = (_load_json(job.input_path) if job.input_path is not None
+    data = (_load_json(job.input) if job.input is not None
             else _DEFAULT_COVER_JOB)
     try:
         pairs = json_int(data["pairs"], "pairs")
@@ -271,7 +252,7 @@ def _cmd_covers_check(job):
         ranges = []
         for r in data["grid"]:
             try:
-                lo, hi, step = (Fraction(x) for x in r)
+                lo, hi, step = (parse_scalar(QQ, x) for x in r)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"bad grid range {r!r}: {exc}") from exc
             ranges.append((lo, hi, step))
@@ -287,7 +268,7 @@ def _cmd_covers_check(job):
     if smoothing is not None:
         try:
             mode = smoothing["mode"]
-            deltas = [Fraction(d) for d in smoothing["deltas"]]
+            deltas = [parse_scalar(QQ, d) for d in smoothing["deltas"]]
             f1s = [parse_poly(s, names) for s in smoothing["f1"]]
             f2s = [parse_poly(s, names) for s in smoothing["f2"]]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -301,8 +282,8 @@ def _cmd_covers_check(job):
 
 
 def _cmd_telescope(job):
-    if job.input_path is not None:
-        data = _load_json(job.input_path)
+    if job.input is not None:
+        data = _load_json(job.input)
         try:
             terms = [complex_from_json(t) for t in data["terms"]]
             maps = [chain_map_from_json(terms[i], terms[i + 1], m)
@@ -348,12 +329,12 @@ def _cmd_telescope(job):
 
 
 def _cmd_emit_fixture(job):
-    if job.fixture_name is None:
+    if job.fixture is None:
         raise InputError("emit-fixture needs a fixture name")
-    obj = fx.emit_fixture(job.fixture_name, seed=job.seed)
+    obj = fx.emit_fixture(job.fixture, seed=job.seed)
     payload = (complex_to_json(obj) if isinstance(obj, Complex)
                else presheaf_to_json(obj))
-    return {"fixture": job.fixture_name, "seed": job.seed}, [], payload
+    return {"fixture": job.fixture, "seed": job.seed}, [], payload
 
 
 _BODIES = {
@@ -378,8 +359,9 @@ COMMANDS = tuple(_BODIES)
 # report assembly
 
 
-def run(job: JobSpec):
-    """Execute one job; returns (report dict, exit code)."""
+def run(job):
+    """Execute one job, the namespace job_from_args returns; returns
+    (report dict, exit code)."""
     options, checks, payload = _BODIES[job.command](job)
     report = {
         "command": job.command,
@@ -485,21 +467,12 @@ def _threads_from_env():
     return threads
 
 
-def job_from_args(args) -> JobSpec:
-    return JobSpec(
-        command=args.command,
-        input_path=args.input,
-        out_path=args.out,
-        fmt=args.format,
-        weight_cutoff=args.weight_cutoff,
-        laurent_cutoff=args.laurent_cutoff,
-        novikov_den=args.novikov_den,
-        novikov_e=args.novikov_e,
-        seed=args.seed,
-        degree_window=args.degree_window,
-        threads=_threads_from_env(),
-        fixture_name=getattr(args, "fixture", None),
-    )
+def job_from_args(args):
+    """The parsed options as one job: threads read from DESCENTLAB_THREADS,
+    and no fixture name outside emit-fixture."""
+    args.threads = _threads_from_env()
+    args.fixture = getattr(args, "fixture", None)
+    return args
 
 
 def main(argv=None):
@@ -513,10 +486,10 @@ def main(argv=None):
     except (FunctorialityFailure, CosimplicialIdentityFailure) as exc:
         print(f"descentlab: input is not a presheaf: {exc}", file=sys.stderr)
         return 2
-    text = render(report, job.fmt)
-    if job.out_path:
+    text = render(report, job.format)
+    if job.out:
         try:
-            with open(job.out_path, "w", encoding="utf-8") as fh:
+            with open(job.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"descentlab: cannot write report: {exc}", file=sys.stderr)

@@ -27,7 +27,7 @@ from .scalars import (QQ, NovikovElem, NovikovRing, format_novikov,
 class Complex:
     """A bounded cochain complex with explicit sparse differentials."""
 
-    def __init__(self, ring, dims, diff, labels=None, meta=None, support=None):
+    def __init__(self, ring, dims, diff, labels=None, support=None):
         self.ring = ring
         self.dims = {n: d for n, d in dims.items()}
         if support is None:
@@ -40,7 +40,6 @@ class Complex:
             self.dims.setdefault(n, 0)
         self.diff = dict(diff)
         self.labels = labels
-        self.meta = dict(meta or {})
 
     # -- shape helpers ----------------------------------------------------
 
@@ -158,8 +157,8 @@ class ChainMap:
         return cls(c, c, mats)
 
     @classmethod
-    def zero(cls, source: Complex, target: Complex, shift=0) -> "ChainMap":
-        return cls(source, target, {}, shift)
+    def zero(cls, source: Complex, target: Complex) -> "ChainMap":
+        return cls(source, target, {})
 
 
 # ---------------------------------------------------------------------------
@@ -417,17 +416,6 @@ def telescope_comparison(terms, maps, L1: int, L2: int):
     return t1, t2, ChainMap(t1.cx, t2.cx, mats)
 
 
-def complete(c: Complex) -> Complex:
-    """Completion at the truncation level: the identity, plus provenance."""
-    if c.ring == QQ:
-        raise UnsupportedRing("completion only applies over a truncated Novikov ring")
-    meta = dict(c.meta)
-    meta["completed"] = True
-    meta["cutoff"] = format_rational(c.ring.cutoff)
-    return Complex(c.ring, dict(c.dims), dict(c.diff), labels=c.labels,
-                   meta=meta, support=c.support)
-
-
 # ---------------------------------------------------------------------------
 # homology
 
@@ -577,11 +565,7 @@ def homology(c: Complex) -> HomologyReport:
     torsion = {}
     for n in c.degrees():
         hs = HomologySpace(qc, n)
-        umat = SparseMatrix(hs.dim, hs.dim)
-        for j, z in enumerate(hs.reps):
-            for i, v in hs.project(uact[n].matvec(z)).items():
-                umat.rows[i][j] = v
-        torsion[n] = _nilpotent_partition(umat, hs.dim)
+        torsion[n] = _nilpotent_partition(_induced(uact[n], hs, hs), hs.dim)
     desc = f"Novikov(den={ring.den}, cutoff={format_rational(ring.cutoff)})"
     return HomologyReport(desc, "torsion", torsion=torsion, den=ring.den,
                           truncation_order=ring.truncation_order)
@@ -617,14 +601,20 @@ class HomologySpace:
         return {i: v for (tag, i), v in coords.items() if tag == "h"}
 
 
+def _induced(mat: SparseMatrix, hs: HomologySpace, ht: HomologySpace):
+    """The matrix, in the representative bases, of the map hs -> ht that a
+    cycle-preserving mat induces on homology."""
+    m = SparseMatrix(ht.dim, hs.dim)
+    for j, z in enumerate(hs.reps):
+        for i, v in ht.project(mat.matvec(z)).items():
+            m.rows[i][j] = v
+    return m
+
+
 def homology_map(f: ChainMap, n: int):
     """Matrix of H^n(f) in the HomologySpace representative bases."""
     hs, ht = HomologySpace(f.source, n), HomologySpace(f.target, n + f.shift)
-    m = SparseMatrix(ht.dim, hs.dim)
-    for j, z in enumerate(hs.reps):
-        for i, v in ht.project(f.mat(n).matvec(z)).items():
-            m.rows[i][j] = v
-    return m, hs, ht
+    return _induced(f.mat(n), hs, ht), hs, ht
 
 
 @dataclass

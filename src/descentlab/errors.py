@@ -17,9 +17,9 @@ class RingMismatch(DescentlabError):
 class NotAComplex(DescentlabError):
     """d composed with d is nonzero; carries the offending degree."""
 
-    def __init__(self, degree, message=None):
+    def __init__(self, degree):
         self.degree = degree
-        super().__init__(message or f"d^2 != 0 starting at degree {degree}")
+        super().__init__(f"d^2 != 0 starting at degree {degree}")
 
 
 class ShapeMismatch(DescentlabError):
@@ -33,9 +33,9 @@ class UnsupportedRing(DescentlabError):
 class FunctorialityFailure(DescentlabError):
     """A restriction square of a cover presheaf fails to commute."""
 
-    def __init__(self, witness, message=None):
+    def __init__(self, witness):
         self.witness = witness
-        super().__init__(message or f"restriction square does not commute: {witness}")
+        super().__init__(f"restriction square does not commute: {witness}")
 
 
 class CosimplicialIdentityFailure(DescentlabError):
@@ -49,9 +49,9 @@ class CutoffTooSmall(DescentlabError):
 class AxiomFailure(DescentlabError):
     """An algebraic axiom check failed; carries a witness tuple."""
 
-    def __init__(self, witness, message=None):
+    def __init__(self, witness):
         self.witness = witness
-        super().__init__(message or f"axiom violated: {witness}")
+        super().__init__(f"axiom violated: {witness}")
 
 
 class HypothesisFailure(DescentlabError):

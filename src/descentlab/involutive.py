@@ -55,10 +55,6 @@ class Poly(Monomials):
         exps[i] = 1
         return cls(nvars, {tuple(exps): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, nvars, exps, c=1):
-        return cls(nvars, {tuple(exps): Fraction(c)})
-
     def __mul__(self, other):
         self._check(other)
         out = {}
@@ -515,10 +511,6 @@ class WeakCoverReport:
     violations: list
     bracket_checked: bool
 
-    def to_json(self):
-        return {"ok": self.ok, "bracket_checked": self.bracket_checked,
-                "violations": self.violations}
-
 
 def check_weak_cover_conditions(f_seqs, grid, predicates):
     """Sample the defining bullets of a weak cover candidate.
@@ -583,10 +575,6 @@ class MonotonicityReport:
     ok: bool
     violations: list
     step_bounds: list = field(default_factory=list)
-
-    def to_json(self):
-        return {"ok": self.ok, "violations": self.violations,
-                "step_bounds": self.step_bounds}
 
 
 def cover_monotonicity_report(cover_fns, grid):

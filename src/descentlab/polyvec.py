@@ -116,16 +116,6 @@ class Polyvector(Monomials):
         return cls(nvars, {(tuple(exps), tuple(sorted(xis))): Fraction(coeff)})
 
     @classmethod
-    def const(cls, nvars, c):
-        return cls.monomial(nvars, (0,) * nvars, (), c)
-
-    @classmethod
-    def var(cls, nvars, i):
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls.monomial(nvars, exps)
-
-    @classmethod
     def xi(cls, nvars, i):
         return cls.monomial(nvars, (0,) * nvars, (i,))
 

@@ -689,9 +689,6 @@ class TwoSetDecomposition:
     cocone: DirectSum      # A (+) Cech(intersections with 1)[1]
     A: DirectSum           # F({1}) (+) Cech(F without 1), the source of phi
     psi: ChainMap
-    phi: ChainMap
-    aug_first: ChainMap
-    rho: ChainMap
     ok: bool
     cech: CechComplex      # Cech(F), the target of psi
 
@@ -763,7 +760,7 @@ def inclusion_exclusion(F: CoverPresheaf) -> TwoSetDecomposition:
         ok = all(_is_permutation(psi.mat(n)) for n in cc.cx.degrees())
     except ShapeMismatch:
         ok = False
-    return TwoSetDecomposition(cc, A, psi, phi, aug_first, rho, ok, cF)
+    return TwoSetDecomposition(cc, A, psi, ok, cF)
 
 
 @dataclass

@@ -44,9 +44,6 @@ class InjMap:
     def p(self):
         return len(self.verts) - 1
 
-    def __call__(self, i):
-        return self.verts[i]
-
     def __eq__(self, other):
         return isinstance(other, InjMap) and (self.verts, self.q) == (other.verts, other.q)
 
@@ -55,12 +52,6 @@ class InjMap:
 
     def __repr__(self):
         return f"InjMap({list(self.verts)} -> [{self.q}])"
-
-    def compose(self, other: "InjMap") -> "InjMap":
-        """self after other."""
-        if other.q != self.p:
-            raise ShapeMismatch("composition domain mismatch")
-        return InjMap(tuple(self.verts[v] for v in other.verts), self.q)
 
     def preimage_tuple(self, F):
         """Sorted tuple of f^{-1}(F), or None if F is not inside the image."""

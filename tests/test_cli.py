@@ -502,7 +502,7 @@ def test_covers_check_reports_violations(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("grid_range", [["-2", "2"], ["-2", "2", "1/2", "1"],
-                                        ["-2", "2", "1/0"]])
+                                        ["-2", "2", "1/0"], [True, "2", "1"]])
 def test_malformed_covers_job_is_an_input_error(tmp_path, capsys, grid_range):
     job = {"pairs": 1, "sequences": [["q1 - 1"]], "sets": ["q1"],
            "grid": [["-1", "1", "1"], grid_range]}
@@ -511,6 +511,21 @@ def test_malformed_covers_job_is_an_input_error(tmp_path, capsys, grid_range):
     code, out, err = run_cli(capsys, "covers-check", "--input", str(path))
     assert code == 2 and not out
     assert "bad grid range" in err and repr(grid_range) in err
+
+
+def test_covers_grid_reads_a_float_step_as_its_decimal(tmp_path, capsys):
+    # 0.1 is 1/10, as in a complex entry, not its binary expansion (which
+    # is a little above 1/10 and so leaves 1/2 off each axis)
+    sizes = []
+    for step in (0.1, "1/10"):
+        job = {"pairs": 1, "sequences": [["q1 - 1"]], "sets": ["q1"],
+               "grid": [[0, "1/2", step], [0, "1/2", step]]}
+        path = tmp_path / "covers.json"
+        path.write_text(json.dumps(job))
+        code, out, _ = run_cli(capsys, "covers-check", "--input", str(path))
+        assert code != 2
+        sizes.append(json.loads(out)["options"]["grid_size"])
+    assert sizes == [36, 36]
 
 
 @pytest.mark.parametrize("pairs,named", [(10**9, "grid"), (-1, "pairs"),

@@ -5,8 +5,8 @@ standard output together with its exit status.  The cases are every
 subcommand on its bundled default in both formats, every ``emit-fixture``
 output, the input-driven subcommands on two seeded N=3 random covers and on
 the emitted fixtures, and a few runs that exit 1 or 2.  The BV axiom count
-behind ``bv-check`` (about 10 s) is computed once and shared by both of its
-formats.  A change to the program that is meant to keep reports
+behind ``bv-check`` (about 0.5 s) is computed once and shared by both of
+its formats.  A change to the program that is meant to keep reports
 byte-identical must leave ``golden/cli_report_digest.json`` as it is.  Regenerate the file (only when
 a change of output is intended) with
 

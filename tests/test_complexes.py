@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from descentlab.complexes import (ChainMap, Complex, HomologySpace,
                                   betti_numbers, chain_map_from_json,
                                   chain_map_to_json, change_basis, cocone,
-                                  complete, complex_from_json, complex_to_json,
-                                  cone, direct_sum, homology, homology_map,
+                                  complex_from_json, complex_to_json, cone,
+                                  direct_sum, homology, homology_map,
                                   is_quasi_iso, shift, single, telescope,
                                   telescope_comparison, tensor)
 from descentlab.errors import NotAComplex, ShapeMismatch, UnsupportedRing
@@ -256,20 +256,6 @@ class TestQuasiIso:
         c = Complex(R, {0: 1}, {})
         with pytest.raises(UnsupportedRing):
             is_quasi_iso(ChainMap.identity(c))
-
-
-class TestCompleteAndMeta:
-    def test_complete_marks_meta(self):
-        R = NovikovRing(2, Fraction(5, 2))
-        c = Complex(R, {0: 1}, {})
-        cc = complete(c)
-        assert cc.meta["completed"] is True
-        assert cc.meta["cutoff"] == "5/2"
-        assert cc == c  # underlying complex unchanged
-
-    def test_complete_rejects_rationals(self):
-        with pytest.raises(UnsupportedRing):
-            complete(single(QQ, 0, 1))
 
 
 class TestSerde:

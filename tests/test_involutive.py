@@ -381,7 +381,7 @@ def test_weak_cover_conditions_pass():
     grid = grid_points([(-2, 2, Fraction(1, 2))] * 2)
     rep = check_weak_cover_conditions(fs, grid, [halfplane_pred])
     assert rep.ok and rep.bracket_checked
-    assert rep.to_json()["violations"] == []
+    assert rep.violations == []
 
 
 def test_weak_cover_conditions_sign_flip_fails():

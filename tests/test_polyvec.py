@@ -14,10 +14,21 @@ from descentlab.polyvec import (Polyvector, _all_monomials, bv_axiom_check,
                                 format_polyvector, schouten_oracle)
 from descentlab.simplex import PolyForm
 
+
+def pv_const(nvars, c):
+    """The constant polyvector c in nvars variables."""
+    return Polyvector.monomial(nvars, (0,) * nvars, (), c)
+
+
+def pv_var(nvars, i):
+    """The coordinate x_(i+1) as a polyvector in nvars variables."""
+    return Polyvector.monomial(nvars, tuple(int(k == i) for k in range(nvars)))
+
+
 N = 2
-X1, X2 = Polyvector.var(N, 0), Polyvector.var(N, 1)
+X1, X2 = pv_var(N, 0), pv_var(N, 1)
 XI1, XI2 = Polyvector.xi(N, 0), Polyvector.xi(N, 1)
-ONE = Polyvector.const(N, 1)
+ONE = pv_const(N, 1)
 
 
 def pv(terms):
@@ -87,7 +98,7 @@ def test_components_split_by_odd_degree():
 def test_nvars_mismatch_rejected():
     for op in (Polyvector.wedge, Polyvector.__add__, Polyvector.__sub__):
         with pytest.raises(ShapeMismatch):
-            op(X1, Polyvector.var(3, 0))
+            op(X1, pv_var(3, 0))
 
 
 def test_format_examples():
@@ -247,9 +258,9 @@ def test_rescaled_operator_still_satisfies_axioms():
 
 def test_bracket_from_delta_on_three_variables():
     b3 = bracket_from_delta(bv_delta)
-    x3 = Polyvector.var(3, 2)
+    x3 = pv_var(3, 2)
     xi3 = Polyvector.xi(3, 2)
-    assert b3(xi3, x3) == Polyvector.const(3, 1)
+    assert b3(xi3, x3) == pv_const(3, 1)
 
 
 # ---------------------------------------------------------------------------

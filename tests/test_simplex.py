@@ -21,6 +21,12 @@ def face_inclusion(F, p):
     return InjMap(tuple(sorted(F)), p)
 
 
+def compose(f, g):
+    """f after g: the injection whose vertex images are f's at g's."""
+    assert g.q == f.p, "composition domain mismatch"
+    return InjMap(tuple(f.verts[v] for v in g.verts), f.q)
+
+
 def integrate_top(form):
     """Integral over the whole simplex, orientation dt_1 ... dt_p positive."""
     return integrate_over_face(form, range(form.p + 1))
@@ -52,8 +58,8 @@ class TestInjMaps:
         for p in range(3):
             for i in range(p + 2):
                 for j in range(i + 1, p + 3):
-                    lhs = coface(p + 1, j).compose(coface(p, i))
-                    rhs = coface(p + 1, i).compose(coface(p, j - 1))
+                    lhs = compose(coface(p + 1, j), coface(p, i))
+                    rhs = compose(coface(p + 1, i), coface(p, j - 1))
                     assert lhs == rhs
 
     def test_not_monotone_rejected(self):
@@ -88,7 +94,7 @@ class TestNormalizedCochains:
         rng = random.Random(4)
         h = InjMap((0, 1, 3), 4)
         k = InjMap((0, 2), 2)
-        comp = h.compose(k)
+        comp = compose(h, k)
         for n in range(5):
             x = random_cochain(rng, 4, n)
             assert nc_pullback(k, nc_pullback(h, x)) == nc_pullback(comp, x)
@@ -289,7 +295,7 @@ class TestPullbackForms:
         k = InjMap((0, 2), 2)
         for _ in range(5):
             w = random_form(rng, 4, 2)
-            assert pf_pullback(k, pf_pullback(h, w)) == pf_pullback(h.compose(k), w)
+            assert pf_pullback(k, pf_pullback(h, w)) == pf_pullback(compose(h, k), w)
 
     def test_chain_map(self):
         rng = random.Random(13)
