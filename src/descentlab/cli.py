@@ -329,28 +329,29 @@ def _cmd_telescope(job):
 
 
 def _cmd_emit_fixture(job):
-    if job.fixture is None:
-        raise InputError("emit-fixture needs a fixture name")
     obj = fx.emit_fixture(job.fixture, seed=job.seed)
     payload = (complex_to_json(obj) if isinstance(obj, Complex)
                else presheaf_to_json(obj))
     return {"fixture": job.fixture, "seed": job.seed}, [], payload
 
 
+# each subcommand's body and the options it reads; --out, --format and
+# --seed, which run() and main() read, come with every subcommand
 _BODIES = {
-    "validate": _cmd_validate,
-    "homology": _cmd_homology,
-    "cech": _cmd_cech,
-    "tot": _cmd_tot,
-    "tw": _cmd_tw,
-    "compare": _cmd_compare,
-    "descent": _cmd_descent,
-    "incl-excl": _cmd_incl_excl,
-    "bv-check": _cmd_bv_check,
-    "p1-demo": _cmd_p1_demo,
-    "covers-check": _cmd_covers_check,
-    "telescope": _cmd_telescope,
-    "emit-fixture": _cmd_emit_fixture,
+    "validate": (_cmd_validate, ("--input",)),
+    "homology": (_cmd_homology, ("--input", "--degree-window")),
+    "cech": (_cmd_cech, ("--input", "--degree-window")),
+    "tot": (_cmd_tot, ("--input",)),
+    "tw": (_cmd_tw, ("--input", "--weight-cutoff")),
+    "compare": (_cmd_compare, ("--input", "--weight-cutoff")),
+    "descent": (_cmd_descent, ("--input",)),
+    "incl-excl": (_cmd_incl_excl, ("--input",)),
+    "bv-check": (_cmd_bv_check, ()),
+    "p1-demo": (_cmd_p1_demo, ("--laurent-cutoff",)),
+    "covers-check": (_cmd_covers_check, ("--input",)),
+    "telescope": (_cmd_telescope, ("--input", "--novikov-den", "--novikov-e",
+                                   "--weight-cutoff")),
+    "emit-fixture": (_cmd_emit_fixture, ("fixture",)),
 }
 COMMANDS = tuple(_BODIES)
 
@@ -362,7 +363,7 @@ COMMANDS = tuple(_BODIES)
 def run(job):
     """Execute one job, the namespace job_from_args returns; returns
     (report dict, exit code)."""
-    options, checks, payload = _BODIES[job.command](job)
+    options, checks, payload = _BODIES[job.command][0](job)
     report = {
         "command": job.command,
         "seed": job.seed,
@@ -430,6 +431,22 @@ def _fraction_arg(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
+# the add_argument keywords of each option
+_OPTIONS = {
+    "fixture": dict(help="bundled fixture name"),
+    "--out": dict(default=None, help="write report here"),
+    "--format": dict(choices=("json", "text"), default="json"),
+    "--seed": dict(type=int, default=0),
+    "--input": dict(default=None,
+                    help="input JSON (bundled fixture when omitted)"),
+    "--degree-window": dict(type=_window_arg, default=None),
+    "--weight-cutoff": dict(type=int, default=None),
+    "--laurent-cutoff": dict(type=int, default=None),
+    "--novikov-den": dict(type=int, default=None),
+    "--novikov-e": dict(type=_fraction_arg, default=None),
+}
+
+
 @functools.cache
 def _parser():
     """The argument parser, built on first use and shared by every main()
@@ -438,20 +455,10 @@ def _parser():
         prog="descentlab",
         description="exact homological-algebra constructions and checks")
     sub = top.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, reads) in _BODIES.items():
         p = sub.add_parser(name)
-        if name == "emit-fixture":
-            p.add_argument("fixture", help="bundled fixture name")
-        p.add_argument("--input", default=None,
-                       help="input JSON (bundled fixture when omitted)")
-        p.add_argument("--out", default=None, help="write report here")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--weight-cutoff", type=int, default=None)
-        p.add_argument("--laurent-cutoff", type=int, default=None)
-        p.add_argument("--novikov-den", type=int, default=None)
-        p.add_argument("--novikov-e", type=_fraction_arg, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--degree-window", type=_window_arg, default=None)
+        for opt in reads + ("--out", "--format", "--seed"):
+            p.add_argument(opt, **_OPTIONS[opt])
     return top
 
 
@@ -468,10 +475,9 @@ def _threads_from_env():
 
 
 def job_from_args(args):
-    """The parsed options as one job: threads read from DESCENTLAB_THREADS,
-    and no fixture name outside emit-fixture."""
+    """The parsed options as one job, with threads read from
+    DESCENTLAB_THREADS."""
     args.threads = _threads_from_env()
-    args.fixture = getattr(args, "fixture", None)
     return args
 
 

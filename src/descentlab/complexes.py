@@ -95,33 +95,27 @@ def single(ring=QQ, degree=0, dim=1) -> Complex:
 
 
 class ChainMap:
-    """Degree-shifting map of complexes; shift s means f : C^n -> D^{n+s}."""
+    """Map of complexes f : C -> D of degree 0; mat(n) is C^n -> D^n."""
 
-    def __init__(self, source: Complex, target: Complex, mats, shift=0):
+    def __init__(self, source: Complex, target: Complex, mats):
         if source.ring != target.ring:
             raise RingMismatch("chain map between different coefficient rings")
         self.source = source
         self.target = target
-        self.shift = shift
         self.mats = dict(mats)
 
     def mat(self, n) -> SparseMatrix:
         m = self.mats.get(n)
         if m is None:
-            return SparseMatrix(self.target.dim(n + self.shift), self.source.dim(n))
+            return SparseMatrix(self.target.dim(n), self.source.dim(n))
         return m
 
     def validate(self):
-        s = self.shift
         for n, m in self.mats.items():
-            if (m.nrows, m.ncols) != (self.target.dim(n + s), self.source.dim(n)):
+            if (m.nrows, m.ncols) != (self.target.dim(n), self.source.dim(n)):
                 raise ShapeMismatch(f"chain map block at degree {n} has wrong shape")
         for n in self.source.degrees():
-            lhs = self.target.d(n + s) @ self.mat(n)
-            rhs = self.mat(n + 1) @ self.source.d(n)
-            if s % 2:
-                rhs = rhs.scale(-1)
-            if lhs != rhs:
+            if self.target.d(n) @ self.mat(n) != self.mat(n + 1) @ self.source.d(n):
                 raise ShapeMismatch(f"does not commute with differentials at degree {n}")
         return True
 
@@ -129,26 +123,20 @@ class ChainMap:
         """self after other (other then self)."""
         if other.target is not self.source and other.target != self.source:
             raise ShapeMismatch("composition target/source mismatch")
-        mats = {}
-        for n in other.source.degrees():
-            mats[n] = self.mat(n + other.shift) @ other.mat(n)
-        return ChainMap(other.source, self.target, mats, self.shift + other.shift)
+        mats = {n: self.mat(n) @ other.mat(n) for n in other.source.degrees()}
+        return ChainMap(other.source, self.target, mats)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
-        if self.shift != other.shift:
-            raise ShapeMismatch("cannot add maps with different shifts")
         mats = {n: self.mat(n) + other.mat(n) for n in self.source.degrees()}
-        return ChainMap(self.source, self.target, mats, self.shift)
+        return ChainMap(self.source, self.target, mats)
 
     def scale(self, s) -> "ChainMap":
         return ChainMap(self.source, self.target,
-                        {n: m.scale(s) for n, m in self.mats.items()}, self.shift)
+                        {n: m.scale(s) for n, m in self.mats.items()})
 
     def __eq__(self, other):
         if not isinstance(other, ChainMap):
             return NotImplemented
-        if self.shift != other.shift:
-            return False
         return all(self.mat(n) == other.mat(n) for n in self.source.degrees())
 
     @classmethod
@@ -199,11 +187,11 @@ class DirectSum:
         mats = {}
         for n in f.source.degrees():
             blk = f.mat(n)
-            m = SparseMatrix(self.cx.dim(n + f.shift), blk.ncols)
+            m = SparseMatrix(self.cx.dim(n), blk.ncols)
             if blk.nrows:
-                m.paste(blk, self.offsets[n + f.shift][i], 0)
+                m.paste(blk, self.offsets[n][i], 0)
             mats[n] = m
-        return ChainMap(f.source, self.cx, mats, f.shift)
+        return ChainMap(f.source, self.cx, mats)
 
     def extract(self, i, f: ChainMap) -> ChainMap:
         """f o pi_i, for f leaving part i."""
@@ -213,7 +201,7 @@ class DirectSum:
             m = SparseMatrix(blk.nrows, self.cx.dim(n))
             m.paste(blk, 0, self.offsets[n][i])
             mats[n] = m
-        return ChainMap(self.cx, f.target, mats, f.shift)
+        return ChainMap(self.cx, f.target, mats)
 
 
 def direct_sum(parts) -> DirectSum:
@@ -253,8 +241,6 @@ def cone(f: ChainMap) -> DirectSum:
     pasted into its differential: d(c, x) = (-d_C c, d_D x - f(c)).  The
     canonical maps are inject(1, id_D) and extract(0, id_{C[-1]}).
     """
-    if f.shift != 0:
-        raise ShapeMismatch("cone expects a degree-0 chain map")
     ds = direct_sum([shift(f.source, -1), f.target])
     for n, m in ds.cx.diff.items():
         m.paste(f.mat(n + 1), ds.offsets[n + 1][1], ds.offsets[n][0], -1)
@@ -265,8 +251,6 @@ def cocone(f: ChainMap) -> DirectSum:
     """cocone(f) = cone(f)[1] = C (+) D[1] with +f pasted into its
     differential, d(c, x) = (d_C c, f(c) - d_D x); degree n is C^n (+)
     D^{n-1}, and the canonical map onto C is extract(0, id_C)."""
-    if f.shift != 0:
-        raise ShapeMismatch("cocone expects a degree-0 chain map")
     ds = direct_sum([f.source, shift(f.target, 1)])
     for n, m in ds.cx.diff.items():
         m.paste(f.mat(n), ds.offsets[n + 1][1], ds.offsets[n][0])
@@ -366,9 +350,6 @@ def telescope(terms, maps) -> Telescope:
     L = len(terms)
     if L == 0 or len(maps) != L - 1:
         raise ShapeMismatch("telescope needs L terms and L-1 maps")
-    for i, f in enumerate(maps):
-        if f.shift != 0:
-            raise ShapeMismatch("telescope maps must have degree 0")
     tail = direct_sum(terms)
     if L == 1:
         # the empty head, placed so that the cone keeps C_1's support
@@ -527,10 +508,9 @@ def novikov_q_expansion_map(f: ChainMap, qsrc: Complex, qtgt: Complex) -> ChainM
 
     qsrc and qtgt must be the expansions of f's source and target.
     """
-    mats = {n: _q_block(f.mat(n), qtgt.dim(n + f.shift), qsrc.dim(n),
-                        f.source.ring)
+    mats = {n: _q_block(f.mat(n), qtgt.dim(n), qsrc.dim(n), f.source.ring)
             for n in f.source.degrees()}
-    return ChainMap(qsrc, qtgt, mats, f.shift)
+    return ChainMap(qsrc, qtgt, mats)
 
 
 def _nilpotent_partition(mat: SparseMatrix, dim: int):
@@ -613,7 +593,7 @@ def _induced(mat: SparseMatrix, hs: HomologySpace, ht: HomologySpace):
 
 def homology_map(f: ChainMap, n: int):
     """Matrix of H^n(f) in the HomologySpace representative bases."""
-    hs, ht = HomologySpace(f.source, n), HomologySpace(f.target, n + f.shift)
+    hs, ht = HomologySpace(f.source, n), HomologySpace(f.target, n)
     return _induced(f.mat(n), hs, ht), hs, ht
 
 
@@ -633,8 +613,6 @@ def is_quasi_iso(f: ChainMap) -> QuasiIsoCertificate:
     """f is a quasi-isomorphism iff cone(f) is acyclic (field coefficients)."""
     if f.source.ring != QQ:
         raise UnsupportedRing("quasi-isomorphism certificates require Q coefficients")
-    if f.shift != 0:
-        raise ShapeMismatch("expected a degree-0 chain map")
     cb = betti_numbers(cone(f).cx)
     witness = None
     for n in sorted(cb):
@@ -721,6 +699,24 @@ def _check_shape(lo, hi, dims, diff_degrees):
                              f"support [{lo}, {hi}]")
 
 
+def _first_spelling(spelled: dict, key, spelling: str, what: str):
+    """Record spelling as the one JSON key for key, and return key; a
+    second spelling of one degree, subset or arrow is an input error."""
+    if key in spelled:
+        raise InputError(f"{spelled[key]!r} and {spelling!r} name the same "
+                         f"{what}; give each {what} once")
+    spelled[key] = spelling
+    return key
+
+
+def _by_degree(table):
+    """table's values keyed by the degrees its keys spell; two spellings
+    of one degree ("0" and "+0") are an input error."""
+    spelled = {}
+    return {_first_spelling(spelled, int(k), k, "degree"): v
+            for k, v in table.items()}
+
+
 def complex_from_json(obj) -> Complex:
     """Load a complex and validate it: support, dimensions, shapes, and
     d^2 = 0.
@@ -733,9 +729,9 @@ def complex_from_json(obj) -> Complex:
         ring = ring_from_json(obj["coeff"])
         lo, hi = obj["support"]
         lo, hi = json_int(lo, "support"), json_int(hi, "support")
-        dims = {int(n): json_int(d, f"dims at degree {n}")
-                for n, d in obj["dims"].items()}
-        triples_at = {int(n): t for n, t in obj.get("diff", {}).items()}
+        dims = {n: json_int(d, f"dims at degree {n}")
+                for n, d in _by_degree(obj["dims"]).items()}
+        triples_at = _by_degree(obj.get("diff", {}))
         _check_shape(lo, hi, dims, [n for n, t in triples_at.items() if t])
         diff = {}
         for n, triples in triples_at.items():
@@ -752,23 +748,25 @@ def complex_from_json(obj) -> Complex:
 
 def chain_map_to_json(f: ChainMap):
     return {
-        "shift": f.shift,
+        "shift": 0,
         "mats": {str(n): [[r, c, scalar_to_str(v)] for r, c, v in sorted(f.mat(n).entries())]
                  for n in f.source.degrees() if not f.mat(n).is_zero()},
     }
 
 
 def chain_map_from_json(source: Complex, target: Complex, obj) -> ChainMap:
-    """Load a chain map between given complexes; InputError when malformed."""
+    """Load a chain map between given complexes; InputError when malformed
+    or when its "shift" is present and not 0 (chain maps have degree 0)."""
     try:
         s = json_int(obj.get("shift", 0), "shift")
+        if s:
+            raise InputError(f"shift is {s}, not 0: a chain map has degree 0")
         mats = {}
-        for n_str, triples in obj.get("mats", {}).items():
-            n = int(n_str)
+        for n, triples in _by_degree(obj.get("mats", {})).items():
             entries = [(json_int(r, "mats row"), json_int(c, "mats column"),
                         parse_scalar(source.ring, v)) for r, c, v in triples]
-            mats[n] = SparseMatrix.from_entries(target.dim(n + s), source.dim(n), entries)
+            mats[n] = SparseMatrix.from_entries(target.dim(n), source.dim(n), entries)
     except (KeyError, ValueError, TypeError, ZeroDivisionError,
             AttributeError) as exc:
         raise InputError(f"malformed chain map description: {exc!r}") from exc
-    return ChainMap(source, target, mats, s)
+    return ChainMap(source, target, mats)

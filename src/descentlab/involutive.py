@@ -186,7 +186,10 @@ def parse_poly(text, names):
         if tok is None:
             raise InputError("truncated polynomial text")
         if tok[0].isdigit():
-            return Poly.const(nvars, Fraction(tok))
+            try:
+                return Poly.const(nvars, Fraction(tok))
+            except ZeroDivisionError:
+                raise InputError(f"zero denominator in {tok!r}") from None
         if tok in index:
             base = Poly.var(nvars, index[tok])
             if peek() == "^":

@@ -25,8 +25,8 @@ from functools import cache
 from itertools import combinations
 
 from .complexes import (ChainMap, Complex, DirectSum, TensorComplex,
-                        betti_numbers, cocone, direct_sum, is_quasi_iso,
-                        json_int, shift)
+                        _first_spelling, betti_numbers, cocone, direct_sum,
+                        is_quasi_iso, json_int, shift)
 from .errors import (CosimplicialIdentityFailure, CutoffTooSmall,
                      FunctorialityFailure, InputError, NotAComplex,
                      RingMismatch, ShapeMismatch, UnsupportedRing)
@@ -863,16 +863,6 @@ def presheaf_to_json(F: CoverPresheaf):
     return {"n_sets": F.n_sets, "values": values, "restrictions": restrictions}
 
 
-def _first_spelling(spelled: dict, key, spelling: str, what: str):
-    """Record spelling as the one JSON key for key, and return key; a
-    second spelling of the same subset or arrow is an input error."""
-    if key in spelled:
-        raise InputError(f"{spelled[key]!r} and {spelling!r} name the same "
-                         f"{what}; give each {what} once")
-    spelled[key] = spelling
-    return key
-
-
 def presheaf_from_json(obj, check=True) -> CoverPresheaf:
     from .complexes import chain_map_from_json, complex_from_json
     try:
@@ -896,10 +886,8 @@ def presheaf_from_json(obj, check=True) -> CoverPresheaf:
                 raise InputError(f"restriction {arrow}: {exc}") from exc
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise InputError(f"malformed presheaf description: {exc}") from exc
-    for (src, dst), f in adjacent.items():
+    for src, dst in adjacent:
         arrow = f"{format_key(src)}->{format_key(dst)}"
-        if f.shift != 0:
-            raise InputError(f"restriction {arrow} has shift {f.shift}, not 0")
         if not (len(dst) == 1 if src == TOP else dst != TOP and
                 len(dst) == len(src) + 1 and set(src) <= set(dst)):
             raise InputError(f"restriction {arrow} is not one step "

@@ -274,6 +274,32 @@ def test_two_spellings_of_one_key_are_an_input_error(tmp_path, capsys, section,
         assert repr(first) in err and repr(second) in err
 
 
+def _q_diagram(mats):
+    """A telescope diagram Q -> Q in degree 0 whose map has the given mats."""
+    term = complex_to_json(single(QQ, 0, 1))
+    return {"terms": [term, term], "maps": [{"shift": 0, "mats": mats}]}
+
+
+@pytest.mark.parametrize("command,blob,first,second", [
+    ("homology", _q_complex({"0": [[0, 0, "1"]]}, dims={"0": 1, "1": 1,
+                                                        "00": 2},
+                            support=(0, 1)), "0", "00"),
+    # acyclic, but with d_0 replaced by the empty "+0" it read as
+    # Betti {0: 1, 1: 1}
+    ("homology", _q_complex({"0": [[0, 0, "1"]], "+0": []},
+                            dims={"0": 1, "1": 1}, support=(0, 1)), "0", "+0"),
+    ("telescope", _q_diagram({"0": [[0, 0, "1"]], " 0": []}), "0", " 0"),
+], ids=["dims", "diff", "mats"])
+def test_two_spellings_of_one_degree_are_an_input_error(tmp_path, capsys,
+                                                        command, blob, first,
+                                                        second):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert code == 2 and not out and err.startswith("descentlab: ")
+    assert repr(first) in err and repr(second) in err
+
+
 def _bundled_q_complexes():
     """The default homology input and every value of the bundled presheaf
     fixtures."""
@@ -434,6 +460,54 @@ def test_bad_degree_window_is_rejected(capsys):
         assert "degree-window" in capsys.readouterr().err
 
 
+# a valid value for each option that only some subcommands take
+_FLAG_VALUES = {"--input": "in.json", "--degree-window": "0:0",
+                "--weight-cutoff": "9", "--laurent-cutoff": "5",
+                "--novikov-den": "2", "--novikov-e": "3/2"}
+
+
+def _positional(command):
+    return ["triangle-boundary"] if command == "emit-fixture" else []
+
+
+def test_every_option_is_in_the_flag_table():
+    assert set(_FLAG_VALUES) | {"fixture", "--out", "--format", "--seed"} \
+        == set(cli._OPTIONS)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_option_of_a_subcommand_is_read(command):
+    # the body runs on its bundled default with a job that records every
+    # attribute read from it; an option the parser adds but the body never
+    # reads is one a user could set to no effect
+    body, options = cli._BODIES[command]
+    job = cli.job_from_args(cli._parser().parse_args([command,
+                                                      *_positional(command)]))
+    read = set()
+
+    class RecordingJob:
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(job, name)
+
+    body(RecordingJob())
+    unread = {opt for opt in options
+              if opt.lstrip("-").replace("-", "_") not in read}
+    assert not unread, unread
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, command):
+    foreign = [f for f in _FLAG_VALUES if f not in cli._BODIES[command][1]]
+    assert foreign
+    for flag in foreign:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *_positional(command), flag,
+                      _FLAG_VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_threads_env_is_recorded(monkeypatch, capsys):
     monkeypatch.setenv("DESCENTLAB_THREADS", "3")
     code, out, _ = run_cli(capsys, "descent")
@@ -483,6 +557,15 @@ def test_telescope_map_must_be_a_chain_map(tmp_path, capsys):
     path.write_text(json.dumps(blob))
     code, out, err = run_cli(capsys, "telescope", "--input", str(path))
     assert code == 2 and not out and "commute" in err
+
+
+def test_telescope_map_must_have_degree_0(tmp_path, capsys):
+    blob = _q_diagram({"0": [[0, 0, "1"]]})
+    blob["maps"][0]["shift"] = 1
+    path = tmp_path / "tel.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "telescope", "--input", str(path))
+    assert code == 2 and not out and "shift" in err
 
 
 def test_covers_check_reports_violations(tmp_path, capsys):
@@ -560,6 +643,23 @@ def test_zero_smoothing_denominator_is_an_input_error(tmp_path, capsys):
     path.write_text(json.dumps(job))
     code, out, err = run_cli(capsys, "covers-check", "--input", str(path))
     assert code == 2 and not out and "malformed smoothing block" in err
+
+
+@pytest.mark.parametrize("where", ["sequences", "sets", "smoothing"])
+def test_zero_denominator_in_a_covers_polynomial_is_an_input_error(
+        tmp_path, capsys, where):
+    job = {"pairs": 1, "sequences": [["q1 - 1"]], "sets": ["q1"],
+           "grid": [["0", "1", "1"], ["0", "1", "1"]]}
+    if where == "smoothing":
+        job["smoothing"] = {"mode": "sum", "deltas": ["1/2"],
+                            "f1": ["q1 - 1/0"], "f2": ["p1"]}
+    else:
+        job[where] = [["q1 - 1/0"]] if where == "sequences" else ["q1 - 1/0"]
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, "covers-check", "--input", str(path))
+    assert code == 2 and not out and err.startswith("descentlab: ")
+    assert "'1/0'" in err
 
 
 def test_covers_check_bundled_job_passes(capsys):

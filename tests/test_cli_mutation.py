@@ -1,11 +1,12 @@
 """Mutated fixtures through the command line: a fault, never a crash.
 
-Each example takes an emitted fixture (or one value complex of it), applies
-a few mutations -- a dropped key, a corrupted scalar, a bumped dimension or
-number of cover sets, a truncated list, an edited support -- and runs one subcommand in-process on
-the result.  Whatever the input, the exit status is 0, 1 or 2 and no
-exception escapes; a homology table printed with exit 0 over Q is a
-possible one (Betti numbers >= 0, Euler characteristic that of the chain
+Each example takes an emitted fixture (or one value complex of it), the
+bundled covers-check job or a telescope diagram, applies a few mutations --
+a dropped key, a corrupted scalar, a bumped dimension or number of cover
+sets, a truncated list, an edited support -- and runs one subcommand
+in-process on the result.  Whatever the input, the exit status is 0, 1 or
+2 and no exception escapes; a homology table printed with exit 0 over Q is
+a possible one (Betti numbers >= 0, Euler characteristic that of the chain
 groups).
 """
 
@@ -16,12 +17,13 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from descentlab import cli
 from descentlab import fixtures as fx
-from descentlab.complexes import Complex, complex_from_json, complex_to_json
+from descentlab.complexes import (ChainMap, Complex, chain_map_to_json,
+                                  complex_from_json, complex_to_json)
 from descentlab.presheaf import presheaf_to_json
 from descentlab.scalars import QQ
 
@@ -42,6 +44,22 @@ def _fixture_doc(name):
 
 DOCS = {name: _fixture_doc(name)
         for name in PRESHEAVES + ("novikov-telescope",)}
+
+
+def _diagram_doc(terms, maps):
+    return {"terms": [complex_to_json(c) for c in terms],
+            "maps": [chain_map_to_json(f) for f in maps]}
+
+
+CIRCLE = fx.circle_complex()
+# each job document with the subcommand that reads it
+JOBS = {
+    "covers": ("covers-check", cli._DEFAULT_COVER_JOB),
+    "telescope-q": ("telescope", _diagram_doc(
+        [CIRCLE] * 3, [ChainMap.identity(CIRCLE)] * 2)),
+    "telescope-novikov": ("telescope", _diagram_doc(
+        *fx.novikov_telescope_terms(1, 3, 4))),
+}
 
 
 def _nodes(doc, path=()):
@@ -147,3 +165,26 @@ def test_mutated_inputs_fail_cleanly(name, command, value_pick, muts):
             assert all(b >= 0 for b in betti.values()), betti
             assert sum((-1) ** (n % 2) * b
                        for n, b in betti.items()) == _euler(c), betti
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(JOBS)), muts=mutations)
+# the leaf "1/0" as a sequence and as a set (scalar leaves 7 and 10 of the
+# covers job)
+@example(name="covers", muts=[("scalar", 7, BAD_LEAVES.index("1/0"))])
+@example(name="covers", muts=[("scalar", 10, BAD_LEAVES.index("1/0"))])
+def test_mutated_jobs_fail_cleanly(name, muts):
+    command, doc = JOBS[name]
+    doc = copy.deepcopy(doc)
+    for kind, pick, arg in muts:
+        _mutate(doc, kind, pick, arg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, out, err = _run([command, "--input", path])
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert not out and err.startswith("descentlab: ")

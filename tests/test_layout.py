@@ -45,12 +45,12 @@ def random_matrix(rng, nrows, ncols):
         for r in range(nrows) for c in range(ncols) if rng.random() < 0.5])
 
 
-def random_map(rng, source, target, s):
-    """Any degreewise matrices source^n -> target^(n+s); the layout does not
+def random_map(rng, source, target):
+    """Any degreewise matrices source^n -> target^n; the layout does not
     need a chain map."""
-    mats = {n: random_matrix(rng, target.dim(n + s), source.dim(n))
+    mats = {n: random_matrix(rng, target.dim(n), source.dim(n))
             for n in source.degrees()}
-    return ChainMap(source, target, mats, s)
+    return ChainMap(source, target, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -145,22 +145,22 @@ def projection(parts, total, i, n):
     return m
 
 
-@given(seeds, st.integers(-1, 1))
+@given(seeds)
 @settings(max_examples=40, deadline=None)
-def test_inject_extract_are_identity_composites(seed, s):
+def test_inject_extract_are_identity_composites(seed):
     rng = random.Random(seed)
     parts = random_parts(rng)
     ds = direct_sum(parts)
     other = gappy(rng)
     for i, p in enumerate(parts):
-        f = random_map(rng, other, p, s)
+        f = random_map(rng, other, p)
         got = ds.inject(i, f)
-        assert (got.source, got.target, got.shift) == (other, ds.cx, s)
+        assert (got.source, got.target) == (other, ds.cx)
         for n in other.degrees():
-            assert got.mat(n) == inclusion(parts, ds.cx, i, n + s) @ f.mat(n)
-        g = random_map(rng, p, other, s)
+            assert got.mat(n) == inclusion(parts, ds.cx, i, n) @ f.mat(n)
+        g = random_map(rng, p, other)
         got = ds.extract(i, g)
-        assert (got.source, got.target, got.shift) == (ds.cx, other, s)
+        assert (got.source, got.target) == (ds.cx, other)
         for n in ds.cx.degrees():
             assert got.mat(n) == g.mat(n) @ projection(parts, ds.cx, i, n)
 
