@@ -239,24 +239,13 @@ def p1_polyvector_presheaf(window: int) -> CoverPresheaf:
     if D < 2:
         raise InputError("window must be at least 2")
 
-    def chart(name):
-        labels = {0: [f"{name}^{k}" for k in range(D + 1)],
-                  1: [f"{name}^{k}*d{name}" for k in range(D + 1)]}
-        return Complex(QQ, {0: D + 1, 1: D + 1}, {}, labels=labels,
-                       support=(0, 1))
-
-    c1, c2 = chart("x"), chart("y")
+    c1, c2 = (Complex(QQ, {0: D + 1, 1: D + 1}, {}, support=(0, 1))
+              for _ in range(2))
     fun_lo, fun_hi = -D, D
     fld_lo, fld_hi = 2 - D, D
-    overlap = Complex(
-        QQ,
-        {0: fun_hi - fun_lo + 1, 1: fld_hi - fld_lo + 1}, {},
-        labels={0: [f"x^{t}" for t in range(fun_lo, fun_hi + 1)],
-                1: [f"x^{t}*dx" for t in range(fld_lo, fld_hi + 1)]},
-        support=(0, 1))
-    top = Complex(QQ, {0: 1, 1: 3}, {},
-                  labels={0: ["1"], 1: ["dx", "x*dx", "x^2*dx"]},
-                  support=(0, 1))
+    overlap = Complex(QQ, {0: fun_hi - fun_lo + 1, 1: fld_hi - fld_lo + 1}, {},
+                      support=(0, 1))
+    top = Complex(QQ, {0: 1, 1: 3}, {}, support=(0, 1))
 
     def fun_col(t):
         return t - fun_lo

@@ -283,6 +283,10 @@ def _cmd_covers_check(job):
 
 def _cmd_telescope(job):
     if job.input is not None:
+        for flag in ("--novikov-den", "--novikov-e", "--weight-cutoff"):
+            if getattr(job, flag[2:].replace("-", "_")) is not None:
+                raise InputError(f"{flag} sets the bundled Novikov telescope "
+                                 "only; it cannot go with --input")
         data = _load_json(job.input)
         try:
             terms = [complex_from_json(t) for t in data["terms"]]

@@ -25,9 +25,12 @@ from .scalars import (QQ, NovikovElem, NovikovRing, format_novikov,
 
 
 class Complex:
-    """A bounded cochain complex with explicit sparse differentials."""
+    """A bounded cochain complex with explicit sparse differentials.  A leaf
+    complex built from named cells keeps them as labels[n][i]; a composite
+    has none, since its DirectSum or TensorComplex locates each coordinate."""
 
-    def __init__(self, ring, dims, diff, labels=None, support=None):
+    def __init__(self, ring, dims, diff, labels: dict | None = None,
+                 support=None):
         self.ring = ring
         self.dims = {n: d for n, d in dims.items()}
         if support is None:
@@ -57,11 +60,6 @@ class Complex:
         if m is None:
             return SparseMatrix(self.dim(n + 1), self.dim(n))
         return m
-
-    def label(self, n, i):
-        if self.labels and n in self.labels:
-            return self.labels[n][i]
-        return (n, i)
 
     def validate(self):
         """Check shapes and d^2 = 0; raises NotAComplex / ShapeMismatch."""
@@ -154,14 +152,11 @@ class ChainMap:
 
 
 def shift(c: Complex, k: int) -> Complex:
-    """C[k] with C[k]^n = C^{n-k} and differential (-1)^k d; each cell keeps
-    its name, so C[k].label(n + k, i) == C.label(n, i)."""
+    """C[k] with C[k]^n = C^{n-k} and differential (-1)^k d."""
     dims = {n + k: c.dim(n) for n in c.degrees()}
     sign = -1 if k % 2 else 1
     diff = {n + k: c.d(n).scale(sign) for n in c.degrees() if not c.d(n).is_zero()}
-    labels = {n + k: [c.label(n, i) for i in range(c.dim(n))] for n in c.degrees()}
-    return Complex(c.ring, dims, diff, labels=labels,
-                   support=(c.support[0] + k, c.support[1] + k))
+    return Complex(c.ring, dims, diff, support=(c.support[0] + k, c.support[1] + k))
 
 
 @dataclass
@@ -182,16 +177,21 @@ class DirectSum:
         i = bisect_right(self.offsets[n], index) - 1
         return i, index - self.offsets[n][i]
 
+    def collect(self, source: Complex, maps: dict) -> ChainMap:
+        """The sum over i of iota_i o maps[i], for maps[i] : source -> part i;
+        zero into each part that maps does not name."""
+        mats = {}
+        for n in source.degrees():
+            m = mats[n] = SparseMatrix(self.cx.dim(n), source.dim(n))
+            for i, f in maps.items():
+                blk = f.mat(n)
+                if blk.nrows:
+                    m.paste(blk, self.offsets[n][i], 0)
+        return ChainMap(source, self.cx, mats)
+
     def inject(self, i, f: ChainMap) -> ChainMap:
         """iota_i o f, for f landing in part i."""
-        mats = {}
-        for n in f.source.degrees():
-            blk = f.mat(n)
-            m = SparseMatrix(self.cx.dim(n), blk.ncols)
-            if blk.nrows:
-                m.paste(blk, self.offsets[n][i], 0)
-            mats[n] = m
-        return ChainMap(f.source, self.cx, mats)
+        return self.collect(f.source, {i: f})
 
     def extract(self, i, f: ChainMap) -> ChainMap:
         """f o pi_i, for f leaving part i."""
@@ -213,24 +213,22 @@ def direct_sum(parts) -> DirectSum:
         raise RingMismatch("direct sum over mixed rings")
     lo = min(p.support[0] for p in parts)
     hi = max(p.support[1] for p in parts)
-    dims, labels, offs = {}, {}, {}
+    dims, offs = {}, {}
     for n in range(lo, hi + 1):
-        off, labs = [], []
+        off = []
         acc = 0
-        for i, p in enumerate(parts):
+        for p in parts:
             off.append(acc)
-            labs.extend((i, p.label(n, j)) for j in range(p.dim(n)))
             acc += p.dim(n)
         dims[n] = acc
         offs[n] = off
-        labels[n] = labs
     diff = {}
     for n in range(lo, hi):
         m = SparseMatrix(dims[n + 1], dims[n])
         for i, p in enumerate(parts):
             m.paste(p.d(n), offs[n + 1][i], offs[n][i])
         diff[n] = m
-    cx = Complex(ring, dims, diff, labels=labels, support=(lo, hi))
+    cx = Complex(ring, dims, diff, support=(lo, hi))
     return DirectSum(cx, offs)
 
 
@@ -274,20 +272,17 @@ class TensorComplex:
         hi = A.support[1] + B.support[1]
         self._starts = {}   # n -> [(start, i)] of the present blocks
         self._start = {}    # (n, i) -> start of block i in degree n
-        dims, labels = {}, {}
+        dims = {}
         for n in range(lo, hi + 1):
-            starts, basis = [], []
+            starts, size = [], 0
             for i in A.degrees():
-                j = n - i
-                if B.dim(j) == 0 or A.dim(i) == 0:
-                    continue
-                starts.append((len(basis), i))
-                self._start[(n, i)] = len(basis)
-                basis.extend((i, A.label(i, a), B.label(j, b))
-                             for a in range(A.dim(i)) for b in range(B.dim(j)))
+                block = A.dim(i) * B.dim(n - i)
+                if block:
+                    starts.append((size, i))
+                    self._start[(n, i)] = size
+                    size += block
             self._starts[n] = starts
-            dims[n] = len(basis)
-            labels[n] = basis
+            dims[n] = size
         diff = {}
         for n in range(lo, hi):
             m = SparseMatrix(dims[n + 1], dims[n])
@@ -304,7 +299,7 @@ class TensorComplex:
                             m.rows[self.pos(n + 1, i, a, r)][col] = v * sign
                         col += 1
             diff[n] = m
-        self.cx = Complex(A.ring, dims, diff, labels=labels, support=(lo, hi))
+        self.cx = Complex(A.ring, dims, diff, support=(lo, hi))
 
     def pos(self, n, i, a, b):
         return self._start[(n, i)] + a * self.B.dim(n - i) + b
@@ -684,7 +679,9 @@ def complex_to_json(c: Complex):
 def _check_shape(lo, hi, dims, diff_degrees):
     """InputError, naming the degree, unless the support is an interval
     holding every dimension (none negative) and every nonzero
-    differential d_n (n and n + 1 both in it)."""
+    differential d_n (n and n + 1 both in it), and each of its degrees
+    has a dimension.  A missing one is found by counting, so a huge support
+    with few dimensions is refused without walking it."""
     if lo > hi:
         raise InputError(f"support [{lo}, {hi}] is empty: {lo} > {hi}")
     for n, d in sorted(dims.items()):
@@ -697,6 +694,10 @@ def _check_shape(lo, hi, dims, diff_degrees):
         if not lo <= n < hi:
             raise InputError(f"differential at degree {n} leaves the "
                              f"support [{lo}, {hi}]")
+    if hi - lo + 1 != len(dims):
+        missing = next(n for n in range(lo, hi + 1) if n not in dims)
+        raise InputError(f"no dimension given at degree {missing}, inside "
+                         f"the support [{lo}, {hi}]")
 
 
 def _first_spelling(spelled: dict, key, spelling: str, what: str):

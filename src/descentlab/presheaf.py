@@ -221,14 +221,12 @@ class Nerve:
         the component into J' (|J'| = q+1) restricts from the subset of J'
         picked out by the image of f."""
         p, q = f.p, f.q
-        out = None
+        parts = {}
         for k2, J2 in enumerate(self.level_subsets[q]):
             J1 = tuple(sorted(J2[v] for v in f.verts))
             k1 = self.level_subsets[p].index(J1)
-            piece = self._sums[q].inject(
-                k2, self._sums[p].extract(k1, self.F.res(J1, J2)))
-            out = piece if out is None else out + piece
-        return out
+            parts[k2] = self._sums[p].extract(k1, self.F.res(J1, J2))
+        return self._sums[q].collect(self.level(p), parts)
 
     def coface(self, p, i) -> ChainMap:
         return self.dmap(coface(p, i))
@@ -247,16 +245,9 @@ class Nerve:
     def into_level(self, p, maps: dict) -> ChainMap:
         """The map S -> level p whose component into F(J) is maps[J] : S ->
         F(J) (zero for every J that maps does not name)."""
-        ds, js = self._sums[p], self.level_subsets[p]
-        src = next(iter(maps.values())).source
-        mats = {}
-        for n in src.degrees():
-            m = mats[n] = SparseMatrix(ds.cx.dim(n), src.dim(n))
-            for J, f in maps.items():
-                blk = f.mat(n)
-                if blk.nrows:
-                    m.paste(blk, ds.offsets[n][js.index(J)], 0)
-        return ChainMap(src, ds.cx, mats)
+        js = self.level_subsets[p]
+        return self._sums[p].collect(next(iter(maps.values())).source,
+                                     {js.index(J): f for J, f in maps.items()})
 
     def augmentation_to_level(self, p) -> ChainMap:
         """F(top) -> level p, restricting into every component."""

@@ -121,7 +121,7 @@ class NCModel:
                 for F2, s in img.items():
                     entries.append((self._index[n + 1][F2], col, s))
             diff[n] = SparseMatrix.from_entries(dims[n + 1], dims[n], entries)
-        self.cx = Complex(QQ, dims, diff, labels=dict(self._basis), support=(0, p))
+        self.cx = Complex(QQ, dims, diff, support=(0, p))
 
     def basis(self, n):
         return self._basis.get(n, [])
@@ -362,7 +362,7 @@ class OmegaModel:
                 for k2, c in _d_monomial(b, I):
                     entries.append((self._index[n + 1][k2], col, Fraction(c)))
             diff[n] = SparseMatrix.from_entries(dims[n + 1], dims[n], entries)
-        self.cx = Complex(QQ, dims, diff, labels=dict(self._basis), support=(0, p))
+        self.cx = Complex(QQ, dims, diff, support=(0, p))
 
     def basis(self, n):
         return self._basis.get(n, [])

@@ -185,8 +185,13 @@ def test_unusable_complex_is_an_input_error(tmp_path, capsys, blob):
     (_q_complex({}, dims={"0": 1, "3": 1}), "degree 3"),
     (_q_complex({"2": [[0, 0, "1"]]}), "degree 2"),
     (_narrowed_novikov_telescope(), "degree 0"),
+    # every support degree needs a dimension, as complex_to_json writes it;
+    # a support the dims do not fill used to be walked degree by degree
+    (_q_complex({}, dims={"0": 1}, support=(0, 3)), "degree 1"),
+    (_q_complex({}, dims={"0": 1}, support=(0, 10**6)), "degree 1"),
 ], ids=["negative-dim", "reversed-support", "dim-outside-support",
-        "diff-outside-support", "novikov-narrowed-support"])
+        "diff-outside-support", "novikov-narrowed-support",
+        "dim-missing-in-support", "dim-missing-in-huge-support"])
 def test_shape_fault_names_the_degree(tmp_path, capsys, blob, degree):
     path = tmp_path / "cx.json"
     path.write_text(json.dumps(blob))
@@ -506,6 +511,55 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, command):
                       _FLAG_VALUES[flag]])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _bundled_input(command):
+    """What --input names for a body: its bundled default as JSON, a
+    two-term Q diagram for telescope and the bundled covers job."""
+    if command == "homology":
+        return complex_to_json(fx.circle_complex())
+    if command == "telescope":
+        return _q_diagram({"0": [[0, 0, "1"]]})
+    if command == "covers-check":
+        return cli._DEFAULT_COVER_JOB
+    fixture = "three-edge" if command == "incl-excl" else "triangle-boundary"
+    return presheaf_to_json(fx.emit_fixture(fixture))
+
+
+@pytest.mark.parametrize("command", [c for c in cli.COMMANDS
+                                     if "--input" in cli._BODIES[c][1]])
+def test_each_option_of_a_subcommand_is_read_beside_input(tmp_path, command):
+    # test_each_option_of_a_subcommand_is_read on an input file: an option
+    # that only the bundled default uses must be rejected here, which reads
+    # it too
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_bundled_input(command)))
+    body, options = cli._BODIES[command]
+    job = cli.job_from_args(cli._parser().parse_args([command, "--input",
+                                                      str(path)]))
+    read = set()
+
+    class RecordingJob:
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(job, name)
+
+    body(RecordingJob())
+    unread = {opt for opt in options
+              if opt.lstrip("-").replace("-", "_") not in read}
+    assert not unread, unread
+
+
+@pytest.mark.parametrize("flag", ["--novikov-den", "--novikov-e",
+                                  "--weight-cutoff"])
+def test_bundled_telescope_flags_are_refused_beside_input(tmp_path, capsys,
+                                                          flag):
+    path = tmp_path / "tel.json"
+    path.write_text(json.dumps(_q_diagram({"0": [[0, 0, "1"]]})))
+    code, out, err = run_cli(capsys, "telescope", "--input", str(path),
+                             flag, _FLAG_VALUES[flag])
+    assert code == 2 and not out
+    assert flag in err and "bundled" in err
 
 
 def test_threads_env_is_recorded(monkeypatch, capsys):

@@ -74,13 +74,6 @@ class TestShift:
         assert shift(c, 1).d(1).get(0, 0) == -5
         assert shift(c, 2).d(2).get(0, 0) == 5
 
-    def test_shift_keeps_cell_names(self):
-        sh = shift(single(QQ, 1, 2), -1)
-        assert [sh.label(0, i) for i in range(2)] == [(1, 0), (1, 1)]
-        cx = Complex(QQ, {0: 1, 1: 2}, {}, labels={1: ["a", "b"]})
-        sh = shift(cx, 3)
-        assert [sh.label(3, 0), sh.label(4, 0), sh.label(4, 1)] == [(0, 0), "a", "b"]
-
 
 class TestConeCocone:
     @given(seeds)

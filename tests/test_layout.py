@@ -1,11 +1,10 @@
 """Block layout of direct sums and tensor products.
 
 ``DirectSum`` and ``TensorComplex`` own where each block sits in each
-degree; everything else asks them through ``locate``/``pos``/``inject``/
-``extract``.  Cones, cocones and telescopes are direct sums too.  These
-tests check the layout against the basis labels and against
-identity-matrix inclusions and projections built here from the part
-dimensions alone.
+degree; everything else asks them through ``locate``/``pos``/``collect``/
+``inject``/``extract``.  Cones, cocones and telescopes are direct sums too.
+These tests check the layout against identity-matrix inclusions and
+projections built here from the part dimensions alone.
 """
 
 import random
@@ -29,14 +28,13 @@ seeds = st.integers(0, 10**6)
 
 def gappy(rng, lo=None):
     """A complex with random dimensions 0..2 (gaps included) over a short
-    support, labelled, with zero differential; or a twisted random complex."""
+    support, with zero differential; or a twisted random complex."""
     if rng.random() < 0.4:
         return fx.random_complex(rng, 0, rng.randrange(3))[0]
     lo = rng.randrange(-1, 2) if lo is None else lo
     hi = lo + rng.randrange(4)
     dims = {n: rng.randrange(3) for n in range(lo, hi + 1)}
-    labels = {n: [f"e{n}.{k}" for k in range(d)] for n, d in dims.items()}
-    return Complex(QQ, dims, {}, labels=labels, support=(lo, hi))
+    return Complex(QQ, dims, {}, support=(lo, hi))
 
 
 def random_matrix(rng, nrows, ncols):
@@ -69,8 +67,6 @@ def check_tensor_layout(A, B):
                 for b in range(B.dim(j)):
                     k = tc.pos(n, i, a, b)
                     assert tc.locate(n, k) == (i, a, b)
-                    assert tc.cx.labels[n][k] == (i, A.label(i, a),
-                                                  B.label(j, b))
                     order.append(k)
         # ascending (i, a, b) is ascending position, covering the degree
         assert order == list(range(tc.cx.dim(n)))
@@ -127,7 +123,6 @@ def test_direct_sum_locate_roundtrip(seed):
             i, j = ds.locate(n, index)
             assert 0 <= j < parts[i].dim(n)
             assert ds.offsets[n][i] + j == index
-            assert ds.cx.labels[n][index] == (i, parts[i].label(n, j))
         for bad in (-1, ds.cx.dim(n)):
             with pytest.raises(ShapeMismatch):
                 ds.locate(n, bad)
@@ -163,20 +158,29 @@ def test_inject_extract_are_identity_composites(seed):
         assert (got.source, got.target) == (ds.cx, other)
         for n in ds.cx.degrees():
             assert got.mat(n) == g.mat(n) @ projection(parts, ds.cx, i, n)
+    # collect over a random subset of the parts sums their inclusions
+    fs = {i: random_map(rng, other, p) for i, p in enumerate(parts)
+          if rng.random() < 0.5}
+    got, zero = ds.collect(other, fs), ds.collect(other, {})
+    assert (got.source, got.target) == (other, ds.cx)
+    for n in other.degrees():
+        want = SparseMatrix(ds.cx.dim(n), other.dim(n))
+        for i, f in fs.items():
+            want = want + inclusion(parts, ds.cx, i, n) @ f.mat(n)
+        assert got.mat(n) == want
+        assert zero.mat(n).is_zero()
 
 
 # ---------------------------------------------------------------------------
 # cones, cocones and telescopes
 
 
-def check_two_part_layout(ds, name):
-    """locate inverts the offsets, and each index carries the label that
-    name(n, part, coordinate) gives it."""
+def check_two_part_layout(ds):
+    """locate inverts the offsets."""
     for n in ds.cx.degrees():
         for index in range(ds.cx.dim(n)):
             i, j = ds.locate(n, index)
             assert ds.offsets[n][i] + j == index
-            assert ds.cx.labels[n][index] == (i, name(n, i, j))
         for bad in (-1, ds.cx.dim(n)):
             with pytest.raises(ShapeMismatch):
                 ds.locate(n, bad)
@@ -191,9 +195,7 @@ def test_cone_is_a_direct_sum(seed):
     mc.cx.validate()
     for n in mc.cx.degrees():
         assert mc.offsets[n] == [0, C.dim(n + 1)]
-    # each source cell is named by its degree in C
-    check_two_part_layout(
-        mc, lambda n, i, j: C.label(n + 1, j) if i == 0 else D.label(n, j))
+    check_two_part_layout(mc)
     parts = [shift(C, -1), D]
     from_target = mc.inject(1, ChainMap.identity(D))
     to_shifted_source = mc.extract(0, ChainMap.identity(parts[0]))
@@ -214,8 +216,7 @@ def test_cocone_is_a_direct_sum(seed):
     cc.cx.validate()
     for n in cc.cx.degrees():
         assert cc.offsets[n] == [0, C.dim(n)]
-    check_two_part_layout(
-        cc, lambda n, i, j: C.label(n, j) if i == 0 else D.label(n - 1, j))
+    check_two_part_layout(cc)
     parts = [C, shift(D, 1)]
     to_source = cc.extract(0, ChainMap.identity(C))
     to_source.validate()
@@ -258,6 +259,27 @@ def test_nerve_pos_inverts_locate():
                 J, loc = nerve.locate(p, q, index)
                 assert loc < F.value(J).dim(q)
                 assert nerve.pos(p, q, J, loc) == index
+
+
+@pytest.mark.parametrize("F", [
+    fx.random_presheaf(random.Random(1), 3)[0],
+    fx.random_presheaf(random.Random(2), 4)[0],
+    fx.triangle_three_edge_presheaf(),
+], ids=["random-N3", "random-N4", "three-edge"])
+def test_coface_is_the_sum_of_its_restrictions(F):
+    # each component J2 of level p + 1 restricts from the J1 that coface i
+    # picks out, assembled here one full-size inject(extract(...)) at a time
+    nerve = Nerve(F)
+    sums = [direct_sum([F.value(J) for J in js]) for js in nerve.level_subsets]
+    for p in range(nerve.n_levels - 1):
+        for i in range(p + 2):
+            want = ChainMap.zero(nerve.level(p), nerve.level(p + 1))
+            for k2, J2 in enumerate(nerve.level_subsets[p + 1]):
+                J1 = J2[:i] + J2[i + 1:]
+                k1 = nerve.level_subsets[p].index(J1)
+                want = want + sums[p + 1].inject(
+                    k2, sums[p].extract(k1, F.res(J1, J2)))
+            assert nerve.coface(p, i) == want
 
 
 def test_cech_offset_is_none_for_an_empty_block():
