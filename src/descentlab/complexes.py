@@ -660,10 +660,24 @@ def ring_from_json(obj):
     raise ValueError(f"unknown ring descriptor {obj!r}")
 
 
+def _is_digits(text):
+    return text.isascii() and text.isdigit()
+
+
 def parse_scalar(ring, s):
-    if ring == QQ:
-        return Fraction(str(s))
-    return parse_novikov(ring, str(s))
+    """A JSON entry as a scalar of ring.  Over Q an int, or a str spelled
+    -?digits or -?digits/digits, is read by int(); anything else goes
+    through Fraction(str(s)), so a float is read as its decimal."""
+    if ring != QQ:
+        return parse_novikov(ring, str(s))
+    if type(s) is int:
+        return Fraction(s)
+    if type(s) is str:
+        num, slash, den = s.partition("/")
+        if _is_digits(num[1:] if num[:1] == "-" else num) and (
+                not slash or _is_digits(den)):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(str(s))
 
 
 def complex_to_json(c: Complex):

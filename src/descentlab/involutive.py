@@ -3,9 +3,9 @@
 Functions on a standard symplectic space are exact polynomials in the
 position/momentum variables.  Cover sets cut out by sign conditions on such
 functions get smooth replacements built from a hyperbola smoothing of the
-coordinate cross; the smoothed values live in a tiny exact algebraic-number
-type so that every sign decision and every comparison in the checkers is
-made without floating point.
+coordinate cross; each smoothed value is an exact algebraic number in
+integer normal form (A + B*sqrt(D)) / (Q*sqrt(2)), so every sign decision
+and comparison in the checkers is made on ints, without floating point.
 """
 
 import itertools
@@ -265,26 +265,15 @@ def check_composition_lemma(fs, g1, g2):
 
 
 # ---------------------------------------------------------------------------
-# exact values of the form (a + b*sqrt(disc)) / sqrt(2)
+# exact values of the form (A + B*sqrt(D)) / (Q*sqrt(2)) on integers
 
 
 def _sgn(x):
     return (x > 0) - (x < 0)
 
 
-def _exact_sqrt(d):
-    """Rational square root of a nonnegative Fraction, or None."""
-    if d == 0:
-        return Fraction(0)
-    rn = math.isqrt(d.numerator)
-    rd = math.isqrt(d.denominator)
-    if rn * rn == d.numerator and rd * rd == d.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def _two_term_sign(a, b, d):
-    """Sign of a + b*sqrt(d) with d not a perfect square, or b zero."""
+    """Sign of a + b*sqrt(d) for ints, d not a perfect square or b zero."""
     if a == 0:
         return _sgn(b)
     if _sgn(a) == _sgn(b):
@@ -292,60 +281,69 @@ def _two_term_sign(a, b, d):
     return _sgn(a) if a * a > b * b * d else _sgn(b)
 
 
-_ZERO, _TWO = Fraction(0), Fraction(2)
-
-
 class AlgebraicValue:
-    """The exact number (a + b*sqrt(disc)) / sqrt(2).
+    """The exact number (A + B*sqrt(D)) / (Q*sqrt(2)), held as four ints.
 
-    Rational square roots are folded into the rational part on
-    construction, so afterwards disc is zero or irrational.  Instances
-    compare exactly: the sign of a + b*sqrt(d1) + c*sqrt(d2) is settled by
-    squaring once, with no approximation of the square roots, and adding a
-    rational multiple of sqrt(2) stays in the representation — which is
-    all the smoothing calculus needs.
+    Q > 0, and D is zero or not a perfect square (a rational root is
+    folded into A), with B zero exactly when D is.  Instances compare
+    exactly: the sign of a + b*sqrt(d1) + c*sqrt(d2) is settled on
+    integers by squaring once, and adding a rational multiple of sqrt(2)
+    stays in the representation — all the smoothing calculus needs.  The
+    Fraction views a, b and disc give the number as (a + b*sqrt(disc)) /
+    sqrt(2) with b in {-1, 0, 1}; the three-Fraction form this replaced
+    is the oracle of tests/test_involutive_oracle.py.
     """
 
-    __slots__ = ("a", "b", "disc")
+    __slots__ = ("_A", "_B", "_D", "_Q")
 
-    def __init__(self, a, b=0, disc=0):
+    def __new__(cls, a, b=0, disc=0):
         a, b, disc = Fraction(a), Fraction(b), Fraction(disc)
         if disc < 0:
             raise InputError("negative discriminant")
-        root = _exact_sqrt(disc)
-        if root is not None:
-            a, b, disc = a + b * root, Fraction(0), Fraction(0)
-        if b == 0:
-            disc = Fraction(0)
-        self.a, self.b, self.disc = a, b, disc
+        # b*sqrt(u/v) = b*sqrt(u*v)/v
+        v = disc.denominator
+        return cls._normal(a.numerator * b.denominator * v,
+                           b.numerator * a.denominator, disc.numerator * v,
+                           a.denominator * b.denominator * v)
 
     @classmethod
-    def _normal(cls, a, b, disc):
-        """The value of fields already in normal form, stored as given."""
+    def _normal(cls, A, B, D, Q):
+        """(A + B*sqrt(D)) / (Q*sqrt(2)), a rational sqrt(D) folded into A."""
+        root = math.isqrt(D)
+        if root * root == D or not B:
+            A, B, D = A + B * root, 0, 0
         v = object.__new__(cls)
-        v.a, v.b, v.disc = a, b, disc
+        v._A, v._B, v._D, v._Q = A, B, D, Q
         return v
 
     @classmethod
     def from_rational(cls, r):
-        b = Fraction(r)
-        return cls._normal(_ZERO, b, _TWO if b else _ZERO)
+        r = r if isinstance(r, (int, Fraction)) else Fraction(r)
+        # r = n*sqrt(2) / (d*sqrt(2))
+        return cls._normal(0, r.numerator, 2, r.denominator)
+
+    a = property(lambda self: Fraction(self._A, self._Q))
+    b = property(lambda self: Fraction(_sgn(self._B)))
+    disc = property(lambda self: Fraction(self._B * self._B * self._D,
+                                          self._Q * self._Q))
 
     def plus_sqrt2(self, s):
         """This value plus s*sqrt(2), exactly (s a Fraction or int)."""
-        return AlgebraicValue._normal(self.a + 2 * s, self.b, self.disc)
+        n, d = s.numerator, s.denominator
+        return AlgebraicValue._normal(self._A * d + 2 * n * self._Q,
+                                      self._B * d, self._D, self._Q * d)
 
     def sign(self):
-        if self.b == 0:
-            return _sgn(self.a)
-        return _two_term_sign(self.a, self.b, self.disc)
+        return _two_term_sign(self._A, self._B, self._D)
 
     def _cmp(self, other):
         if not isinstance(other, AlgebraicValue):
             other = AlgebraicValue.from_rational(other)
-        A = self.a - other.a
-        B, d1 = self.b, self.disc
-        C, d2 = -other.b, other.disc
+        # the sign of the difference times Q1*Q2 > 0
+        q1, q2 = self._Q, other._Q
+        A = self._A * q2 - other._A * q1
+        B, d1 = self._B * q2, self._D
+        C, d2 = -other._B * q1, other._D
         if not C or d1 == d2:       # at most one surd
             return _two_term_sign(A, B + C, d1)
         if not B:
@@ -360,8 +358,8 @@ class AlgebraicValue:
         # A and u have opposite signs: compare A^2 with
         # u^2 = B^2 d1 + C^2 d2 + 2BC sqrt(d1 d2)
         r, s, d = A * A - bb - cc, -2 * B * C, d1 * d2
-        root = _exact_sqrt(d)
-        return sa * (_sgn(r + s * root) if root is not None
+        root = math.isqrt(d)
+        return sa * (_sgn(r + s * root) if root * root == d
                      else _two_term_sign(r, s, d))
 
     def __eq__(self, other):
@@ -382,7 +380,9 @@ class AlgebraicValue:
     __hash__ = None
 
     def __float__(self):
-        return ((float(self.a) + float(self.b) * math.sqrt(float(self.disc)))
+        # each int quotient rounds once, as float() of the Fraction view does
+        B, Q = self._B, self._Q
+        return ((self._A / Q + _sgn(B) * math.sqrt(B * B * self._D / (Q * Q)))
                 / math.sqrt(2.0))
 
     def __repr__(self):
@@ -414,29 +414,28 @@ def smoothing_h(curve, x, y):
     Closed form ((x+y) +/- sqrt((x-y)^2 + 4*delta)) / sqrt(2): plus for
     the intersection-corner branch (negative quadrant), minus for the
     union-corner branch (positive quadrant).  Negative exactly on the
-    smoothed region, zero exactly on the curve.
+    smoothed region, zero exactly on the curve.  With L the common
+    denominator of x and y and delta = n/m, Q = L*m clears every fraction.
     """
-    x, y = Fraction(x), Fraction(y)
-    disc = (x - y) ** 2 + 4 * curve.delta
-    return AlgebraicValue(x + y, 1 if curve.mode == INTERSECTION else -1, disc)
+    xd, yd = x.denominator, y.denominator
+    L = xd * yd // math.gcd(xd, yd)
+    X, Y = x.numerator * (L // xd), y.numerator * (L // yd)
+    n, m = curve.delta.numerator, curve.delta.denominator
+    return AlgebraicValue._normal(
+        (X + Y) * m, 1 if curve.mode == INTERSECTION else -1,
+        ((X - Y) ** 2 * m + 4 * n * L * L) * m, L * m)
 
 
 def region_sign(curve, x, y):
     """Expected sign of smoothing_h from the raw region description."""
-    x, y = Fraction(x), Fraction(y)
-    if curve.mode == INTERSECTION:
-        if x < 0 and y < 0:
-            if x * y > curve.delta:
-                return -1
-            if x * y == curve.delta:
-                return 0
-        return 1
-    if x > 0 and y > 0:
-        if x * y > curve.delta:
-            return 1
-        if x * y == curve.delta:
-            return 0
-    return -1
+    xn, yn = x.numerator, y.numerator
+    outside = 1 if curve.mode == INTERSECTION else -1
+    if outside * xn >= 0 or outside * yn >= 0:   # off the corner's quadrant
+        return outside
+    # x*y - delta, times the positive denominators
+    gap = (xn * yn * curve.delta.denominator
+           - curve.delta.numerator * x.denominator * y.denominator)
+    return outside if gap < 0 else -outside * _sgn(gap)
 
 
 @dataclass(frozen=True)

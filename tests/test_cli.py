@@ -1,5 +1,6 @@
 """Batch front end: reports, exit codes, golden files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -636,6 +637,24 @@ def test_covers_check_reports_violations(tmp_path, capsys):
     check = json.loads(out)["checks"][0]
     bullets = {v["bullet"] for v in check["violations"]}
     assert "strictly-increasing" in bullets
+
+
+def test_covers_check_monotonicity_floats_are_pinned(tmp_path, capsys):
+    # the only report whose bytes hold floats of smoothed values: 25
+    # left/right pairs of stages that fail to increase
+    job = {"pairs": 1, "sequences": [["q1 - 1", "q1 - 1/2"]],
+           "sets": ["q1 - 1"],
+           "grid": [["-1", "1", "1/2"], ["-1", "1", "1/2"]],
+           "smoothing": {"mode": "intersection", "deltas": ["1", "1/2"],
+                         "f1": ["q1", "q1"], "f2": ["p1", "p1"]}}
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps(job))
+    code, out, _ = run_cli(capsys, "covers-check", "--input", str(path))
+    assert code == 1
+    mono = json.loads(out)["checks"][1]
+    assert mono["id"] == "stage-monotonicity" and len(mono["violations"]) == 25
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "789ccc1e31ad8b06bf3ef50bd2d360926e941c8516b261d67b0bea27edbc39c4")
 
 
 @pytest.mark.parametrize("grid_range", [["-2", "2"], ["-2", "2", "1/2", "1"],

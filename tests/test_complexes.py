@@ -11,7 +11,8 @@ from descentlab.complexes import (ChainMap, Complex, HomologySpace,
                                   chain_map_to_json, change_basis, cocone,
                                   complex_from_json, complex_to_json, cone,
                                   direct_sum, homology, homology_map,
-                                  is_quasi_iso, shift, single, telescope,
+                                  is_quasi_iso, parse_scalar, shift, single,
+                                  telescope,
                                   telescope_comparison, tensor)
 from descentlab.errors import NotAComplex, ShapeMismatch, UnsupportedRing
 from descentlab.fixtures import (random_chain_map, random_complex,
@@ -249,6 +250,25 @@ class TestQuasiIso:
         c = Complex(R, {0: 1}, {})
         with pytest.raises(UnsupportedRing):
             is_quasi_iso(ChainMap.identity(c))
+
+
+def _read(parse, s):
+    try:
+        value = parse(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("s", ["+3", " 3 ", "007", "-0", "1_000", "1e3",
+                               "1.5", "1/-2", "-1/2", "1/0", "", "\u0663",
+                               0.1, True, 2**80, "12/18", "-", "--1", "1/",
+                               "1/2/3"])
+def test_parse_scalar_reads_as_fraction_of_its_text(s):
+    # int() reads only an int and -?digits(/digits)?; every other entry
+    # keeps Fraction(str(s)), its value and its exception with its message
+    assert _read(lambda t: parse_scalar(QQ, t), s) == \
+        _read(lambda t: Fraction(str(t)), s)
 
 
 class TestSerde:

@@ -23,8 +23,7 @@ def test_every_script_has_a_case():
         sorted(argv[0] for argv in DEMOS)
 
 
-@pytest.mark.parametrize("argv", DEMOS, ids=[argv[0] for argv in DEMOS])
-def test_demo_exits_cleanly(argv):
+def _run(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -32,4 +31,23 @@ def test_demo_exits_cleanly(argv):
                            *argv[1:]], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv", DEMOS, ids=[argv[0] for argv in DEMOS])
+def test_demo_exits_cleanly(argv):
+    assert _run(argv).strip()
+
+
+def test_smoothing_demo_verdicts():
+    # every exact sign agrees with the region, the diagonal translation
+    # identity holds, and the three bundled stages increase
+    lines = _run(["corner_smoothing_demo.py", "--grid-steps", "11"]).splitlines()
+    survey = [line.split() for line in lines if "delta=" in line]
+    assert sorted(words[:2] for words in survey) == sorted(
+        [mode, f"delta={d}:"] for mode in ("intersection", "union")
+        for d in ("1", "1/2", "1/4"))
+    for words in survey:
+        assert " ".join(words[2:]) == \
+            "121 points, 0 sign mismatches, translation ok"
+    assert "stage monotonicity on 289 points: ok" in lines
