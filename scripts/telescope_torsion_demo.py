@@ -19,6 +19,7 @@ from descentlab.complexes import (homology, homology_map,
                                   telescope_comparison)
 from descentlab.fixtures import novikov_telescope_terms
 from descentlab.linalg import rank
+from descentlab.scalars import NovikovRing
 
 
 @dataclass
@@ -32,7 +33,7 @@ def run_job(job: TelescopeJob):
     terms, maps = novikov_telescope_terms(job.den, job.exponent, job.length)
     tel = telescope(terms, maps)
     report = homology(tel.cx)
-    m = round(job.den * job.exponent)
+    m = report.truncation_order
     print(f"den={job.den} E={job.exponent} length={job.length} "
           f"(truncation order {m})")
     for line in report.text().splitlines():
@@ -58,7 +59,7 @@ def main():
 
     for den, exponent in [(1, Fraction(3)), (2, Fraction(3, 2)),
                           (3, Fraction(2, 3))]:
-        m = round(den * exponent)
+        m = NovikovRing(den, exponent).truncation_order
         length = max(args.length, m + 1)
         run_job(TelescopeJob(den, exponent, length))
 

@@ -313,13 +313,12 @@ def _cmd_telescope(job):
     if den < 1 or exp <= 0 or length < 1:
         raise InputError("telescope options out of range")
     terms, maps = fx.novikov_telescope_terms(den, exp, length)
-    tel = telescope(terms, maps)
-    rep = homology(tel.cx)
-    m = rep.truncation_order
+    m = terms[0].ring.truncation_order
     if length <= m:
         raise InputError(
             f"telescope length {length} cannot certify vanishing past the "
             f"truncation order {m}; use at least {m + 1} terms")
+    rep = homology(telescope(terms, maps).cx)
     # no class survives: a comparison spanning the full truncation order
     # induces zero on homology, so nothing has valuation-zero persistence
     t1, t2, comp = telescope_comparison(terms, maps, length - m, length)

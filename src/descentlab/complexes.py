@@ -21,7 +21,7 @@ from .errors import (InputError, NotAComplex, RingMismatch, ShapeMismatch,
                      UnsupportedRing)
 from .linalg import SparseMatrix, TrackedEchelon, kernel_basis, rank
 from .scalars import (QQ, NovikovElem, NovikovRing, format_novikov,
-                      format_rational, parse_novikov)
+                      format_rational, parse_novikov, u_terms)
 
 
 class Complex:
@@ -447,63 +447,40 @@ def betti_numbers(c: Complex) -> dict:
     return out
 
 
-def _novikov_terms(elem):
-    """(exponent, coefficient) pairs of a ring element.
-
-    Plain rationals (which sneak in through identity and sign matrices)
-    count as valuation-zero scalars.
-    """
-    if isinstance(elem, NovikovElem):
-        return elem.terms.items()
-    return [(Fraction(0), Fraction(elem))]
-
-
-def _q_block(blk: SparseMatrix, nrows: int, ncols: int, ring) -> SparseMatrix:
-    """The Q-matrix of a Novikov matrix in the bases e_j (x) u^t, 0 <= t < m:
-    a term coeff*u^s at (r, c) sends e_c (x) u^t to coeff e_r (x) u^(t+s)."""
-    m, den = ring.truncation_order, ring.den
+def _q_block(blk: SparseMatrix, nrows: int, ncols: int, m: int) -> SparseMatrix:
+    """The Q-matrix of a Novikov matrix in the bases e_j (x) u^t, 0 <= t < m,
+    where e_j (x) u^t is coordinate j*m + t: a term c*u^k at (r, j) sends
+    e_j (x) u^t to c e_r (x) u^(t+k).  The one place that knows this layout."""
     q = SparseMatrix(nrows, ncols)
     for r, row in enumerate(blk.rows):
-        for c, elem in row.items():
-            for a, coeff in _novikov_terms(elem):
-                s = int(a * den)
-                for t in range(m - s):
-                    q.rows[r * m + t + s][c * m + t] = coeff
+        for j, x in row.items():
+            for k, coeff in u_terms(x):
+                for t in range(m - k):
+                    q.rows[r * m + t + k][j * m + t] = coeff
     return q
 
 
 def novikov_q_expansion(c: Complex):
-    """Flatten a truncated-Novikov complex to Q, with the u-action matrices.
-
-    Basis in each degree: e_j (x) u^t for j the original index, 0 <= t < m.
-    Returns (qdims, qdiff, uact) keyed by degree.
-    """
-    ring: NovikovRing = c.ring
-    m = ring.truncation_order
+    """Flatten a truncated-Novikov complex to Q: (qdims, qdiff) keyed by
+    degree, in the bases e_j (x) u^t of _q_block."""
+    m = c.ring.truncation_order
     qdims = {n: c.dim(n) * m for n in c.degrees()}
-    qdiff, uact = {}, {}
-    for n in c.degrees():
-        qdiff[n] = _q_block(c.d(n), qdims.get(n + 1, 0), qdims[n], ring)
-        u = SparseMatrix(qdims[n], qdims[n])
-        for j in range(c.dim(n)):
-            for t in range(m - 1):
-                u.rows[j * m + t + 1][j * m + t] = Fraction(1)
-        uact[n] = u
-    return qdims, qdiff, uact
+    qdiff = {n: _q_block(c.d(n), qdims.get(n + 1, 0), qdims[n], m)
+             for n in c.degrees()}
+    return qdims, qdiff
 
 
 def novikov_q_expansion_complex(c: Complex) -> Complex:
     """The Q-complex underlying a truncated-Novikov complex."""
-    qdims, qdiff, _ = novikov_q_expansion(c)
+    qdims, qdiff = novikov_q_expansion(c)
     return Complex(QQ, qdims, qdiff, support=c.support)
 
 
 def novikov_q_expansion_map(f: ChainMap, qsrc: Complex, qtgt: Complex) -> ChainMap:
-    """The Q-linear chain map underlying a truncated-Novikov chain map.
-
-    qsrc and qtgt must be the expansions of f's source and target.
-    """
-    mats = {n: _q_block(f.mat(n), qtgt.dim(n), qsrc.dim(n), f.source.ring)
+    """The Q-linear chain map underlying a truncated-Novikov chain map;
+    qsrc and qtgt must be the expansions of f's source and target."""
+    m = f.source.ring.truncation_order
+    mats = {n: _q_block(f.mat(n), qtgt.dim(n), qsrc.dim(n), m)
             for n in f.source.degrees()}
     return ChainMap(qsrc, qtgt, mats)
 
@@ -528,19 +505,20 @@ def _nilpotent_partition(mat: SparseMatrix, dim: int):
 def homology(c: Complex) -> HomologyReport:
     """Homology invariants; see HomologyReport for the two shapes.
 
-    Over a truncated Novikov ring the complex is expanded to Q, where each
-    degree's HomologySpace gives the cycle representatives and the matrix
-    of the u-action on homology; its Jordan blocks are the u-orders.
+    Over a truncated Novikov ring the complex is expanded to Q; the
+    expansion of multiplication by u acts on each degree's HomologySpace,
+    and the Jordan blocks of that action are the u-orders.
     """
     if c.ring == QQ:
         return HomologyReport("Q", "betti", betti=betti_numbers(c))
     ring: NovikovRing = c.ring
-    qdims, qdiff, uact = novikov_q_expansion(c)
-    qc = Complex(QQ, qdims, qdiff, support=c.support)
+    qc = novikov_q_expansion_complex(c)
+    u = ChainMap.identity(c).scale(ring.T(Fraction(1, ring.den)))
+    uact = novikov_q_expansion_map(u, qc, qc)
     torsion = {}
     for n in c.degrees():
         hs = HomologySpace(qc, n)
-        torsion[n] = _nilpotent_partition(_induced(uact[n], hs, hs), hs.dim)
+        torsion[n] = _nilpotent_partition(_induced(uact.mat(n), hs, hs), hs.dim)
     desc = f"Novikov(den={ring.den}, cutoff={format_rational(ring.cutoff)})"
     return HomologyReport(desc, "torsion", torsion=torsion, den=ring.den,
                           truncation_order=ring.truncation_order)

@@ -534,7 +534,8 @@ def check_weak_cover_conditions(f_seqs, grid, predicates):
     for m, seq in enumerate(f_seqs):
         for point in grid:
             values = [f(point) for f in seq]
-            if predicates[m](point):
+            member = predicates[m](point)
+            if member:
                 for i, v in enumerate(values):
                     if not v < 0:
                         violations.append({
@@ -546,8 +547,7 @@ def check_weak_cover_conditions(f_seqs, grid, predicates):
                     violations.append({
                         "bullet": "strictly-increasing", "set": m,
                         "index": i, "point": _point_repr(point)})
-            if values and all(v < 0 for v in values) \
-                    and not predicates[m](point):
+            if values and all(v < 0 for v in values) and not member:
                 violations.append({
                     "bullet": "captures-set", "set": m,
                     "point": _point_repr(point)})
@@ -593,19 +593,24 @@ def cover_monotonicity_report(cover_fns, grid):
     grid = list(grid)
     violations = []
     step_bounds = []
+    # each stage's (f1, f2) and g once per point, for the exact check and
+    # the bound
+    inputs = [[(g.f1(point), g.f2(point)) for point in grid] for g in cover_fns]
+    values = [[smoothing_h(g.curve, x, y) for x, y in col]
+              for g, col in zip(cover_fns, inputs)]
     for i in range(len(cover_fns) - 1):
-        gi, gn = cover_fns[i], cover_fns[i + 1]
+        gi = cover_fns[i]
         mode = gi.curve.mode
+        delta = float(gi.curve.delta)
         bound = None
-        for point in grid:
-            left, right = gi(point), gn(point)
+        for point, (x, y), (x2, y2), left, right in zip(
+                grid, inputs[i], inputs[i + 1], values[i], values[i + 1]):
             if not left < right:
                 violations.append({
                     "step": i, "point": _point_repr(point),
                     "left": float(left), "right": float(right)})
-            u, v = float(gi.f1(point)), float(gi.f2(point))
-            u2, v2 = float(gn.f1(point)), float(gn.f2(point))
-            root = math.sqrt((u - v) ** 2 + 4.0 * float(gi.curve.delta))
+            u, v, u2, v2 = float(x), float(y), float(x2), float(y2)
+            root = math.sqrt((u - v) ** 2 + 4.0 * delta)
             if mode == INTERSECTION:
                 reach = (u + v) - (u2 + v2) + root
                 if reach > 0:

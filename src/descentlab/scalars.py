@@ -1,10 +1,12 @@
 """Exact coefficient arithmetic.
 
 Two coefficient rings are supported everywhere: the rationals (plain
-``fractions.Fraction``) and a truncated Novikov ring.  An element of the
-truncated ring is a finite sum  c_1*T^(a_1) + ... + c_k*T^(a_k)  with rational
-coefficients and exponents a_i in (1/den)*Z_{>=0}, kept strictly below a
-rational cutoff; arithmetic drops every term at or above the cutoff.
+``fractions.Fraction``) and the truncated Novikov ring Λ = Q[u]/(u^m),
+u = T^(1/den), where m counts the powers T^(k/den) below a rational cutoff.
+An element holds ``terms``, {k: nonzero Fraction} with int keys 0 <= k < m.
+``NovikovRing.elem`` is the one place that reads a T-exponent and checks that
+it lies in (1/den)*Z_{>=0}; arithmetic adds int powers and never re-checks,
+and other modules read an element's (k, c) pairs through ``u_terms``.
 
 A scalar of either ring is zero exactly when it is falsy: ints and
 Fractions as usual, and a NovikovElem when it has no term left (a product
@@ -15,10 +17,11 @@ zero with ``not x``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import RingMismatch
+from .linalg import accumulate, add_into
 
 #: marker object for the rational coefficient ring
 QQ = "Q"
@@ -44,11 +47,13 @@ def format_rational(q: Fraction) -> str:
 class NovikovRing:
     """Truncated Novikov ring parameters: exponent denominator and cutoff.
 
-    Exponents live in (1/den)*Z_{>=0} and are kept strictly below ``cutoff``.
+    Exponents live in (1/den)*Z_{>=0} and are kept strictly below ``cutoff``,
+    so m = ``truncation_order`` = ceil(den*cutoff) powers of u survive.
     """
 
     den: int
     cutoff: Fraction
+    truncation_order: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.den, int) and self.den >= 1):
@@ -56,45 +61,46 @@ class NovikovRing:
         object.__setattr__(self, "cutoff", as_fraction(self.cutoff))
         if self.cutoff <= 0:
             raise ValueError("cutoff must be positive")
-
-    @property
-    def truncation_order(self) -> int:
-        """Number of distinct monomials T^(k/den), k >= 0, below the cutoff."""
         c = self.cutoff * self.den
-        return -((-c.numerator) // c.denominator)  # ceil
+        object.__setattr__(self, "truncation_order",
+                           -((-c.numerator) // c.denominator))  # ceil
 
     def zero(self) -> "NovikovElem":
-        return NovikovElem(self, {})
+        return self.elem({})
 
     def one(self) -> "NovikovElem":
         return self.scalar(1)
 
     def scalar(self, c) -> "NovikovElem":
-        return NovikovElem(self, {Fraction(0): as_fraction(c)})
+        return self.elem({0: c})
 
     def T(self, exponent, coeff=1) -> "NovikovElem":
-        return NovikovElem(self, {as_fraction(exponent): as_fraction(coeff)})
+        return self.elem({exponent: coeff})
 
     def elem(self, terms) -> "NovikovElem":
-        return NovikovElem(self, {as_fraction(a): as_fraction(c) for a, c in dict(terms).items()})
+        """The element sum c*T^a over a mapping a -> c; terms at or above
+        the cutoff are dropped, and any other a must lie in (1/den)*Z_{>=0}."""
+        out = {}
+        for a, c in dict(terms).items():
+            a, c = as_fraction(a), as_fraction(c)
+            if not c or a >= self.cutoff:
+                continue
+            k = a * self.den
+            if a < 0 or k.denominator != 1:
+                raise ValueError(f"exponent {a} not in (1/{self.den})Z_{{>=0}}")
+            out[k.numerator] = c
+        return NovikovElem(self, out)
 
 
 class NovikovElem:
-    """Element of a truncated Novikov ring, a finite exponent->coefficient map."""
+    """Element sum c*u^k of a truncated Novikov ring, terms {k: c}; the
+    constructor only stores them (``NovikovRing.elem`` reads T-exponents)."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: NovikovRing, terms):
+    def __init__(self, ring: NovikovRing, terms: dict):
         self.ring = ring
-        clean = {}
-        for a, c in terms.items():
-            a, c = as_fraction(a), as_fraction(c)
-            if not c or a >= ring.cutoff:
-                continue
-            if a < 0 or (a * ring.den).denominator != 1:
-                raise ValueError(f"exponent {a} not in (1/{ring.den})Z_{{>=0}}")
-            clean[a] = clean.get(a, Fraction(0)) + c
-        self.terms = {a: c for a, c in clean.items() if c}
+        self.terms = terms
 
     def _check_ring(self, other: "NovikovElem"):
         if self.ring != other.ring:
@@ -104,30 +110,26 @@ class NovikovElem:
         if isinstance(other, (int, Fraction)):
             other = self.ring.scalar(other)
         self._check_ring(other)
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            terms[a] = terms.get(a, Fraction(0)) + c
-        return NovikovElem(self.ring, terms)
+        return NovikovElem(self.ring, add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NovikovElem(self.ring, {a: -c for a, c in self.terms.items()})
+        return NovikovElem(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, NovikovElem) else -self.ring.scalar(other))
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NovikovElem(self.ring, {a: c * other for a, c in self.terms.items()})
+            return NovikovElem(self.ring, add_into({}, self.terms, other))
         self._check_ring(other)
-        cutoff = self.ring.cutoff
+        m = self.ring.truncation_order
         terms = {}
         for a, c in self.terms.items():
             for b, d in other.terms.items():
-                e = a + b
-                if e < cutoff:
-                    terms[e] = terms.get(e, Fraction(0)) + c * d
+                if a + b < m:
+                    accumulate(terms, a + b, c * d)
         return NovikovElem(self.ring, terms)
 
     __rmul__ = __mul__
@@ -151,16 +153,22 @@ class NovikovElem:
     __repr__ = __str__
 
 
+def u_terms(x):
+    """The (k, c) pairs of a scalar x = sum c*u^k; a plain rational, as
+    identity and sign matrices hold, is c*u^0."""
+    if isinstance(x, NovikovElem):
+        return x.terms.items()
+    return ((0, Fraction(x)),)
+
+
 def format_novikov(x: NovikovElem) -> str:
     if not x.terms:
         return "0"
     parts = []
-    for a in sorted(x.terms):
-        c = x.terms[a]
-        if a == 0:
-            parts.append(format_rational(c))
-        else:
-            parts.append(f"{format_rational(c)}*T^({format_rational(a)})")
+    for k in sorted(x.terms):
+        c = format_rational(x.terms[k])
+        parts.append(f"{c}*T^({format_rational(Fraction(k, x.ring.den))})"
+                     if k else c)
     return " + ".join(parts)
 
 

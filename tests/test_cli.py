@@ -583,6 +583,22 @@ def test_novikov_telescope_options(capsys):
     assert code == 2 and "truncation order" in err
 
 
+@pytest.mark.parametrize("argv", [["--weight-cutoff", "2"],
+                                  ["--novikov-e", "100000"]])
+def test_short_bundled_telescope_exits_before_homology(capsys, monkeypatch,
+                                                        argv):
+    # a length at most the truncation order is refused from the ring alone,
+    # so an expansion of order 100000 is never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the length check")
+
+    monkeypatch.setattr(cli, "homology", refuse)
+    monkeypatch.setattr(cli, "telescope", refuse)
+    code, out, err = run_cli(capsys, "telescope", *argv)
+    assert code == 2 and not out
+    assert "truncation order" in err
+
+
 # ---------------------------------------------------------------------------
 # remaining subcommands end to end
 
@@ -655,6 +671,28 @@ def test_covers_check_monotonicity_floats_are_pinned(tmp_path, capsys):
     assert mono["id"] == "stage-monotonicity" and len(mono["violations"]) == 25
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "789ccc1e31ad8b06bf3ef50bd2d360926e941c8516b261d67b0bea27edbc39c4")
+
+
+def test_covers_check_union_floats_are_pinned(tmp_path, capsys):
+    # three union stages whose inputs fall back on both steps: 21 float
+    # pairs across steps 0 and 1, and a ceiling bound for each step
+    job = {"pairs": 1, "sequences": [["q1 - 1", "q1 - 1/2", "q1 - 1/4"]],
+           "sets": ["q1 - 1"],
+           "grid": [["-1", "1", "1/2"], ["-1", "1", "1/2"]],
+           "smoothing": {"mode": "union", "deltas": ["1", "1/2", "1/4"],
+                         "f1": ["q1", "q1 - 1/2", "q1 - 1/2"],
+                         "f2": ["p1", "p1", "p1 - 1/4"]}}
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps(job))
+    code, out, _ = run_cli(capsys, "covers-check", "--input", str(path))
+    assert code == 1
+    mono = json.loads(out)["checks"][1]
+    assert [v["step"] for v in mono["violations"]] == sorted(
+        v["step"] for v in mono["violations"])
+    assert {v["step"] for v in mono["violations"]} == {0, 1}
+    assert [b["kind"] for b in mono["step_bounds"]] == ["max_next_delta"] * 2
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d66efb58b242cf6a934299b7cd513f580b56c382247980ceb8891b1018e92545")
 
 
 @pytest.mark.parametrize("grid_range", [["-2", "2"], ["-2", "2", "1/2", "1"],

@@ -1,8 +1,10 @@
 """Each demo under scripts/ runs to completion on small arguments."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -51,3 +53,23 @@ def test_smoothing_demo_verdicts():
         assert " ".join(words[2:]) == \
             "121 points, 0 sign mismatches, translation ok"
     assert "stage monotonicity on 289 points: ok" in lines
+
+
+def test_telescope_demo_reads_the_rings_truncation_order(capsys):
+    # den*E = 5/2: the ring keeps ceil(5/2) = 3 powers of u, so a length-5
+    # telescope is compared from length 2 and its torsion is pure
+    spec = importlib.util.spec_from_file_location(
+        "telescope_torsion_demo", ROOT / "scripts" / "telescope_torsion_demo.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.run_job(demo.TelescopeJob(2, Fraction(5, 4), 5))
+    out = capsys.readouterr().out
+    assert "(truncation order 3)" in out and "torsion pure" in out
+
+
+def test_telescope_demo_verdicts():
+    lines = _run(["telescope_torsion_demo.py", "--length", "3"]).splitlines()
+    settings = [line for line in lines if line.startswith("den=")]
+    verdicts = [line for line in lines if "comparison from length" in line]
+    assert len(settings) == len(verdicts) == 3
+    assert all(line.endswith("torsion pure") for line in verdicts)
