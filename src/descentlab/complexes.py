@@ -15,13 +15,16 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
 from .errors import (InputError, NotAComplex, RingMismatch, ShapeMismatch,
                      UnsupportedRing)
-from .linalg import SparseMatrix, TrackedEchelon, kernel_basis, rank
-from .scalars import (QQ, NovikovElem, NovikovRing, format_novikov,
-                      format_rational, parse_novikov, u_terms)
+from .linalg import (SparseMatrix, TrackedEchelon, accumulate, add_into,
+                     kernel_basis, rank)
+from .scalars import (QQ, NovikovElem, NovikovRing, divide_by_u,
+                      format_novikov, format_rational, parse_novikov,
+                      u_terms, unit_inverse, valuation)
 
 
 class Complex:
@@ -404,7 +407,10 @@ class HomologyReport:
     ``torsion`` maps degree to the multiset (sorted descending) of u-orders k,
     one per cyclic summand R/(u^k) where u = T^(1/den); k equal to the
     truncation order means the class is annihilated by nothing below the
-    cutoff.
+    cutoff (a free summand).  The orders are the valuations of Smith-form
+    pivots over R (Kaplansky: every finitely generated module over the
+    chain ring R is a sum of cyclic ones); a unit pivot, order 0, is a zero
+    summand and is left out.
     """
 
     ring_desc: str
@@ -485,40 +491,107 @@ def novikov_q_expansion_map(f: ChainMap, qsrc: Complex, qtgt: Complex) -> ChainM
     return ChainMap(qsrc, qtgt, mats)
 
 
-def _nilpotent_partition(mat: SparseMatrix, dim: int):
-    """Jordan block sizes of a nilpotent operator, largest first."""
-    if dim == 0:
-        return []
-    ranks = [dim]
-    power = mat
-    while ranks[-1] > 0:
-        ranks.append(rank(power))
-        power = power @ mat
-    blocks = []
-    for s in range(1, len(ranks)):
-        b_s = ranks[s - 1] - ranks[s]
-        b_next = ranks[s] - ranks[s + 1] if s + 1 < len(ranks) else 0
-        blocks.extend([s] * (b_s - b_next))
-    return sorted(blocks, reverse=True)
+def _smith(rows, ncols: int, track=None) -> dict:
+    """The Smith form over Λ = Q[u]/(u^m) of the matrix with the given
+    rows ({column: scalar} each, consumed): its pivots as {column: valuation}.
+
+    Each pivot is an entry u^v*w of least valuation (w a unit), taken from
+    the shortest row of least valuation, ties broken by the sparsest column;
+    a lazy heap keyed by (valuation, length, row) finds that row.  Its row
+    is cleared by column operations col_j -= q*col_p, q = (y/u^v)*w^-1,
+    which keep every valuation at least v; the row operations that clear
+    its column then meet a lone pivot in the pivot row and only erase that
+    column.  With ``track``, the rows of a matrix indexed by these columns
+    (the previous differential), each column operation is applied to it as
+    the inverse row operation row_p += q*row_j, so track ends in the new
+    basis.
+    """
+    cols = [set() for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for j in row:
+            cols[j].add(r)
+
+    def key(r):
+        return min(map(valuation, rows[r].values())), len(rows[r]), r
+
+    heap = [key(r) for r, row in enumerate(rows) if row]
+    heapify(heap)
+    pivots = {}
+    while heap:
+        v, _, pr = top = heappop(heap)
+        prow = rows[pr]
+        if not prow or key(pr) != top:
+            continue    # superseded by a later entry for the same row
+        pc = min((j for j, x in prow.items() if valuation(x) == v),
+                 key=lambda j: (len(cols[j]), j))
+        winv = unit_inverse(divide_by_u(prow.pop(pc), v))
+        below = cols[pc]
+        below.discard(pr)
+        for j, y in prow.items():
+            q = divide_by_u(y, v) * winv
+            cols[j].discard(pr)
+            for r in below:
+                accumulate(rows[r], j, -(q * rows[r][pc]))
+                if j in rows[r]:
+                    cols[j].add(r)
+                else:
+                    cols[j].discard(r)
+            if track is not None:
+                add_into(track[pc], track[j], q)
+        prow.clear()
+        for r in below:
+            del rows[r][pc]
+            if rows[r]:
+                heappush(heap, key(r))
+        below.clear()
+        pivots[pc] = v
+    return pivots
+
+
+def _torsion_orders(c: Complex, n: int) -> list:
+    """The u-orders of H^n over Λ = Q[u]/(u^m), from two Smith forms.
+
+    d_n in Smith form, with its column operations carried to d_{n-1}, has
+    pivots u^a at basis vectors e_p of C^n; ker d_n is generated by the
+    u^(m-a) e_p (relation u^a) and the e_j off the pivots (free).  Row p of
+    d_{n-1} in that basis then lies in u^(m-a)Λ exactly when d_n d_{n-1} = 0,
+    and divided by u^(m-a) it writes im d_{n-1} in the kernel's generators.
+    The pivots u^b of that presentation, with u^a added on each generator
+    e_p, are the orders b; a generator left without a pivot is free, order m.
+    """
+    ring = c.ring
+    m = ring.truncation_order
+    prev = c.d(n - 1)
+    gens = [dict(row) for row in prev.rows]
+    pivots = _smith([dict(row) for row in c.d(n).rows], c.dim(n), gens)
+    relations = prev.ncols
+    for p, a in pivots.items():
+        row = gens[p]
+        if any(valuation(x) < m - a for x in row.values()):
+            raise NotAComplex(n - 1)
+        if a:
+            gens[p] = {j: divide_by_u(x, m - a) for j, x in row.items()}
+            gens[p][relations] = ring.T(Fraction(a, ring.den))
+            relations += 1
+    # a unit pivot's generator u^m e_p is zero
+    gens = [row for p, row in enumerate(gens) if pivots.get(p) != 0]
+    orders = list(_smith(gens, relations).values())
+    orders += [m] * (len(gens) - len(orders))
+    return sorted((b for b in orders if b), reverse=True)
 
 
 def homology(c: Complex) -> HomologyReport:
     """Homology invariants; see HomologyReport for the two shapes.
 
-    Over a truncated Novikov ring the complex is expanded to Q; the
-    expansion of multiplication by u acts on each degree's HomologySpace,
-    and the Jordan blocks of that action are the u-orders.
+    Over a truncated Novikov ring the orders come from two Smith forms over
+    the ring per degree (``_torsion_orders``), with no expansion to Q.  An
+    unvalidated complex whose d^2 is not zero in the ring raises
+    NotAComplex.
     """
     if c.ring == QQ:
         return HomologyReport("Q", "betti", betti=betti_numbers(c))
     ring: NovikovRing = c.ring
-    qc = novikov_q_expansion_complex(c)
-    u = ChainMap.identity(c).scale(ring.T(Fraction(1, ring.den)))
-    uact = novikov_q_expansion_map(u, qc, qc)
-    torsion = {}
-    for n in c.degrees():
-        hs = HomologySpace(qc, n)
-        torsion[n] = _nilpotent_partition(_induced(uact.mat(n), hs, hs), hs.dim)
+    torsion = {n: _torsion_orders(c, n) for n in c.degrees()}
     desc = f"Novikov(den={ring.den}, cutoff={format_rational(ring.cutoff)})"
     return HomologyReport(desc, "torsion", torsion=torsion, den=ring.den,
                           truncation_order=ring.truncation_order)

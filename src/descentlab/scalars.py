@@ -7,6 +7,10 @@ An element holds ``terms``, {k: nonzero Fraction} with int keys 0 <= k < m.
 ``NovikovRing.elem`` is the one place that reads a T-exponent and checks that
 it lies in (1/den)*Z_{>=0}; arithmetic adds int powers and never re-checks,
 and other modules read an element's (k, c) pairs through ``u_terms``.
+Λ is a chain ring, so elimination over it needs three primitives, which
+also read ``terms`` here: ``valuation`` (the least power of u),
+``divide_by_u`` (exact division by u^k, an exponent shift) and
+``unit_inverse`` (1/w for w of valuation 0, a truncated power series).
 
 A scalar of either ring is zero exactly when it is falsy: ints and
 Fractions as usual, and a NovikovElem when it has no term left (a product
@@ -120,6 +124,9 @@ class NovikovElem:
     def __sub__(self, other):
         return self + -other
 
+    def __rsub__(self, other):
+        return -self + other
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return NovikovElem(self.ring, add_into({}, self.terms, other))
@@ -159,6 +166,40 @@ def u_terms(x):
     if isinstance(x, NovikovElem):
         return x.terms.items()
     return ((0, Fraction(x)),)
+
+
+def valuation(x) -> int:
+    """The least power of u in a nonzero scalar x = sum c*u^k; a plain
+    rational is c*u^0."""
+    return min(x.terms) if isinstance(x, NovikovElem) else 0
+
+
+def divide_by_u(x, k: int):
+    """x / u^k for a scalar x that u^k divides (x zero or k <= valuation(x)):
+    each term c*u^j becomes c*u^(j-k).  Any other x is a ValueError."""
+    if not k or not x:
+        return x
+    if valuation(x) < k:
+        raise ValueError(f"u^{k} does not divide {x}")
+    return NovikovElem(x.ring, {j - k: c for j, c in x.terms.items()})
+
+
+def unit_inverse(x):
+    """1/x for a scalar x of valuation 0: the power series of 1/x cut
+    below u^m, whose coefficients b satisfy sum_k x_k b_(n-k) = 0, n > 0."""
+    if not isinstance(x, NovikovElem):
+        return 1 / Fraction(x)
+    if 0 not in x.terms:
+        raise ValueError(f"{x} is not a unit")
+    inv0 = 1 / x.terms[0]
+    rest = [(k, c) for k, c in x.terms.items() if k]
+    b = {0: inv0}
+    if rest:
+        for n in range(1, x.ring.truncation_order):
+            s = sum(c * b[n - k] for k, c in rest if n - k in b)
+            if s:
+                b[n] = -s * inv0
+    return NovikovElem(x.ring, b)
 
 
 def format_novikov(x: NovikovElem) -> str:

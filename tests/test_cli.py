@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -433,6 +434,24 @@ def test_golden_novikov_homology(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "homology", "--input", str(path))
     assert code == 0
     assert out == (GOLDEN / "homology_novikov_telescope.json").read_text()
+
+
+@pytest.mark.parametrize("den, m", [(20, 2000), (200, 20000)])
+def test_one_novikov_cell_is_not_quadratic_in_the_truncation_order(
+        tmp_path, capsys, den, m):
+    """One free cell at cutoff 100: the torsion table is read over the ring,
+    so m = den * 100 costs nothing like m ranks of m x m matrices."""
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps(
+        {"coeff": {"novikov": {"den": den, "cutoff": "100"}},
+         "support": [0, 0], "dims": {"0": 1}}))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "homology", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    check = json.loads(out)["checks"][0]
+    assert check["torsion_u_orders"] == {"0": [m]}
+    assert check["truncation_order"] == m
 
 
 # ---------------------------------------------------------------------------

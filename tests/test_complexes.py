@@ -213,6 +213,42 @@ class TestHomologyNovikov:
         c = Complex(R, {0: 1, 1: 1}, {0: d})
         assert "T^(1/2)" in homology(c).text()
 
+    def test_column_operations_reach_the_previous_differential(self):
+        # d1 = [u u] needs col_1 -= col_0, so d0 = (1, -1) must be read as
+        # (0, -1): H^1 is generated by (u, 0), killed by u
+        R = NovikovRing(1, 2)
+        d0 = SparseMatrix.from_entries(2, 1, [(0, 0, 1), (1, 0, -1)])
+        d1 = SparseMatrix.from_entries(1, 2, [(0, 0, R.T(1)), (0, 1, R.T(1))])
+        c = Complex(R, {0: 1, 1: 2, 2: 1}, {0: d0, 1: d1})
+        c.validate()
+        assert homology(c).torsion == {0: [], 1: [1], 2: [1]}
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (0, 0), (0, 2), (2, 1)])
+    def test_nonzero_square_raises_not_a_complex(self, a, b):
+        """Λ --u^a--> Λ --u^b--> Λ with a + b < m, unvalidated, at degrees
+        1..3: d^2 = u^(a+b) is not zero in Λ."""
+        R = NovikovRing(1, 4)
+        da = SparseMatrix.from_entries(1, 1, [(0, 0, R.T(a))])
+        db = SparseMatrix.from_entries(1, 1, [(0, 0, R.T(b))])
+        c = Complex(R, {1: 1, 2: 1, 3: 1}, {1: da, 2: db})
+        with pytest.raises(NotAComplex) as raised:
+            c.validate()
+        assert raised.value.degree == 1
+        with pytest.raises(NotAComplex) as raised:
+            homology(c)
+        assert raised.value.degree == 1
+
+    def test_nonzero_square_after_a_change_of_basis(self):
+        R = NovikovRing(2, 2)
+        u = R.T(Fraction(1, 2))
+        d0 = SparseMatrix.from_entries(2, 1, [(0, 0, u), (1, 0, 1 + u)])
+        d1 = SparseMatrix.from_entries(1, 2, [(0, 0, 1 - u), (0, 1, u * u)])
+        c = Complex(R, {0: 1, 1: 2, 2: 1}, {0: d0, 1: d1})
+        assert not (d1 @ d0).is_zero()
+        with pytest.raises(NotAComplex) as raised:
+            homology(c)
+        assert raised.value.degree == 0
+
 
 class TestHomologySpaces:
     @given(seeds)

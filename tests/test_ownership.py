@@ -40,3 +40,39 @@ def test_novikov_carriers_read_no_terms(name):
     reads = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "terms"]
     assert reads == []
+
+
+# Novikov homology is read from Smith forms over the ring; the m-fold
+# expansion to Q and the ranks of powers of u stay out of it.
+Q_EXPANSION = {"novikov_q_expansion", "novikov_q_expansion_complex",
+               "novikov_q_expansion_map", "HomologySpace", "_induced",
+               "homology_map", "_nilpotent_partition"}
+
+
+def test_novikov_homology_builds_no_q_expansion():
+    """The calls of complexes.homology, followed through the module's own
+    functions, reach none of the Q-expansion path."""
+    tree = ast.parse((PACKAGE / "complexes.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    called, todo = set(), ["homology"]
+    while todo:
+        name = todo.pop()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if callee and callee not in called:
+                    called.add(callee)
+                    if callee in functions:
+                        todo.append(callee)
+    assert "_smith" in called
+    assert called & Q_EXPANSION == set()
+
+
+def test_no_nilpotent_partition_in_the_package():
+    defined = [(path.name, node.name) for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "_nilpotent_partition"]
+    assert defined == []

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descentlab.errors import RingMismatch
-from descentlab.scalars import (QQ, NovikovRing, NovikovElem,
-                                format_novikov, format_rational, parse_novikov)
+from descentlab.scalars import (QQ, NovikovRing, NovikovElem, divide_by_u,
+                                format_novikov, format_rational, parse_novikov,
+                                unit_inverse, valuation)
 
 
 R = NovikovRing(2, Fraction(3, 2))
@@ -83,6 +84,40 @@ class TestArithmetic:
         x = R.one() - R.T(Fraction(1, 2))
         series = R.one() + R.T(Fraction(1, 2)) + R.T(Fraction(1))
         assert x * series == R.one() == series * x
+        assert unit_inverse(x) == series
+
+
+class TestRingPrimitives:
+    """valuation, divide_by_u and unit_inverse, the three steps of
+    elimination over Λ; a plain rational is c*u^0."""
+
+    @given(elem(), st.integers(0, 3))
+    def test_divide_by_u_undoes_a_power(self, a, k):
+        u_k = R.T(Fraction(k, R.den))
+        b = a * u_k
+        if b:
+            assert valuation(b) == valuation(a) + k
+        assert divide_by_u(b, k) * u_k == b
+
+    def test_valuation_and_division_of_plain_rationals(self):
+        assert valuation(Fraction(-2, 3)) == valuation(5) == 0
+        assert valuation(R.T(1, 4) + R.T(Fraction(1, 2))) == 1
+        assert divide_by_u(Fraction(3), 0) == 3
+        with pytest.raises(ValueError):
+            divide_by_u(Fraction(3), 1)
+        with pytest.raises(ValueError):
+            divide_by_u(R.T(Fraction(1, 2)) + 1, 1)
+
+    @given(st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+           elem(NovikovRing(3, 4)))
+    def test_unit_inverse(self, c, a):
+        ring = a.ring
+        w = c + ring.T(Fraction(1, 3)) * a
+        inv = unit_inverse(w)
+        assert inv * w == ring.one() == w * inv
+        assert unit_inverse(Fraction(c)) * c == 1
+        with pytest.raises(ValueError):
+            unit_inverse(w - c)
 
 
 class TestFormatParse:
