@@ -36,7 +36,7 @@ from .presheaf import (TOP, cech, inclusion_exclusion, induction_pipeline,
                        nerve_cosimplicial, presheaf_from_json,
                        presheaf_to_json, tot, tw, tw_to_tot, verify_descent,
                        whitney_section)
-from .scalars import QQ
+from .scalars import QQ, NovikovRing
 
 _INPUT_FAULTS = (InputError, UnknownFixture, CutoffTooSmall, UnsupportedRing,
                  ShapeMismatch, RingMismatch, NotAComplex, BadSequence)
@@ -281,6 +281,11 @@ def _cmd_covers_check(job):
     return {"pairs": pairs, "grid_size": len(grid)}, checks, None
 
 
+# the bundled telescope's length is at most this multiple of m + 1, the
+# length that certifies vanishing past the truncation order m
+_LENGTH_CAP = 2
+
+
 def _cmd_telescope(job):
     if job.input is not None:
         for flag in ("--novikov-den", "--novikov-e", "--weight-cutoff"):
@@ -312,12 +317,19 @@ def _cmd_telescope(job):
     length = job.weight_cutoff if job.weight_cutoff is not None else 4
     if den < 1 or exp <= 0 or length < 1:
         raise InputError("telescope options out of range")
-    terms, maps = fx.novikov_telescope_terms(den, exp, length)
-    m = terms[0].ring.truncation_order
+    # both bounds from the ring alone, before any term is built: length
+    # m + 1 certifies, and the cost grows with the length
+    m = NovikovRing(den, exp).truncation_order
     if length <= m:
         raise InputError(
             f"telescope length {length} cannot certify vanishing past the "
             f"truncation order {m}; use at least {m + 1} terms")
+    cap = _LENGTH_CAP * (m + 1)
+    if length > cap:
+        raise InputError(
+            f"telescope length {length} is over {_LENGTH_CAP}*(m + 1) = {cap} "
+            f"for the truncation order m = {m}; use {m + 1} to {cap} terms")
+    terms, maps = fx.novikov_telescope_terms(den, exp, length)
     rep = homology(telescope(terms, maps).cx)
     # no class survives: a comparison spanning the full truncation order
     # induces zero on homology, so nothing has valuation-zero persistence

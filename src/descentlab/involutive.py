@@ -13,10 +13,11 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .errors import (BadSequence, HypothesisFailure, InputError,
                      LemmaViolation, ShapeMismatch)
-from .linalg import accumulate
+from .linalg import accumulate, add_into
 from .polyvec import Monomials
 
 INTERSECTION = "intersection"
@@ -27,8 +28,53 @@ UNION = "union"
 # exact polynomials
 
 
+def _coefficient(c):
+    """c in the one form a Poly stores: an int when integral, else a
+    Fraction with denominator > 1."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _whole(terms):
+    """Turn each integral Fraction among the values of terms into an int,
+    in place (Fraction sums and products can come out whole); returns
+    terms."""
+    for k, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[k] = c.numerator
+    return terms
+
+
+def _mul_into(out, t1, t2, sign=1):
+    """out += sign * t1 * t2 on monomial dicts, one entry per product;
+    returns out, whose values may include whole Fractions."""
+    for e1, c1 in t1.items():
+        if sign < 0:
+            c1 = -c1
+        for e2, c2 in t2.items():
+            accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
+    return out
+
+
+def _diff(terms, i):
+    """The monomial dict of d/dx_i; values may include whole Fractions."""
+    out = {}
+    for e, c in terms.items():
+        k = e[i]
+        if k:
+            out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+    return out
+
+
 class Poly(Monomials):
-    """Multivariate polynomial over the rationals, sparse monomial dict."""
+    """Multivariate polynomial over the rationals, sparse monomial dict.
+
+    Each coefficient is an int when it is integral and a Fraction with
+    denominator > 1 otherwise; the constructor brings its terms to that
+    form once, and the arithmetic keeps it, turning a Fraction result that
+    comes out whole back into an int."""
 
     __slots__ = ()
 
@@ -36,7 +82,7 @@ class Poly(Monomials):
         self.nvars = int(nvars)
         clean = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _coefficient(c)
             if not c:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -47,38 +93,45 @@ class Poly(Monomials):
 
     @classmethod
     def const(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def var(cls, nvars, i):
         exps = [0] * nvars
         exps[i] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
+
+    def __add__(self, other):
+        self._check(other)
+        return self._trusted(
+            self.nvars, _whole(add_into(dict(self.terms), other.terms)))
+
+    def scale(self, c):
+        c = _coefficient(c)
+        if c == 1:
+            return self
+        if not c:
+            return Poly.zero(self.nvars)
+        return self._trusted(
+            self.nvars, _whole({k: v * c for k, v in self.terms.items()}))
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return self._trusted(self.nvars, out)
+        return self._trusted(
+            self.nvars, _whole(_mul_into({}, self.terms, other.terms)))
 
     def __pow__(self, k):
         if k < 0:
             raise InputError("negative power of a polynomial")
-        out = Poly.const(self.nvars, 1)
-        for _ in range(k):
+        if not k:
+            return Poly.const(self.nvars, 1)
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 
     def diff(self, i):
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                de = list(e)
-                de[i] -= 1
-                out[tuple(de)] = c * e[i]
-        return self._trusted(self.nvars, out)
+        return self._trusted(self.nvars, _whole(_diff(self.terms, i)))
 
     def compose(self, args):
         """Substitute args[i] (all in a common variable set) for variable i."""
@@ -88,25 +141,34 @@ class Poly(Monomials):
         nv = args[0].nvars
         for a in args:
             args[0]._check(a)
-        out = Poly.zero(nv)
+        one = (0,) * nv
+        # powers[i][k] = args[i] ** k, each built once per call
+        powers = [[{one: 1}] for _ in args]
+        out = {}
         for e, c in self.terms.items():
-            prod = Poly.const(nv, c)
+            prod = {one: c}
             for i, k in enumerate(e):
                 if k:
-                    prod = prod * args[i] ** k
-            out = out + prod
-        return out
+                    pw = powers[i]
+                    while len(pw) <= k:
+                        pw.append(_mul_into({}, pw[-1], args[i].terms))
+                    prod = _mul_into({}, prod, pw[k])
+            add_into(out, prod)
+        return Poly._trusted(nv, _whole(out))
 
     def __call__(self, point):
         if len(point) != self.nvars:
             raise ShapeMismatch("evaluation point has the wrong length")
+        # powers[i][k] = x_i ** k, each coordinate converted once
+        powers = [[1, Fraction(x)] for x in point]
         total = Fraction(0)
         for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
+            for pw, k in zip(powers, e):
                 if k:
-                    v *= Fraction(x) ** k
-            total += v
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * pw[1])
+                    c *= pw[k]
+            total += c
         return total
 
     def __repr__(self):
@@ -230,10 +292,11 @@ def poisson_bracket(f, g):
     if f.nvars % 2:
         raise ShapeMismatch("symplectic variables come in pairs")
     n = f.nvars // 2
-    out = Poly.zero(f.nvars)
+    out = {}
     for i in range(n):
-        out = out + f.diff(i) * g.diff(n + i) - f.diff(n + i) * g.diff(i)
-    return out
+        _mul_into(out, _diff(f.terms, i), _diff(g.terms, n + i))
+        _mul_into(out, _diff(f.terms, n + i), _diff(g.terms, i), -1)
+    return Poly._trusted(f.nvars, _whole(out))
 
 
 def check_composition_lemma(fs, g1, g2):

@@ -5,7 +5,8 @@ exterior algebra on odd generators xi_1..xi_n, xi_i standing for d/dx_i.
 A monomial is keyed by (exponent tuple, strictly increasing tuple of odd
 indices); coefficients are Fractions.  The odd degree of a monomial is the
 number of xi factors.  `Monomials` holds the linear structure of a sparse
-monomial dict; `simplex.PolyForm` and `involutive.Poly` share it.
+monomial dict; `simplex.PolyForm` shares it with Fraction coefficients, and
+`involutive.Poly` with ints where a coefficient is integral.
 """
 
 from fractions import Fraction
@@ -40,16 +41,22 @@ def _merge_odd(xs, ys):
 
 class Monomials:
     """A finite Q-combination of monomials in nvars variables: terms is a
-    dict {monomial key: nonzero Fraction}.  The linear structure lives here;
-    a subclass fixes what a key is and how two of them multiply.  Values of
-    different subclasses, or over different variable counts, never mix."""
+    dict {monomial key: nonzero rational coefficient}.  The linear structure
+    lives here, on Fraction coefficients; a subclass fixes what a key is and
+    how two of them multiply, and `involutive.Poly`, which stores integral
+    coefficients as ints, overrides `+` and `scale` (so `-` too) to keep
+    that form.
+    Values of different subclasses, or over different variable counts,
+    never mix."""
 
     __slots__ = ("nvars", "terms")
 
     @classmethod
     def _trusted(cls, nvars, terms):
         """Wrap terms the arithmetic already made canonical: keys of the
-        right shape, Fraction coefficients, none of them zero."""
+        right shape, coefficients in the subclass's form (Fractions, or for
+        `involutive.Poly` ints and non-integral Fractions), none of them
+        zero."""
         self = object.__new__(cls)
         self.nvars = nvars
         self.terms = terms

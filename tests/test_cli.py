@@ -618,6 +618,35 @@ def test_short_bundled_telescope_exits_before_homology(capsys, monkeypatch,
     assert "truncation order" in err
 
 
+@pytest.mark.parametrize("argv", [["--weight-cutoff", "100000"],
+                                  ["--weight-cutoff", "9"],
+                                  ["--novikov-den", "2", "--novikov-e", "3/2",
+                                   "--weight-cutoff", "9"]])
+def test_long_bundled_telescope_exits_before_homology(capsys, monkeypatch,
+                                                       argv):
+    # a length over 2*(m + 1) is refused from the ring alone, so neither the
+    # terms nor the telescope nor its homology is built; both cases have
+    # m = 3
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the length check")
+
+    monkeypatch.setattr(cli, "homology", refuse)
+    monkeypatch.setattr(cli, "telescope", refuse)
+    monkeypatch.setattr(cli.fx, "novikov_telescope_terms", refuse)
+    code, out, err = run_cli(capsys, "telescope", *argv)
+    assert code == 2 and not out
+    assert "truncation order m = 3" in err and "use 4 to 8 terms" in err
+
+
+def test_longest_bundled_telescope_runs(capsys):
+    # 2*(m + 1) itself is allowed
+    code, out, _ = run_cli(capsys, "telescope", "--weight-cutoff", "8")
+    assert code == 0
+    check = json.loads(out)["checks"][0]
+    assert check["torsion_u_orders"]["0"] == [3]
+    assert check["induced_rank"] == 0
+
+
 # ---------------------------------------------------------------------------
 # remaining subcommands end to end
 

@@ -80,7 +80,9 @@ def test_poly_calculus():
 def assert_canonical(p):
     """p is what the validating constructor makes of its own terms."""
     assert p.terms == Poly(p.nvars, dict(p.terms)).terms
-    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    assert all((type(c) is int and c != 0)
+               or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
     assert all(len(e) == p.nvars and min(e) >= 0 for e in p.terms)
 
 
@@ -95,7 +97,12 @@ def test_arithmetic_results_are_canonical():
                   f.diff(rng.randrange(4)), poisson_bracket(f, g),
                   poisson_bracket(f, f),
                   Poly(2, {(1, 0): 1}).compose([f, g]),
-                  (f * g + h).scale(c) - h):
+                  (f * g + h).scale(c) - h,
+                  # Fraction arithmetic that comes out integral
+                  f.scale(Fraction(1, 2)) * g.scale(2),
+                  h.scale(Fraction(1, 2)) + h.scale(Fraction(1, 2)),
+                  Poly(2, {(2, 0): Fraction(1, 4), (0, 1): Fraction(2, 3)})
+                  .compose([f.scale(2), g.scale(Fraction(3, 2))])):
             assert_canonical(p)
     assert f.scale(1) is f
 

@@ -76,3 +76,46 @@ def test_no_nilpotent_partition_in_the_package():
                if isinstance(node, ast.FunctionDef)
                and node.name == "_nilpotent_partition"]
     assert defined == []
+
+
+# Poly arithmetic is exact: no int / int may reach a float on its hot path.
+# cover_monotonicity_report divides floats on purpose and is not on it.
+EXACT_ROOTS = ["Poly.__mul__", "Poly.__pow__", "Poly.diff", "Poly.compose",
+               "poisson_bracket"]
+
+
+def test_poly_hot_path_has_no_float():
+    """The roots, followed through the functions and Poly methods of
+    involutive.py they call, hold no true division and no float() call."""
+    tree = ast.parse((PACKAGE / "involutive.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    poly = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "Poly")
+    functions.update({f"Poly.{node.name}": node for node in poly.body
+                      if isinstance(node, ast.FunctionDef)})
+    seen, todo, faults = set(), list(EXACT_ROOTS), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) \
+                    or isinstance(node, ast.AugAssign) \
+                    and isinstance(node.op, ast.Div):
+                faults.append((name, node.lineno, "/"))
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Name):
+                    if f.id == "float":
+                        faults.append((name, node.lineno, "float()"))
+                    elif f.id in ("Poly", "cls"):
+                        todo.append("Poly.__init__")
+                    elif f.id in functions:
+                        todo.append(f.id)
+                elif isinstance(f, ast.Attribute) \
+                        and f"Poly.{f.attr}" in functions:
+                    todo.append(f"Poly.{f.attr}")
+    assert {"_mul_into", "_diff", "_whole", "_coefficient"} <= seen
+    assert faults == []
