@@ -284,6 +284,9 @@ def _cmd_covers_check(job):
 # the bundled telescope's length is at most this multiple of m + 1, the
 # length that certifies vanishing past the truncation order m
 _LENGTH_CAP = 2
+# and m is at most this: the Q-expansions of the purity comparison grow
+# with both m and the length
+_ORDER_CAP = 48
 
 
 def _cmd_telescope(job):
@@ -317,9 +320,14 @@ def _cmd_telescope(job):
     length = job.weight_cutoff if job.weight_cutoff is not None else 4
     if den < 1 or exp <= 0 or length < 1:
         raise InputError("telescope options out of range")
-    # both bounds from the ring alone, before any term is built: length
-    # m + 1 certifies, and the cost grows with the length
+    # every bound from the ring alone, before any term is built: length
+    # m + 1 certifies, and the cost grows with m and the length
     m = NovikovRing(den, exp).truncation_order
+    if m > _ORDER_CAP:
+        raise InputError(
+            f"truncation order m = {m} of the bundled telescope is over the "
+            f"cap {_ORDER_CAP}; choose --novikov-den and --novikov-e with "
+            f"den*e at most {_ORDER_CAP}")
     if length <= m:
         raise InputError(
             f"telescope length {length} cannot certify vanishing past the "

@@ -20,6 +20,13 @@ combination, as in Bareiss, Math. Comp. 22, 1968); its pivots and outputs
 are those of elimination over Fractions.  ``rank`` is the pivot count of the
 forward pass; only ``rref`` (and so ``kernel_basis``) back-substitutes and
 turns the pivot rows into Fractions.
+
+``TrackedEchelon`` (coordinates of vectors in inserted generators) is
+fraction-free too: each pivot stores a primitive integer vector and its
+coordinates as an integer dict over one positive integer denominator, a
+vector is reduced as a*x - b*V with the gcd of the pivot entries divided
+out, and ``represent`` turns the coordinates into Fractions only in its
+result.
 """
 
 from __future__ import annotations
@@ -250,14 +257,15 @@ def _divide_content(row: dict) -> dict:
     return row
 
 
-def _primitive(row: dict) -> dict:
-    """The coprime-integer multiple of a rational row: same keys, same order."""
+def _integer_multiple(row: dict):
+    """(den, den * row) for a rational row, den the lcm of its entries'
+    denominators: a new integer dict, same keys, same order."""
     den = 1
     for v in row.values():
         if v.denominator != 1:
             den = lcm(den, v.denominator)
-    return _divide_content({c: v.numerator * (den // v.denominator)
-                            for c, v in row.items()})
+    return den, {c: v.numerator * (den // v.denominator)
+                 for c, v in row.items()}
 
 
 def _cancel(orow: dict, oid, row: dict, pc, col_rows):
@@ -301,7 +309,8 @@ def _forward(rows):
     sparsest column, ties by index) are those of Fraction elimination.
     The sparsest row comes from a lazy heap keyed by (len, id).
     """
-    rows = {rid: _primitive(row) for rid, row in enumerate(rows) if row}
+    rows = {rid: _divide_content(_integer_multiple(row)[1])
+            for rid, row in enumerate(rows) if row}
     col_rows = {}
     for rid, row in rows.items():
         for c in row:
@@ -400,21 +409,33 @@ class TrackedEchelon:
 
     Supports expressing arbitrary vectors as combinations of the generators,
     which is how induced differentials on kernels and homology classes get
-    their coordinates.  Each stored vector is 1 at its pivot, its smallest
-    index.
+    their coordinates.
+
+    Fraction-free: the pivot p stores (V, C, D), where V is a primitive
+    integer vector whose smallest index is p and the integers C (gen_id ->
+    int) over the positive integer D are its coordinates, D*V = sum over k
+    of C[k] * (generator k).  A vector is reduced at pivot p as a*x - b*V,
+    with the gcd of V[p] and x[p] divided out of a and b, as in ``_cancel``.
+    Every stored and reduced vector is a nonzero multiple of the one
+    Fraction elimination would hold, so the pivots, the support and the key
+    order are those of Fraction elimination; ``represent`` builds one
+    Fraction per output coordinate.
     """
 
     def __init__(self):
-        self.pivots = {}  # pivot index -> (vector, coords dict gen_id -> scalar)
+        self.pivots = {}  # pivot index -> (V, C, D)
 
     def _reduce(self, vec: dict, coords: dict, sign):
-        """Clear vec at its pivot positions in increasing order, in place,
-        adding sign * vec[p] * (the pivot's coords) to coords for each
-        pivot p cleared.  Returns the first position left without a pivot,
-        or None once vec is zero."""
+        """Clear the integer vector vec at its pivot positions in increasing
+        order, in place.  At pivot p it becomes a*vec - b*V with a > 0, and
+        coords, over a denominator that starts at 1, becomes
+        a*coords + sign*b*C over the lcm of that denominator and D.
+        Returns (the first position left without a pivot, or None once vec
+        is zero; the product mu of the factors a; the denominator)."""
         pivots = self.pivots
         heap = list(vec)
         heapify(heap)
+        mu = den = 1
         while heap:
             p = heappop(heap)
             s = vec.get(p)
@@ -422,45 +443,74 @@ class TrackedEchelon:
                 continue    # cleared since it was pushed
             hit = pivots.get(p)
             if hit is None:
-                return p
-            prow, pcoords = hit
+                return p, mu, den
+            prow, pcoords, pden = hit
+            pv = prow[p]
+            g = gcd(pv, s)
+            a, b = pv // g, s // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                mu *= a
+                for k in vec:
+                    vec[k] *= a
             for k, v in prow.items():    # every k >= p; k = p is cleared
                 w = vec.get(k)
                 if w is None:
-                    vec[k] = -s * v
+                    vec[k] = -b * v
                     heappush(heap, k)
                 else:
-                    w -= s * v
+                    w -= b * v
                     if w:
                         vec[k] = w
                     else:
                         del vec[k]
-            s = sign * s
+            if pden == den:
+                f = sign * b
+            else:
+                g = gcd(den, pden)
+                a *= pden // g
+                f = sign * b * (den // g)
+                den *= pden // g
+            if a != 1:
+                for k in coords:
+                    coords[k] *= a
             for k, v in pcoords.items():
                 w = coords.get(k)
-                w = v * s if w is None else w + v * s
+                w = v * f if w is None else w + v * f
                 if w:
                     coords[k] = w
                 else:
                     del coords[k]
-        return None
+        return None, mu, den
 
     def add(self, vec: dict, gen_id) -> bool:
         """Insert vec as generator gen_id; True if it enlarged the span."""
-        vec, coords = dict(vec), {gen_id: Fraction(1)}
-        p = self._reduce(vec, coords, -1)
+        scale, vec = _integer_multiple(vec)
+        coords = {gen_id: scale}
+        p, _, den = self._reduce(vec, coords, -1)
         if p is None:
             return False
-        if vec[p] != 1:
-            s = 1 / vec[p]
-            vec, coords = vec_scale(vec, s), vec_scale(coords, s)
-        self.pivots[p] = (vec, coords)
+        content = gcd(*vec.values())
+        if content > 1:
+            for k in vec:
+                vec[k] //= content
+            den *= content
+        g = gcd(den, *coords.values())
+        if g > 1:
+            den //= g
+            for k in coords:
+                coords[k] //= g
+        self.pivots[p] = (vec, coords, den)
         return True
 
     def represent(self, vec: dict):
         """Coordinates of vec in the generators, or None if outside the span.
         The argument is not changed."""
-        vec, coords = dict(vec), {}
-        if self._reduce(vec, coords, 1) is not None:
+        scale, vec = _integer_multiple(vec)
+        coords = {}
+        p, mu, den = self._reduce(vec, coords, 1)
+        if p is not None:
             return None
-        return coords
+        den *= scale * mu
+        return {k: Fraction(v, den) for k, v in coords.items()}

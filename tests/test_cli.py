@@ -638,6 +638,36 @@ def test_long_bundled_telescope_exits_before_homology(capsys, monkeypatch,
     assert "truncation order m = 3" in err and "use 4 to 8 terms" in err
 
 
+@pytest.mark.parametrize("argv, m", [(["--novikov-e", "49"], 49),
+                                     (["--novikov-den", "32", "--novikov-e",
+                                       "2"], 64)])
+def test_high_order_bundled_telescope_exits_before_homology(capsys,
+                                                            monkeypatch,
+                                                            argv, m):
+    # a truncation order over the cap is refused from the ring alone, before
+    # any term, telescope or homology is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the order check")
+
+    monkeypatch.setattr(cli, "homology", refuse)
+    monkeypatch.setattr(cli, "telescope", refuse)
+    monkeypatch.setattr(cli, "homology_map", refuse)
+    monkeypatch.setattr(cli.fx, "novikov_telescope_terms", refuse)
+    code, out, err = run_cli(capsys, "telescope", *argv)
+    assert code == 2 and not out
+    assert f"truncation order m = {m}" in err and "cap 48" in err
+
+
+def test_highest_order_bundled_telescope_runs(capsys):
+    # m = 32 * 3/2 = 48 is the cap itself
+    code, out, _ = run_cli(capsys, "telescope", "--novikov-den", "32",
+                           "--novikov-e", "3/2", "--weight-cutoff", "49")
+    assert code == 0
+    check = json.loads(out)["checks"][0]
+    assert check["torsion_u_orders"]["0"] == [48]
+    assert check["induced_rank"] == 0
+
+
 def test_longest_bundled_telescope_runs(capsys):
     # 2*(m + 1) itself is allowed
     code, out, _ = run_cli(capsys, "telescope", "--weight-cutoff", "8")

@@ -119,3 +119,56 @@ def test_poly_hot_path_has_no_float():
                     todo.append(f"Poly.{f.attr}")
     assert {"_mul_into", "_diff", "_whole", "_coefficient"} <= seen
     assert faults == []
+
+
+# TrackedEchelon eliminates on integers: its reduction and its insertion
+# divide nothing and build no Fraction; only represent's result does.
+ECHELON_ROOTS = ["TrackedEchelon._reduce", "TrackedEchelon.add",
+                 "TrackedEchelon.represent"]
+
+
+def test_tracked_echelon_is_fraction_free():
+    """The roots, followed through the functions and TrackedEchelon methods
+    of linalg.py they call, hold no true division and no Fraction call,
+    except the Fraction calls in represent's return statement."""
+    tree = ast.parse((PACKAGE / "linalg.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    echelon = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == "TrackedEchelon")
+    functions.update({f"TrackedEchelon.{node.name}": node
+                      for node in echelon.body
+                      if isinstance(node, ast.FunctionDef)})
+    allowed = {id(node)
+               for ret in ast.walk(functions["TrackedEchelon.represent"])
+               if isinstance(ret, ast.Return)
+               for node in ast.walk(ret) if isinstance(node, ast.Call)}
+    seen, todo, faults, built = set(), list(ECHELON_ROOTS), [], 0
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                    and isinstance(node.op, ast.Div):
+                faults.append((name, node.lineno, "/"))
+            if isinstance(node, ast.Call):
+                f = node.func
+                if isinstance(f, ast.Name):
+                    if f.id == "Fraction":
+                        if id(node) in allowed:
+                            built += 1
+                        else:
+                            faults.append((name, node.lineno, "Fraction()"))
+                    elif f.id in functions:
+                        todo.append(f.id)
+                elif isinstance(f, ast.Attribute) \
+                        and isinstance(f.value, ast.Name) \
+                        and f.value.id == "self" \
+                        and f"TrackedEchelon.{f.attr}" in functions:
+                    todo.append(f"TrackedEchelon.{f.attr}")
+    assert "_integer_multiple" in seen
+    assert built == 1
+    assert faults == []
