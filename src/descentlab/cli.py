@@ -259,6 +259,13 @@ def _cmd_covers_check(job):
         smoothing = data.get("smoothing")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed covers job: {exc}") from exc
+    # the grid is the product of its axes: bound its size before building it
+    points = 1
+    for lo, hi, step in ranges:
+        points *= ((hi - lo) // step + 1) if step > 0 and hi >= lo else 0
+    if points > _GRID_CAP:
+        raise InputError(f"covers grid has {points} points, over the cap "
+                         f"{_GRID_CAP}; use fewer points per axis")
     grid = grid_points(ranges)
     preds = [(lambda pt, c=c: c(pt) <= 0) for c in cutters]
     rep = check_weak_cover_conditions(seqs, grid, preds)
@@ -287,6 +294,9 @@ _LENGTH_CAP = 2
 # and m is at most this: the Q-expansions of the purity comparison grow
 # with both m and the length
 _ORDER_CAP = 48
+# covers-check evaluates every grid point, about 90 us each on the bundled
+# job's shape (2 vCPU VM), so a grid has at most this many points
+_GRID_CAP = 100_000
 
 
 def _cmd_telescope(job):
@@ -338,10 +348,11 @@ def _cmd_telescope(job):
             f"telescope length {length} is over {_LENGTH_CAP}*(m + 1) = {cap} "
             f"for the truncation order m = {m}; use {m + 1} to {cap} terms")
     terms, maps = fx.novikov_telescope_terms(den, exp, length)
-    rep = homology(telescope(terms, maps).cx)
     # no class survives: a comparison spanning the full truncation order
-    # induces zero on homology, so nothing has valuation-zero persistence
+    # induces zero on homology, so nothing has valuation-zero persistence;
+    # its target t2 is the full telescope, whose torsion is the table
     t1, t2, comp = telescope_comparison(terms, maps, length - m, length)
+    rep = homology(t2.cx)
     q1 = novikov_q_expansion_complex(t1.cx)
     q2 = novikov_q_expansion_complex(t2.cx)
     induced, _, _ = homology_map(novikov_q_expansion_map(comp, q1, q2), 0)

@@ -196,15 +196,19 @@ class DirectSum:
         """iota_i o f, for f landing in part i."""
         return self.collect(f.source, {i: f})
 
-    def extract(self, i, f: ChainMap) -> ChainMap:
-        """f o pi_i, for f leaving part i."""
+    def fold(self, target: Complex, maps: dict) -> ChainMap:
+        """The sum over i of maps[i] o pi_i, for maps[i] : part i -> target;
+        zero on each part that maps does not name."""
         mats = {}
         for n in self.cx.degrees():
-            blk = f.mat(n)
-            m = SparseMatrix(blk.nrows, self.cx.dim(n))
-            m.paste(blk, 0, self.offsets[n][i])
-            mats[n] = m
-        return ChainMap(self.cx, f.target, mats)
+            m = mats[n] = SparseMatrix(target.dim(n), self.cx.dim(n))
+            for i, f in maps.items():
+                m.paste(f.mat(n), 0, self.offsets[n][i])
+        return ChainMap(self.cx, target, mats)
+
+    def extract(self, i, f: ChainMap) -> ChainMap:
+        """f o pi_i, for f leaving part i."""
+        return self.fold(f.target, {i: f})
 
 
 def direct_sum(parts) -> DirectSum:
@@ -355,24 +359,18 @@ def telescope(terms, maps) -> Telescope:
         g = ChainMap.zero(Complex(tail.cx.ring, {}, {}, support=(lo, lo)), tail.cx)
     else:
         head = direct_sum(terms[:-1])
-        kappa = [tail.inject(i + 1, head.extract(i, maps[i])) for i in range(L - 1)]
-        incl = [tail.inject(i, head.extract(i, ChainMap.identity(terms[i])))
-                for i in range(L - 1)]
-        mats = {}
-        for n in head.cx.degrees():
-            m = SparseMatrix(tail.cx.dim(n), head.cx.dim(n))
-            for k, inc in zip(kappa, incl):
-                m = m + k.mat(n) - inc.mat(n)
-            mats[n] = m
-        g = ChainMap(head.cx, tail.cx, mats)
+        kappa = tail.collect(head.cx, {i + 1: head.extract(i, maps[i])
+                                       for i in range(L - 1)})
+        incl = tail.collect(head.cx, {i: head.extract(i, ChainMap.identity(terms[i]))
+                                      for i in range(L - 1)})
+        g = ChainMap(head.cx, tail.cx,
+                     {n: kappa.mat(n) - incl.mat(n) for n in head.cx.degrees()})
     mc = cone(g)
     # collapse onto the last term: (a, b) -> sum of pushforwards of b
-    push = ChainMap.identity(terms[-1])
-    collapse = tail.extract(L - 1, push)
+    pushes = {L - 1: ChainMap.identity(terms[-1])}
     for i in range(L - 2, -1, -1):
-        push = maps[i] if i == L - 2 else push.compose(maps[i])
-        collapse = collapse + tail.extract(i, push)
-    return Telescope(mc, mc.extract(1, collapse))
+        pushes[i] = maps[i] if i == L - 2 else pushes[i + 1].compose(maps[i])
+    return Telescope(mc, mc.extract(1, tail.fold(terms[-1], pushes)))
 
 
 def telescope_comparison(terms, maps, L1: int, L2: int):

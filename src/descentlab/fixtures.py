@@ -366,12 +366,9 @@ def random_presheaf(rng: random.Random, n_sets: int, max_dim=3, width=3):
     keys = list(all_subsets(n_sets)) + [TOP]
     for key in keys:
         ss = summands(key)
-        if ss:
-            ds = direct_sum([blocks[S] for S in ss])
-            plain = ds.cx
-        else:
-            ds = None
-            plain = Complex(QQ, {0: 0}, {})
+        # a value with no summands is the sum of one zero complex
+        ds = direct_sum([blocks[S] for S in ss] or [Complex(QQ, {0: 0}, {})])
+        plain = ds.cx
         mats, inv = {}, {}
         for n in plain.degrees():
             u, uinv = random_unimodular(rng, plain.dim(n))
@@ -384,15 +381,13 @@ def random_presheaf(rng: random.Random, n_sets: int, max_dim=3, width=3):
         ds_d, ss_d, u_d, uinv_d = sums[dst]
         srccx, dstcx = gauges[src], gauges[dst]
         # the summands of dst, each carried from its slot in src to its own
-        keep = [ds_d.inject(k, ds_s.extract(ss_s.index(S),
-                                            ChainMap.identity(blocks[S])))
-                for k, S in enumerate(ss_d)]
+        keep = ds_d.collect(ds_s.cx, {
+            k: ds_s.extract(ss_s.index(S), ChainMap.identity(blocks[S]))
+            for k, S in enumerate(ss_d)})
         mats = {}
         for n in srccx.degrees():
-            m = SparseMatrix(dstcx.dim(n), srccx.dim(n))
+            m = keep.mat(n)
             if dstcx.dim(n) and srccx.dim(n):
-                for piece in keep:
-                    m = m + piece.mat(n)
                 m = u_d[n] @ m @ uinv_s[n]
             mats[n] = m
         return ChainMap(srccx, dstcx, mats)

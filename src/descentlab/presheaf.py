@@ -429,12 +429,11 @@ class EqualizerTotalization:
                                    self._levels.extract(p, legB).scale(-1))
         self.kernel, self.free, self._echelons = {}, {}, {}
         for n in self.ambient.degrees():
-            rows_total = sum(c.target.dim(n) for c in constraints)
-            mat = SparseMatrix(rows_total, self.ambient.dim(n))
-            off = 0
-            for c in constraints:
-                mat.paste(c.mat(n), off, 0)
-                off += c.target.dim(n)
+            # every constraint block starts at column 0, so the stack is the
+            # concatenation of their rows; sharing the row dicts is safe:
+            # kernel_basis leaves its input rows unchanged (_forward copies)
+            rows = [row for c in constraints for row in c.mat(n).rows]
+            mat = SparseMatrix(len(rows), self.ambient.dim(n), rows)
             basis = kernel_basis(mat) if self.ambient.dim(n) else []
             self.kernel[n] = basis
             self.free[n] = [next(iter(vec)) for vec in basis]
@@ -724,7 +723,7 @@ def inclusion_exclusion(F: CoverPresheaf) -> TwoSetDecomposition:
             m.paste(F.res(src_old, dst_old).mat(q), tgt, off)
         mats[n] = m
     rho = ChainMap(c2.cx, B, mats)
-    phi = A.extract(1, rho) + A.extract(0, aug_first).scale(-1)
+    phi = A.fold(B, {1: rho, 0: aug_first.scale(-1)})
     cc = cocone(phi)
     # psi : cocone -> Cech(F), identity reindexing without signs
     mats = {}

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from descentlab import cli
+from descentlab import cli, complexes
 from descentlab import fixtures as fx
 from descentlab.complexes import (ChainMap, Complex, betti_numbers,
                                   chain_map_to_json, complex_to_json, single)
@@ -613,6 +613,7 @@ def test_short_bundled_telescope_exits_before_homology(capsys, monkeypatch,
 
     monkeypatch.setattr(cli, "homology", refuse)
     monkeypatch.setattr(cli, "telescope", refuse)
+    monkeypatch.setattr(cli, "telescope_comparison", refuse)
     code, out, err = run_cli(capsys, "telescope", *argv)
     assert code == 2 and not out
     assert "truncation order" in err
@@ -632,6 +633,7 @@ def test_long_bundled_telescope_exits_before_homology(capsys, monkeypatch,
 
     monkeypatch.setattr(cli, "homology", refuse)
     monkeypatch.setattr(cli, "telescope", refuse)
+    monkeypatch.setattr(cli, "telescope_comparison", refuse)
     monkeypatch.setattr(cli.fx, "novikov_telescope_terms", refuse)
     code, out, err = run_cli(capsys, "telescope", *argv)
     assert code == 2 and not out
@@ -651,11 +653,28 @@ def test_high_order_bundled_telescope_exits_before_homology(capsys,
 
     monkeypatch.setattr(cli, "homology", refuse)
     monkeypatch.setattr(cli, "telescope", refuse)
+    monkeypatch.setattr(cli, "telescope_comparison", refuse)
     monkeypatch.setattr(cli, "homology_map", refuse)
     monkeypatch.setattr(cli.fx, "novikov_telescope_terms", refuse)
     code, out, err = run_cli(capsys, "telescope", *argv)
     assert code == 2 and not out
     assert f"truncation order m = {m}" in err and "cap 48" in err
+
+
+def test_bundled_telescope_builds_the_full_telescope_once(capsys,
+                                                          monkeypatch):
+    # the torsion table is read off the comparison's target, so the run
+    # builds only the comparison's two telescopes
+    calls = []
+    build = complexes.telescope
+
+    def counted(terms, maps):
+        calls.append(len(terms))
+        return build(terms, maps)
+
+    monkeypatch.setattr(complexes, "telescope", counted)
+    code, _, _ = run_cli(capsys, "telescope")
+    assert code == 0 and calls == [1, 4]
 
 
 def test_highest_order_bundled_telescope_runs(capsys):
@@ -812,6 +831,41 @@ def test_covers_job_pairs_are_checked_before_names_are_built(tmp_path, capsys,
     path.write_text(json.dumps(job))
     code, out, err = run_cli(capsys, "covers-check", "--input", str(path))
     assert code == 2 and not out and named in err and str(pairs) in err
+
+
+@pytest.mark.parametrize("grid, points", [
+    ([["-2", "2", "1/1000"], ["-2", "2", "1/1000"]], 4001 ** 2),
+    ([["0", "10", "1"]] * 10, 11 ** 10)])
+def test_covers_grid_over_the_cap_exits_before_it_is_built(
+        tmp_path, capsys, monkeypatch, grid, points):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid built before the cap check")
+
+    monkeypatch.setattr(cli, "grid_points", refuse)
+    job = {"pairs": len(grid) // 2, "sequences": [], "sets": [], "grid": grid}
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, "covers-check", "--input", str(path))
+    assert code == 2 and not out
+    assert f"{points} points" in err and "cap 100000" in err
+
+
+def test_covers_grid_at_the_cap_passes_the_check(tmp_path, capsys,
+                                                 monkeypatch):
+    seen = []
+
+    def small(ranges):
+        seen.append(ranges)
+        return [(0, 0)]
+
+    monkeypatch.setattr(cli, "grid_points", small)
+    job = {"pairs": 1, "sequences": [], "sets": [],
+           "grid": [["0", "99999", "1"], ["0", "0", "1"]]}
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps(job))
+    code, out, _ = run_cli(capsys, "covers-check", "--input", str(path))
+    assert code == 0 and len(seen) == 1
+    assert json.loads(out)["options"]["grid_size"] == 1
 
 
 def test_covers_job_with_no_pairs_is_accepted(tmp_path, capsys):

@@ -12,11 +12,12 @@ from descentlab.complexes import (ChainMap, Complex, HomologySpace,
                                   complex_from_json, complex_to_json, cone,
                                   direct_sum, homology, homology_map,
                                   is_quasi_iso, parse_scalar, shift, single,
-                                  telescope,
+                                  Telescope, telescope,
                                   telescope_comparison, tensor)
 from descentlab.errors import NotAComplex, ShapeMismatch, UnsupportedRing
-from descentlab.fixtures import (random_chain_map, random_complex,
-                                 random_stabilizing_diagram, random_unimodular)
+from descentlab.fixtures import (novikov_telescope_terms, random_chain_map,
+                                 random_complex, random_stabilizing_diagram,
+                                 random_unimodular)
 from descentlab.linalg import SparseMatrix, rank
 from descentlab.scalars import QQ, NovikovRing
 
@@ -136,7 +137,55 @@ class TestTensor:
             assert bt[n] == sum(ba.get(i, 0) * bb.get(n - i, 0) for i in ba)
 
 
+def summed_telescope(terms, maps) -> Telescope:
+    """The oracle: kappa - incl and the collapse onto C_L as sums of
+    full-size inject o extract pieces, one piece per part."""
+    L = len(terms)
+    tail = direct_sum(terms)
+    if L == 1:
+        lo = terms[0].support[0] + 1
+        g = ChainMap.zero(Complex(tail.cx.ring, {}, {}, support=(lo, lo)), tail.cx)
+    else:
+        head = direct_sum(terms[:-1])
+        kappa = [tail.inject(i + 1, head.extract(i, maps[i])) for i in range(L - 1)]
+        incl = [tail.inject(i, head.extract(i, ChainMap.identity(terms[i])))
+                for i in range(L - 1)]
+        mats = {}
+        for n in head.cx.degrees():
+            m = SparseMatrix(tail.cx.dim(n), head.cx.dim(n))
+            for k, inc in zip(kappa, incl):
+                m = m + k.mat(n) - inc.mat(n)
+            mats[n] = m
+        g = ChainMap(head.cx, tail.cx, mats)
+    mc = cone(g)
+    push = ChainMap.identity(terms[-1])
+    collapse = tail.extract(L - 1, push)
+    for i in range(L - 2, -1, -1):
+        push = maps[i] if i == L - 2 else push.compose(maps[i])
+        collapse = collapse + tail.extract(i, push)
+    return Telescope(mc, mc.extract(1, collapse))
+
+
+def check_against_summed(terms, maps):
+    tel, oracle = telescope(terms, maps), summed_telescope(terms, maps)
+    assert tel.cx == oracle.cx
+    assert tel.cone.offsets == oracle.cone.offsets
+    assert tel.to_last == oracle.to_last
+
+
 class TestTelescope:
+    @pytest.mark.parametrize("length", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blockwise_build_matches_summed_oracle(self, seed, length):
+        check_against_summed(*random_stabilizing_diagram(random.Random(seed), length))
+
+    @pytest.mark.parametrize("den", [1, 2])
+    @pytest.mark.parametrize("e", ["2", "5/2", "3", "7/2", "4"])
+    def test_novikov_build_matches_summed_oracle(self, den, e):
+        m = NovikovRing(den, Fraction(e)).truncation_order
+        for length in (m + 1, m + 2):
+            check_against_summed(*novikov_telescope_terms(den, Fraction(e), length))
+
     @given(seeds, st.integers(1, 5))
     @settings(max_examples=12, deadline=None)
     def test_telescope_computes_final_homology(self, seed, length):

@@ -2,9 +2,9 @@
 
 ``DirectSum`` and ``TensorComplex`` own where each block sits in each
 degree; everything else asks them through ``locate``/``pos``/``collect``/
-``inject``/``extract``.  Cones, cocones and telescopes are direct sums too.
-These tests check the layout against identity-matrix inclusions and
-projections built here from the part dimensions alone.
+``fold``/``inject``/``extract``.  Cones, cocones and telescopes are direct
+sums too.  These tests check the layout against identity-matrix inclusions
+and projections built here from the part dimensions alone.
 """
 
 import random
@@ -167,6 +167,17 @@ def test_inject_extract_are_identity_composites(seed):
         want = SparseMatrix(ds.cx.dim(n), other.dim(n))
         for i, f in fs.items():
             want = want + inclusion(parts, ds.cx, i, n) @ f.mat(n)
+        assert got.mat(n) == want
+        assert zero.mat(n).is_zero()
+    # fold over a random subset of the parts sums their projections
+    gs = {i: random_map(rng, p, other) for i, p in enumerate(parts)
+          if rng.random() < 0.5}
+    got, zero = ds.fold(other, gs), ds.fold(other, {})
+    assert (got.source, got.target) == (ds.cx, other)
+    for n in ds.cx.degrees():
+        want = SparseMatrix(other.dim(n), ds.cx.dim(n))
+        for i, g in gs.items():
+            want = want + g.mat(n) @ projection(parts, ds.cx, i, n)
         assert got.mat(n) == want
         assert zero.mat(n).is_zero()
 
