@@ -641,6 +641,15 @@ def homology_map(f: ChainMap, n: int):
     return _induced(f.mat(n), hs, ht), hs, ht
 
 
+def novikov_induced_rank(f: ChainMap, n: int) -> int:
+    """The Q-rank of H^n(f) for a chain map f of truncated-Novikov complexes,
+    read on the Q-expansions: 0 exactly when f kills every class of H^n."""
+    qsrc = novikov_q_expansion_complex(f.source)
+    qtgt = novikov_q_expansion_complex(f.target)
+    induced, _, _ = homology_map(novikov_q_expansion_map(f, qsrc, qtgt), n)
+    return rank(induced)
+
+
 @dataclass
 class QuasiIsoCertificate:
     ok: bool

@@ -212,6 +212,10 @@ def format_poly(p, names=None):
     return " ".join(chunks)
 
 
+# the largest exponent parse_poly accepts: Poly.__pow__ and evaluation take k
+# steps, so q1^99999999 would not parse in minutes (q1^10000: 12 ms, 2 vCPUs)
+_EXPONENT_CAP = 10_000
+
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|\^|\*|\+|\-)")
 
 
@@ -259,6 +263,8 @@ def parse_poly(text, names):
                 exp = take()
                 if exp is None or not exp.isdigit():
                     raise InputError("exponent must be a nonnegative integer")
+                if int(exp) > _EXPONENT_CAP:
+                    raise InputError(f"exponent {exp} is over the cap {_EXPONENT_CAP}")
                 return base ** int(exp)
             return base
         raise InputError(f"unknown variable {tok!r}")

@@ -657,14 +657,24 @@ def _relabel(F: CoverPresheaf, sh) -> CoverPresheaf:
     return CoverPresheaf(n, values, adjacent, check=False)
 
 
+def _after_first(J):
+    """J -> J + 1: a subset of {1..N-1} read as one of {2..N}."""
+    return tuple(j + 1 for j in J)
+
+
+def _with_first(J):
+    """J -> {1} u (J + 1)."""
+    return (1,) + _after_first(J)
+
+
 def drop_first_restrict(F: CoverPresheaf) -> CoverPresheaf:
     """The presheaf on {2..N}, relabeled to {1..N-1}."""
-    return _relabel(F, lambda J: tuple(j + 1 for j in J))
+    return _relabel(F, _after_first)
 
 
 def first_intersections(F: CoverPresheaf) -> CoverPresheaf:
     """J' -> F({1} u shifted J') on {1..N-1} index labels."""
-    return _relabel(F, lambda J: (1,) + tuple(j + 1 for j in J))
+    return _relabel(F, _with_first)
 
 
 @dataclass
@@ -683,12 +693,20 @@ class TwoSetDecomposition:
     cech: CechComplex      # Cech(F), the target of psi
 
 
-def _cocone_slots(cc: DirectSum, A: DirectSum, n):
-    """Where F({1}), Cech(F without 1) and Cech(FI)^(n-1) start in degree n
-    of cocone(phi); a degree outside a layout holds none of its parts."""
-    at_A, at_B = cc.offsets.get(n, (0, 0))
-    at_first, at_c2 = A.offsets.get(n, (0, 0))
-    return at_A + at_first, at_A + at_c2, at_B
+def _cech_map(src: CechComplex, tgt: CechComplex, key, lift=0,
+              block=None) -> ChainMap:
+    """Cech(src)[lift] -> Cech(tgt): block (p, J) of the source goes through
+    block(J, q) (the identity if None) to block (p + lift, key(J))."""
+    source = shift(src.cx, lift) if lift else src.cx
+    mats = {}
+    for n in source.degrees():
+        m = mats[n] = SparseMatrix(tgt.cx.dim(n), source.dim(n))
+        for p, J, off, q in src.blocks(n - lift):
+            at = tgt.offset(n, p + lift, key(J))
+            if at is not None:
+                m.paste(SparseMatrix.identity(src.F.value(J).dim(q))
+                        if block is None else block(J, q), at, off)
+    return ChainMap(source, tgt.cx, mats)
 
 
 def _is_permutation(m: SparseMatrix) -> bool:
@@ -701,50 +719,23 @@ def _is_permutation(m: SparseMatrix) -> bool:
 def inclusion_exclusion(F: CoverPresheaf) -> TwoSetDecomposition:
     if F.n_sets < 2:
         raise InputError("inclusion-exclusion needs at least two cover sets")
-    F2 = drop_first_restrict(F)
-    FI = first_intersections(F)
-    c2, cI, cF = CechComplex(F2), CechComplex(FI), CechComplex(F)
+    c2, cI = CechComplex(drop_first_restrict(F)), CechComplex(first_intersections(F))
+    cF = CechComplex(F)
     first = F.value((1,))
     A = direct_sum([first, c2.cx])
-    B = cI.cx
     # aug : F({1}) -> Cech(FI), via res {1} -> {1, j+1} into each singleton {j}
-    aug_first = cI.into_singletons({j: F.res((1,), (1, j + 1))
-                                    for j in range(1, FI.n_sets + 1)})
-    # rho : Cech(F2) -> Cech(FI), levelwise restriction J' -> {1} u J'
-    mats = {}
-    for n in c2.cx.degrees():
-        m = SparseMatrix(B.dim(n), c2.cx.dim(n))
-        for p, J, off, q in c2.blocks(n):
-            tgt = cI.offset(n, p, J)
-            if tgt is None:
-                continue
-            src_old = tuple(j + 1 for j in J)
-            dst_old = tuple(sorted((1,) + src_old))
-            m.paste(F.res(src_old, dst_old).mat(q), tgt, off)
-        mats[n] = m
-    rho = ChainMap(c2.cx, B, mats)
-    phi = A.fold(B, {1: rho, 0: aug_first.scale(-1)})
+    aug_first = cI.into_singletons({j: F.res((1,), _with_first((j,)))
+                                    for j in range(1, F.n_sets)})
+    # rho : Cech(F2) -> Cech(FI), levelwise restriction J + 1 -> {1} u (J + 1)
+    rho = _cech_map(c2, cI, lambda J: J, block=lambda J, q: F.res(
+        _after_first(J), _with_first(J)).mat(q))
+    phi = A.fold(cI.cx, {1: rho, 0: aug_first.scale(-1)})
     cc = cocone(phi)
     # psi : cocone -> Cech(F), identity reindexing without signs
-    mats = {}
-    for n in cc.cx.degrees():
-        m = SparseMatrix(cF.cx.dim(n), cc.cx.dim(n))
-        at_first, at_c2, at_B = _cocone_slots(cc, A, n)
-        tgt = cF.offset(n, 0, (1,))
-        if tgt is not None:
-            m.paste(SparseMatrix.identity(first.dim(n)), tgt, at_first)
-        for p, J, off, q in c2.blocks(n):
-            J_old = tuple(j + 1 for j in J)
-            tgt = cF.offset(n, p, J_old)
-            if tgt is not None:
-                m.paste(SparseMatrix.identity(F.value(J_old).dim(q)), tgt, at_c2 + off)
-        for p, J, off, q in cI.blocks(n - 1):
-            J_old = tuple(sorted((1,) + tuple(j + 1 for j in J)))
-            tgt = cF.offset(n, p + 1, J_old)
-            if tgt is not None:
-                m.paste(SparseMatrix.identity(F.value(J_old).dim(q)), tgt, at_B + off)
-        mats[n] = m
-    psi = ChainMap(cc.cx, cF.cx, mats)
+    psi_A = A.fold(cF.cx, {
+        0: cF.into_singletons({1: ChainMap.identity(first)}),
+        1: _cech_map(c2, cF, _after_first)})
+    psi = cc.fold(cF.cx, {0: psi_A, 1: _cech_map(cI, cF, _with_first, 1)})
     try:
         psi.validate()
         ok = all(_is_permutation(psi.mat(n)) for n in cc.cx.degrees())
@@ -782,13 +773,15 @@ def induction_pipeline(F: CoverPresheaf, G: CoverPresheaf, aug_rest: ChainMap,
     mats = {}
     for n in cG.cx.degrees():
         m = SparseMatrix(dec.cocone.cx.dim(n), cG.cx.dim(n))
-        at_first, at_c2, at_B = _cocone_slots(dec.cocone, dec.A, n)
+        # a degree outside a layout holds none of its parts
+        at_A, at_B = dec.cocone.offsets.get(n, (0, 0))
+        at_first, at_c2 = dec.A.offsets.get(n, (0, 0))
         off = cG.offset(n, 0, (1,))
         if off is not None:
-            m.paste(SparseMatrix.identity(first.dim(n)), at_first, off)
+            m.paste(SparseMatrix.identity(first.dim(n)), at_A + at_first, off)
         off = cG.offset(n, 0, (2,))
         if off is not None:
-            m.paste(aug_rest.mat(n), at_c2, off)
+            m.paste(aug_rest.mat(n), at_A + at_c2, off)
         off = cG.offset(n, 1, (1, 2))
         if off is not None:
             m.paste(aug_int.mat(n - 1), at_B, off)

@@ -102,29 +102,37 @@ def nc_pullback(f: InjMap, x: dict) -> dict:
     return out
 
 
-class NCModel:
-    """The normalized-cochain complex of the p-simplex over Q, with basis
-    indexing."""
+class _SimplexModel:
+    """A cochain model of the p-simplex in degrees 0..p: basis(n) lists the
+    degree-n basis keys, and the differential has one column per key, read
+    off d_on(key), the (key, coefficient) pairs of that key's coboundary."""
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, basis, d_on):
         self.p = p
-        self._basis = {n: [tuple(F) for F in combinations(range(p + 1), n + 1)]
-                       for n in range(p + 1)}
-        self._index = {n: {F: i for i, F in enumerate(bs)}
+        self._basis = {n: basis(n) for n in range(p + 1)}
+        self._index = {n: {k: i for i, k in enumerate(bs)}
                        for n, bs in self._basis.items()}
         dims = {n: len(bs) for n, bs in self._basis.items()}
         diff = {}
         for n in range(p):
-            entries = []
-            for col, F in enumerate(self._basis[n]):
-                img = nc_d_on(p, {F: Fraction(1)})
-                for F2, s in img.items():
-                    entries.append((self._index[n + 1][F2], col, s))
+            index = self._index[n + 1]
+            entries = [(index[k2], col, Fraction(c))
+                       for col, k in enumerate(self._basis[n])
+                       for k2, c in d_on(k)]
             diff[n] = SparseMatrix.from_entries(dims[n + 1], dims[n], entries)
         self.cx = Complex(QQ, dims, diff, support=(0, p))
 
     def basis(self, n):
         return self._basis.get(n, [])
+
+
+class NCModel(_SimplexModel):
+    """The normalized-cochain complex of the p-simplex over Q, with basis
+    indexing."""
+
+    def __init__(self, p: int):
+        super().__init__(p, lambda n: list(combinations(range(p + 1), n + 1)),
+                         lambda F: nc_d_on(p, {F: Fraction(1)}).items())
 
     def index(self, n, F):
         return self._index[n][tuple(F)]
@@ -145,9 +153,6 @@ class NCModel:
             if v:
                 out[self._index[n][F]] = v
         return out
-
-    def from_vec(self, n, vec: dict) -> dict:
-        return {self._basis[n][i]: v for i, v in vec.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +206,9 @@ class PolyForm(Polyvector):
 
     def d(self) -> "PolyForm":
         acc = {}
-        for (b, I), c in self.terms.items():
-            for key, s in _d_monomial(b, I):
-                accumulate(acc, key, c * s)
+        for key, c in self.terms.items():
+            for key2, s in _d_monomial(key):
+                accumulate(acc, key2, c * s)
         return PolyForm(self.p, acc)
 
     def degrees(self):
@@ -216,10 +221,11 @@ class PolyForm(Polyvector):
         return f"PolyForm(p={self.p}, nnz={len(self.terms)})"
 
 
-def _d_monomial(b, I):
-    """d(t^b dt_I) = sum_j b_j t^(b - e_j) dt_j ^ dt_I as (key, integer
-    coefficient) pairs, with dt_0 expanded; the keys are distinct, d keeps
-    the weight, and d(t_0 + ... + t_p) = 0."""
+def _d_monomial(key):
+    """d(t^b dt_I) = sum_j b_j t^(b - e_j) dt_j ^ dt_I, for key = (b, I),
+    as (key, integer coefficient) pairs, with dt_0 expanded; the keys are
+    distinct, d keeps the weight, and d(t_0 + ... + t_p) = 0."""
+    b, I = key
     out = []
     for j, a in enumerate(b):
         if not a:
@@ -335,7 +341,7 @@ def whitney(p: int, x: dict) -> PolyForm:
     return out
 
 
-class OmegaModel:
+class OmegaModel(_SimplexModel):
     """The weight-truncated polynomial form complex of the p-simplex.
 
     Degree-n basis: monomials t^b dt_I in t_0..t_p with |I| = n and weight
@@ -346,26 +352,10 @@ class OmegaModel:
     """
 
     def __init__(self, p: int, P: int):
-        self.p = p
         self.P = P
-        self._basis, self._index = {}, {}
-        for n in range(p + 1):
-            basis = [(b, I) for I in combinations(range(1, p + 1), n)
-                     for b in _exps(p + 1, P - n)]
-            self._basis[n] = basis
-            self._index[n] = {k: i for i, k in enumerate(basis)}
-        dims = {n: len(b) for n, b in self._basis.items()}
-        diff = {}
-        for n in range(p):
-            entries = []
-            for col, (b, I) in enumerate(self._basis[n]):
-                for k2, c in _d_monomial(b, I):
-                    entries.append((self._index[n + 1][k2], col, Fraction(c)))
-            diff[n] = SparseMatrix.from_entries(dims[n + 1], dims[n], entries)
-        self.cx = Complex(QQ, dims, diff, support=(0, p))
-
-    def basis(self, n):
-        return self._basis.get(n, [])
+        super().__init__(p, lambda n: [
+            (b, I) for I in combinations(range(1, p + 1), n)
+            for b in _exps(p + 1, P - n)], _d_monomial)
 
     def unit(self) -> PolyForm:
         """The degree-0 unit of the wedge product: the constant 1, whose

@@ -15,6 +15,7 @@ from descentlab import fixtures as fx
 from descentlab.complexes import (ChainMap, Complex, betti_numbers,
                                   chain_map_to_json, complex_to_json, single)
 from descentlab.errors import AxiomFailure
+from descentlab.involutive import Poly
 from descentlab.linalg import SparseMatrix
 from descentlab.presheaf import (presheaf_from_json, presheaf_to_json,
                                  verify_descent)
@@ -654,7 +655,7 @@ def test_high_order_bundled_telescope_exits_before_homology(capsys,
     monkeypatch.setattr(cli, "homology", refuse)
     monkeypatch.setattr(cli, "telescope", refuse)
     monkeypatch.setattr(cli, "telescope_comparison", refuse)
-    monkeypatch.setattr(cli, "homology_map", refuse)
+    monkeypatch.setattr(cli, "novikov_induced_rank", refuse)
     monkeypatch.setattr(cli.fx, "novikov_telescope_terms", refuse)
     code, out, err = run_cli(capsys, "telescope", *argv)
     assert code == 2 and not out
@@ -911,6 +912,46 @@ def test_covers_check_bundled_job_passes(capsys):
     report = json.loads(out)
     assert [c["id"] for c in report["checks"]] == \
         ["weak-cover-bullets", "stage-monotonicity"]
+
+
+_BUNDLED_COVERS = cli._DEFAULT_COVER_JOB
+
+
+@pytest.mark.parametrize("job, check", [
+    ({"pairs": 1, "sequences": [["q1^10000"]], "sets": ["q1"],
+      "grid": [["-2", "2", "1/2"], ["-2", "2", "1/2"]]},
+     "weak-cover-bullets"),
+    ({**_BUNDLED_COVERS, "smoothing": {**_BUNDLED_COVERS["smoothing"],
+                                       "f1": ["q1^600", "q1^600"]}},
+     "stage-monotonicity"),
+    ({**_BUNDLED_COVERS,
+      "grid": [["-1e200", "0", "1e200"], _BUNDLED_COVERS["grid"][1]],
+      "smoothing": {**_BUNDLED_COVERS["smoothing"], "f1": ["q1", "q1"]}},
+     "stage-monotonicity"),
+], ids=["integer-too-long-to-print", "quotient-past-float",
+        "square-past-float"])
+def test_covers_check_value_out_of_range_is_an_input_error(tmp_path, capsys,
+                                                          job, check):
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, "covers-check", "--input", str(path))
+    assert code == 2 and not out
+    assert err.startswith(f"descentlab: {check}: ") and "Traceback" not in err
+
+
+def test_covers_exponent_over_the_cap_exits_before_any_power(tmp_path, capsys,
+                                                             monkeypatch):
+    def refuse(self, k):
+        raise AssertionError("power taken before the exponent check")
+
+    monkeypatch.setattr(Poly, "__pow__", refuse)
+    job = {"pairs": 1, "sequences": [["q1^99999999"]], "sets": ["q1"],
+           "grid": [["-2", "2", "1/2"], ["-2", "2", "1/2"]]}
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, "covers-check", "--input", str(path))
+    assert code == 2 and not out
+    assert "exponent 99999999 is over the cap 10000" in err
 
 
 def test_bv_check_failure_is_reported(monkeypatch, capsys):

@@ -8,7 +8,8 @@ import pytest
 
 from descentlab.errors import (BadSequence, HypothesisFailure, InputError,
                                ShapeMismatch)
-from descentlab.involutive import (INTERSECTION, UNION, AlgebraicValue,
+from descentlab.involutive import (_EXPONENT_CAP, INTERSECTION, UNION,
+                                   AlgebraicValue,
                                    CoverFunction, Poly, SmoothingCurve,
                                    build_cover_functions,
                                    check_composition_lemma,
@@ -58,6 +59,23 @@ def test_parse_rejects_garbage():
         parse_poly("(q1)", QP)
     with pytest.raises(InputError):
         parse_poly("", QP)
+
+
+def test_parse_refuses_an_exponent_over_the_cap(monkeypatch):
+    # refused from the text, before Poly.__pow__ multiplies once
+    def refuse(self, k):
+        raise AssertionError("power taken before the exponent check")
+
+    monkeypatch.setattr(Poly, "__pow__", refuse)
+    with pytest.raises(InputError, match=f"over the cap {_EXPONENT_CAP}"):
+        parse_poly(f"q1^{_EXPONENT_CAP + 1}", QP)
+    with pytest.raises(InputError, match="exponent 99999999 is over"):
+        parse_poly("p1 + q1^99999999", QP)
+
+
+def test_parse_accepts_an_exponent_at_the_cap():
+    f = parse_poly(f"q1^{_EXPONENT_CAP}", QP)
+    assert f.terms == {(_EXPONENT_CAP, 0): 1}
 
 
 def test_poly_calculus():

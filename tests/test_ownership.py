@@ -172,3 +172,25 @@ def test_tracked_echelon_is_fraction_free():
     assert "_integer_multiple" in seen
     assert built == 1
     assert faults == []
+
+
+# The telescope purity rank has one owner, complexes.novikov_induced_rank:
+# the CLI and the demos ask it, and never read the Q-expansion path it
+# runs on, so replacing that path changes one function body.
+PURITY_PATH = {"homology_map", "novikov_q_expansion_complex",
+               "novikov_q_expansion_map"}
+PURITY_CALLERS = [PACKAGE / "cli.py",
+                  *sorted((PACKAGE.parent.parent / "scripts").glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", PURITY_CALLERS, ids=lambda p: p.name)
+def test_purity_rank_is_read_only_through_its_owner(path):
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    assert named & PURITY_PATH == set()

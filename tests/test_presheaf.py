@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descentlab import fixtures as fx
-from descentlab.complexes import (ChainMap, Complex, betti_numbers, homology,
-                                  homology_map, is_quasi_iso,
+from descentlab.complexes import (ChainMap, Complex, betti_numbers, cocone,
+                                  homology, homology_map, is_quasi_iso,
                                   novikov_q_expansion_complex,
                                   novikov_q_expansion_map, rank, telescope,
                                   telescope_comparison)
@@ -499,6 +499,68 @@ def test_psi_verdict_needs_a_square_block():
     assert not _is_permutation(m)
 
 
+def hand_written_rho_psi(F, dec):
+    """The oracle: rho, aug and psi of inclusion_exclusion written out as
+    one paste loop each, block by block, with the relabelings inline."""
+    c2 = CechComplex(drop_first_restrict(F))
+    cI = CechComplex(first_intersections(F))
+    cF, cc, B = dec.cech, dec.cocone, cI.cx
+    mats = {}
+    for n in c2.cx.degrees():
+        m = SparseMatrix(B.dim(n), c2.cx.dim(n))
+        for p, J, off, q in c2.blocks(n):
+            tgt = cI.offset(n, p, J)
+            if tgt is None:
+                continue
+            src_old = tuple(j + 1 for j in J)
+            dst_old = tuple(sorted((1,) + src_old))
+            m.paste(F.res(src_old, dst_old).mat(q), tgt, off)
+        mats[n] = m
+    rho = ChainMap(c2.cx, B, mats)
+    aug = cI.into_singletons({j: F.res((1,), (1, j + 1))
+                              for j in range(1, F.n_sets)})
+    mats = {}
+    for n in cc.cx.degrees():
+        m = SparseMatrix(cF.cx.dim(n), cc.cx.dim(n))
+        at_A, at_B = cc.offsets.get(n, (0, 0))
+        at_first, at_c2 = dec.A.offsets.get(n, (0, 0))
+        tgt = cF.offset(n, 0, (1,))
+        if tgt is not None:
+            m.paste(SparseMatrix.identity(F.value((1,)).dim(n)), tgt,
+                    at_A + at_first)
+        for p, J, off, q in c2.blocks(n):
+            J_old = tuple(j + 1 for j in J)
+            tgt = cF.offset(n, p, J_old)
+            if tgt is not None:
+                m.paste(SparseMatrix.identity(F.value(J_old).dim(q)), tgt,
+                        at_A + at_c2 + off)
+        for p, J, off, q in cI.blocks(n - 1):
+            J_old = tuple(sorted((1,) + tuple(j + 1 for j in J)))
+            tgt = cF.offset(n, p + 1, J_old)
+            if tgt is not None:
+                m.paste(SparseMatrix.identity(F.value(J_old).dim(q)), tgt,
+                        at_B + off)
+        mats[n] = m
+    return rho, aug, ChainMap(cc.cx, cF.cx, mats)
+
+
+@pytest.mark.parametrize("n_sets, seed", [(None, None), (3, 11), (3, 12),
+                                          (4, 11), (4, 12)],
+                         ids=["three-edge", "N3-seed11", "N3-seed12",
+                              "N4-seed11", "N4-seed12"])
+def test_inclusion_exclusion_matches_the_hand_written_maps(n_sets, seed):
+    F = (fx.triangle_three_edge_presheaf() if n_sets is None
+         else fx.random_presheaf(random.Random(seed), n_sets)[0])
+    dec = inclusion_exclusion(F)
+    rho, aug, psi = hand_written_rho_psi(F, dec)
+    # phi = rho - aug sits in the cocone's differential, so equal cocones
+    # mean an equal rho
+    phi = dec.A.fold(rho.target, {1: rho, 0: aug.scale(-1)})
+    assert cocone(phi).cx == dec.cocone.cx
+    for n in dec.cocone.cx.degrees():
+        assert dec.psi.mat(n) == psi.mat(n), n
+
+
 @pytest.mark.parametrize("n_sets", [3, 4])
 def test_inclusion_exclusion_random(n_sets):
     for seed in (11, 12):
@@ -524,6 +586,17 @@ def test_induction_pipeline_on_triangle():
     assert rep.theta_ok
     assert rep.composite_ok
     assert rep.ok
+
+
+def test_induction_pipeline_sees_a_scaled_augmentation():
+    F, G, aug_rest, aug_int = fx.triangle_pipeline_data()
+    assert not induction_pipeline(F, G, aug_rest.scale(2), aug_int).ok
+
+
+def test_induction_pipeline_sees_a_zero_augmentation():
+    F, G, aug_rest, aug_int = fx.triangle_pipeline_data()
+    zero = ChainMap.zero(aug_int.source, aug_int.target)
+    assert not induction_pipeline(F, G, aug_rest, zero).ok
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from descentlab import complexes
+
 ROOT = Path(__file__).resolve().parent.parent
 
 DEMOS = [
@@ -73,3 +75,26 @@ def test_telescope_demo_verdicts():
     verdicts = [line for line in lines if "comparison from length" in line]
     assert len(settings) == len(verdicts) == 3
     assert all(line.endswith("torsion pure") for line in verdicts)
+
+
+@pytest.mark.parametrize("den, exponent, length, built", [
+    (1, Fraction(3), 5, [2, 5]),       # m = 3: the comparison's two ends
+    (2, Fraction(5, 4), 2, [2]),       # m = 3: too short to compare
+], ids=["length-over-m", "length-under-m"])
+def test_telescope_demo_builds_each_telescope_once(capsys, monkeypatch, den,
+                                                   exponent, length, built):
+    spec = importlib.util.spec_from_file_location(
+        "telescope_torsion_demo", ROOT / "scripts" / "telescope_torsion_demo.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    calls = []
+    build = complexes.telescope
+
+    def counted(terms, maps):
+        calls.append(len(terms))
+        return build(terms, maps)
+
+    monkeypatch.setattr(complexes, "telescope", counted)
+    monkeypatch.setattr(demo, "telescope", counted)
+    demo.run_job(demo.TelescopeJob(den, exponent, length))
+    assert calls == built
