@@ -180,6 +180,16 @@ class DirectSum:
         i = bisect_right(self.offsets[n], index) - 1
         return i, index - self.offsets[n][i]
 
+    def component(self, n, vec: dict, i) -> dict:
+        """The coordinates of part i in a degree-n vector of the sum; {} in
+        a degree outside the sum."""
+        offs = self.offsets.get(n)
+        if offs is None:
+            return {}
+        lo = offs[i]
+        hi = offs[i + 1] if i + 1 < len(offs) else self.cx.dim(n)
+        return {k - lo: v for k, v in vec.items() if lo <= k < hi}
+
     def collect(self, source: Complex, maps: dict) -> ChainMap:
         """The sum over i of iota_i o maps[i], for maps[i] : source -> part i;
         zero into each part that maps does not name."""

@@ -137,7 +137,7 @@ def random_stabilizing_diagram(rng: random.Random, length: int):
 # cell-graph cochains (vertices and edges), used by the circle fixtures
 
 
-def graph_cochains(verts, edges, ring=QQ) -> Complex:
+def graph_cochains(verts, edges) -> Complex:
     """Cochain complex of a 1-dimensional cell complex.
 
     verts: iterable of vertex names; edges: iterable of (a, b) pairs, a < b.
@@ -146,13 +146,12 @@ def graph_cochains(verts, edges, ring=QQ) -> Complex:
     verts = sorted(verts)
     edges = sorted(tuple(e) for e in edges)
     vidx = {v: i for i, v in enumerate(verts)}
-    one = Fraction(1) if ring == QQ else ring.one()
     entries = []
     for r, (a, b) in enumerate(edges):
-        entries.append((r, vidx[a], -one))
-        entries.append((r, vidx[b], one))
+        entries.append((r, vidx[a], Fraction(-1)))
+        entries.append((r, vidx[b], Fraction(1)))
     d0 = SparseMatrix.from_entries(len(edges), len(verts), entries)
-    return Complex(ring, {0: len(verts), 1: len(edges)}, {0: d0},
+    return Complex(QQ, {0: len(verts), 1: len(edges)}, {0: d0},
                    labels={0: list(verts), 1: list(edges)}, support=(0, 1))
 
 
@@ -203,9 +202,9 @@ CIRCLE_VERTS = (0, 1, 2)
 CIRCLE_EDGES = ((0, 1), (0, 2), (1, 2))
 
 
-def circle_complex(ring=QQ) -> Complex:
+def circle_complex() -> Complex:
     """Boundary of the triangle: three vertices, three edges, betti (1, 1)."""
-    return graph_cochains(CIRCLE_VERTS, CIRCLE_EDGES, ring)
+    return graph_cochains(CIRCLE_VERTS, CIRCLE_EDGES)
 
 
 def triangle_two_arc_presheaf():

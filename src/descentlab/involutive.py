@@ -212,8 +212,9 @@ def format_poly(p, names=None):
     return " ".join(chunks)
 
 
-# the largest exponent parse_poly accepts: Poly.__pow__ and evaluation take k
-# steps, so q1^99999999 would not parse in minutes (q1^10000: 12 ms, 2 vCPUs)
+# the largest exponent, and the largest degree of a product, that parse_poly
+# accepts: evaluation and every later product grow with the degree, so a
+# covers-check input of degree 10^8 would not finish in minutes
 _EXPONENT_CAP = 10_000
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|\^|\*|\+|\-)")
@@ -248,33 +249,45 @@ def parse_poly(text, names):
         return tok
 
     def factor():
+        """The next factor as (coefficient, variable index, exponent); a
+        constant is (c, 0, 0)."""
         tok = take()
         if tok is None:
             raise InputError("truncated polynomial text")
         if tok[0].isdigit():
             try:
-                return Poly.const(nvars, Fraction(tok))
+                return Fraction(tok), 0, 0
             except ZeroDivisionError:
                 raise InputError(f"zero denominator in {tok!r}") from None
-        if tok in index:
-            base = Poly.var(nvars, index[tok])
-            if peek() == "^":
-                take()
-                exp = take()
-                if exp is None or not exp.isdigit():
-                    raise InputError("exponent must be a nonnegative integer")
-                if int(exp) > _EXPONENT_CAP:
-                    raise InputError(f"exponent {exp} is over the cap {_EXPONENT_CAP}")
-                return base ** int(exp)
-            return base
-        raise InputError(f"unknown variable {tok!r}")
+        if tok not in index:
+            raise InputError(f"unknown variable {tok!r}")
+        if peek() != "^":
+            return 1, index[tok], 1
+        take()
+        exp = take()
+        if exp is None or not exp.isdigit():
+            raise InputError("exponent must be a nonnegative integer")
+        if int(exp) > _EXPONENT_CAP:
+            raise InputError(f"exponent {exp} is over the cap {_EXPONENT_CAP}")
+        return 1, index[tok], int(exp)
 
     def term():
-        out = factor()
-        while peek() == "*":
+        """A '*'-joined product, which is one monomial: its exponents are
+        summed as the factors are read and its degree refused once it passes
+        the cap, so no power or product of polynomials is ever taken."""
+        coeff, exps, degree = Fraction(1), [0] * nvars, 0
+        while True:
+            c, i, k = factor()
+            coeff *= c
+            if k:
+                degree += k
+                if degree > _EXPONENT_CAP:
+                    raise InputError(f"a product of degree {degree} is over "
+                                     f"the cap {_EXPONENT_CAP}")
+                exps[i] += k
+            if peek() != "*":
+                return Poly(nvars, {tuple(exps): coeff})
             take()
-            out = out * factor()
-        return out
 
     sign = 1
     if peek() in ("+", "-"):

@@ -954,6 +954,21 @@ def test_covers_exponent_over_the_cap_exits_before_any_power(tmp_path, capsys,
     assert "exponent 99999999 is over the cap 10000" in err
 
 
+def test_covers_product_over_the_cap_exits_before_any_product(tmp_path, capsys,
+                                                            monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("polynomials multiplied before the degree check")
+
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    job = {"pairs": 1, "sequences": [["q1^10000*q1"]], "sets": ["q1"],
+           "grid": [["-2", "2", "1/2"], ["-2", "2", "1/2"]]}
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps(job))
+    code, out, err = run_cli(capsys, "covers-check", "--input", str(path))
+    assert code == 2 and not out
+    assert "a product of degree 10001 is over the cap 10000" in err
+
+
 def test_bv_check_failure_is_reported(monkeypatch, capsys):
     witness = ("leibniz", "x1*xi1", "xi2", "x2")
 

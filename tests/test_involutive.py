@@ -78,6 +78,30 @@ def test_parse_accepts_an_exponent_at_the_cap():
     assert f.terms == {(_EXPONENT_CAP, 0): 1}
 
 
+def test_parse_refuses_a_product_over_the_cap(monkeypatch):
+    # refused from the exponents, before any power or product is taken
+    def refuse(self, other):
+        raise AssertionError("polynomials multiplied before the degree check")
+
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    monkeypatch.setattr(Poly, "__pow__", refuse)
+    with pytest.raises(InputError, match=f"degree {_EXPONENT_CAP + 1} is "
+                                         f"over the cap {_EXPONENT_CAP}"):
+        parse_poly(f"q1^{_EXPONENT_CAP}*q1", QP)
+    with pytest.raises(InputError, match=f"over the cap {_EXPONENT_CAP}"):
+        parse_poly("*".join([f"q1^{_EXPONENT_CAP}"] * 30), QP)
+    with pytest.raises(InputError, match="degree 10001"):
+        parse_poly("1 + 2*q1^5000*3*p1^5001", QP)
+
+
+def test_parse_accepts_a_product_at_the_cap():
+    half = _EXPONENT_CAP // 2
+    f = parse_poly(f"q1^{half}*q1^{half}", QP)
+    assert f.terms == {(_EXPONENT_CAP, 0): 1}
+    assert parse_poly(f"2*q1^{half}*3/4*p1^{half} - 1/2*p1", QP).terms == \
+        {(half, half): Fraction(3, 2), (0, 1): Fraction(-1, 2)}
+
+
 def test_poly_calculus():
     rng = random.Random(13)
     for _ in range(20):

@@ -182,6 +182,34 @@ def test_inject_extract_are_identity_composites(seed):
         assert zero.mat(n).is_zero()
 
 
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_component_reads_back_each_part(seed):
+    rng = random.Random(seed)
+    parts = random_parts(rng)
+    ds = direct_sum(parts)
+    other = gappy(rng)
+    fs = {i: random_map(rng, other, p) for i, p in enumerate(parts)}
+    both = ds.collect(other, fs)
+    for n in other.degrees():
+        cols = both.mat(n).transpose().rows
+        for i, f in fs.items():
+            wants = f.mat(n).transpose().rows
+            alone = ds.inject(i, f).mat(n).transpose().rows
+            for vec, one, want in zip(cols, alone, wants):
+                assert ds.component(n, vec, i) == want
+                assert ds.component(n, one, i) == want
+    lo, hi = ds.cx.support
+    for i, p in enumerate(parts):
+        for n in ds.cx.degrees():
+            if not p.dim(n):    # an empty part holds nothing
+                full = {k: Fraction(1) for k in range(ds.cx.dim(n))}
+                assert ds.component(n, full, i) == {}
+        # a degree outside the sum holds none of its parts
+        assert ds.component(lo - 1, {0: Fraction(1)}, i) == {}
+        assert ds.component(hi + 1, {0: Fraction(1)}, i) == {}
+
+
 # ---------------------------------------------------------------------------
 # cones, cocones and telescopes
 

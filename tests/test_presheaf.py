@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from descentlab import fixtures as fx
 from descentlab.complexes import (ChainMap, Complex, betti_numbers, cocone,
-                                  homology, homology_map, is_quasi_iso,
-                                  novikov_q_expansion_complex,
-                                  novikov_q_expansion_map, rank, telescope,
-                                  telescope_comparison)
+                                  direct_sum, homology, homology_map,
+                                  is_quasi_iso, novikov_q_expansion_complex,
+                                  novikov_q_expansion_map, rank, shift,
+                                  telescope, telescope_comparison)
 from descentlab.errors import (CutoffTooSmall, FunctorialityFailure,
                                InputError, UnknownFixture, UnsupportedRing)
 from descentlab.linalg import SparseMatrix
@@ -262,9 +262,19 @@ def test_cech_augmentation_is_quasi_iso():
     assert is_quasi_iso(aug).ok
 
 
+def novikov_circle(ring):
+    """fx.circle_complex() with its entries read into a truncated Novikov
+    ring."""
+    circ = fx.circle_complex()
+    d0 = circ.d(0)
+    entries = [(r, c, ring.scalar(v)) for r, c, v in d0.entries()]
+    d0 = SparseMatrix.from_entries(d0.nrows, d0.ncols, entries)
+    return Complex(ring, dict(circ.dims), {0: d0}, support=circ.support)
+
+
 def test_cech_over_novikov_matches_value():
     ring = NovikovRing(1, Fraction(2))
-    circ = fx.circle_complex(ring)
+    circ = novikov_circle(ring)
     F = fx.constant_presheaf(2, circ)
     F.validate()
     h_cover = homology(cech(F).cx)
@@ -358,6 +368,76 @@ def test_cech_matches_the_block_by_block_oracle(name):
             assert exact_entries(got.mat(n)) == exact_entries(aug.mat(n))
 
 
+class NerveCech:
+    """The oracle: the Cech complex as the sum over p of nerve level p
+    shifted by p, each level a sum over |J| = p + 1 in lex order, with the
+    block offsets read back from the nerve."""
+
+    def __init__(self, F):
+        self.F, self.nerve = F, Nerve(F)
+        N = F.n_sets
+        self._sum = direct_sum([shift(self.nerve.level(p), p) for p in range(N)])
+        self.cx = self._sum.cx
+        for J, j, J2 in arrows(N):
+            p = len(J) - 1
+            sign = -1 if J2.index(j) % 2 else 1
+            for q, m in F.res(J, J2).mats.items():
+                if m.nrows and m.ncols:
+                    self.cx.diff[p + q].paste(m, self.offset(p + q + 1, p + 1, J2),
+                                              self.offset(p + q, p, J), sign)
+
+    def offset(self, n, p, J):
+        if not self.F.value(J).dim(n - p):
+            return None
+        return self._sum.offsets[n][p] + self.nerve.pos(p, n - p, J, 0)
+
+    def blocks(self, n):
+        return [(p, J, self.offset(n, p, J), n - p)
+                for p, js in enumerate(self.nerve.level_subsets) for J in js
+                if self.offset(n, p, J) is not None]
+
+    def augmentation(self):
+        return self._sum.inject(0, self.nerve.augmentation_to_level(0))
+
+
+NERVE_ORACLE_COVERS = {
+    **{name: (lambda name=name: fx.emit_fixture(name))
+       for name in ("triangle-boundary", "three-edge", "torus-square",
+                    "disjoint", "constant", "random", "p1-polyvector")},
+    **{f"random-N{N}-seed{seed}":
+       (lambda N=N, seed=seed: fx.random_presheaf(random.Random(seed), N)[0])
+       for N in range(2, 6) for seed in (21, 22)},
+    "novikov-telescope-constant": _novikov_constant_cover,
+}
+
+
+def test_cech_complex_builds_no_nerve(monkeypatch):
+    def refuse(self, F):
+        raise AssertionError("a nerve built for the Cech complex")
+
+    F = fx.random_presheaf(random.Random(21), 4)[0]
+    monkeypatch.setattr(Nerve, "__init__", refuse)
+    C = CechComplex(F)
+    C.augmentation()
+    assert not any(isinstance(v, Nerve) for v in vars(C).values())
+
+
+@pytest.mark.parametrize("name", sorted(NERVE_ORACLE_COVERS))
+def test_cech_sum_over_subsets_matches_the_nerve_layout(name):
+    F = NERVE_ORACLE_COVERS[name]()
+    C, O = CechComplex(F), NerveCech(F)
+    assert C.cx == O.cx
+    lo, hi = O.cx.support
+    for n in range(lo - 1, hi + 2):
+        assert C.blocks(n) == O.blocks(n)
+        for J in all_subsets(F.n_sets):
+            assert C.offset(n, len(J) - 1, J) == O.offset(n, len(J) - 1, J)
+    if F.has_top:
+        got, want = C.augmentation(), O.augmentation()
+        for n in F.value(TOP).degrees():
+            assert got.mat(n) == want.mat(n)
+
+
 # ---------------------------------------------------------------------------
 # descent reports
 
@@ -419,7 +499,7 @@ def test_tot_random_presheaves():
 
 
 def test_tot_rejects_novikov_values():
-    circ = fx.circle_complex(NovikovRing(1, Fraction(2)))
+    circ = novikov_circle(NovikovRing(1, Fraction(2)))
     F = fx.constant_presheaf(2, circ)
     with pytest.raises(UnsupportedRing):
         tot(F)
@@ -597,6 +677,52 @@ def test_induction_pipeline_sees_a_zero_augmentation():
     F, G, aug_rest, aug_int = fx.triangle_pipeline_data()
     zero = ChainMap.zero(aug_int.source, aug_int.target)
     assert not induction_pipeline(F, G, aug_rest, zero).ok
+
+
+def paste_loop_theta(F, G, aug_rest, aug_int):
+    """The oracle: theta : Cech(G) -> cocone(phi) pasted block by block at
+    hand-computed offsets."""
+    dec = inclusion_exclusion(F)
+    cG = CechComplex(G)
+    first = F.value((1,))
+    mats = {}
+    for n in cG.cx.degrees():
+        m = SparseMatrix(dec.cocone.cx.dim(n), cG.cx.dim(n))
+        at_A, at_B = dec.cocone.offsets.get(n, (0, 0))
+        at_first, at_c2 = dec.A.offsets.get(n, (0, 0))
+        off = cG.offset(n, 0, (1,))
+        if off is not None:
+            m.paste(SparseMatrix.identity(first.dim(n)), at_A + at_first, off)
+        off = cG.offset(n, 0, (2,))
+        if off is not None:
+            m.paste(aug_rest.mat(n), at_A + at_c2, off)
+        off = cG.offset(n, 1, (1, 2))
+        if off is not None:
+            m.paste(aug_int.mat(n - 1), at_B, off)
+        mats[n] = m
+    return ChainMap(cG.cx, dec.cocone.cx, mats)
+
+
+def test_theta_is_one_fold_equal_to_the_paste_loop(monkeypatch):
+    F, G, aug_rest, aug_int = fx.triangle_pipeline_data()
+    folds = []
+    fold = CechComplex.fold
+
+    def recorded(self, target, maps):
+        folds.append(fold(self, target, maps))
+        return folds[-1]
+
+    monkeypatch.setattr(CechComplex, "fold", recorded)
+    zero = ChainMap.zero(aug_int.source, aug_int.target)
+    for rest, inter in [(aug_rest, aug_int), (aug_rest.scale(2), aug_int),
+                        (aug_rest, zero)]:
+        folds.clear()
+        induction_pipeline(F, G, rest, inter)
+        [theta] = folds
+        want = paste_loop_theta(F, G, rest, inter)
+        assert theta.source == want.source and theta.target == want.target
+        for n in want.source.degrees():
+            assert theta.mat(n) == want.mat(n), n
 
 
 # ---------------------------------------------------------------------------
