@@ -11,7 +11,6 @@ splits it.  Prints one row per seed plus wall-clock totals.
 import argparse
 import random
 import time
-from dataclasses import dataclass
 
 from descentlab.complexes import betti_numbers, is_quasi_iso
 from descentlab.fixtures import random_presheaf
@@ -19,20 +18,13 @@ from descentlab.linalg import SparseMatrix
 from descentlab.presheaf import cech, tot, tw, tw_to_tot, whitney_section
 
 
-@dataclass
-class SurveyConfig:
-    count: int = 25
-    max_sets: int = 4
-    max_dim: int = 4
-    width: int = 4
-    base_seed: int = 0
-
-
-def survey_one(cfg: SurveyConfig, seed: int):
+def survey_one(args, seed: int):
+    """One seed's row; args is the parsed command line (max_sets, max_dim,
+    width)."""
     rng = random.Random(seed)
-    n_sets = rng.randint(2, cfg.max_sets)
-    F, expected = random_presheaf(rng, n_sets, max_dim=cfg.max_dim,
-                                  width=cfg.width)
+    n_sets = rng.randint(2, args.max_sets)
+    F, expected = random_presheaf(rng, n_sets, max_dim=args.max_dim,
+                                  width=args.width)
     T = tot(F)
     C = cech(F)
     iso = T.to_cech()
@@ -62,20 +54,18 @@ def main():
     ap.add_argument("--width", type=int, default=4)
     ap.add_argument("--base-seed", type=int, default=0)
     args = ap.parse_args()
-    cfg = SurveyConfig(args.count, args.max_sets, args.max_dim,
-                       args.width, args.base_seed)
 
     t0 = time.monotonic()
     print(f"{'seed':>4}  {'sets':>4}  betti")
-    for k in range(cfg.count):
-        seed = cfg.base_seed + k
-        n_sets, cech_betti, expected = survey_one(cfg, seed)
+    for k in range(args.count):
+        seed = args.base_seed + k
+        n_sets, cech_betti, expected = survey_one(args, seed)
         tag = "" if cech_betti == expected else "  (UNEXPECTED)"
         row = ", ".join(f"b{n}={b}" for n, b in sorted(cech_betti.items()))
         print(f"{seed:>4}  {n_sets:>4}  {row or 'trivial'}{tag}")
         if cech_betti != expected:
             raise SystemExit(f"seed {seed}: betti mismatch vs model")
-    print(f"\n{cfg.count} presheaves, all comparisons exact, "
+    print(f"\n{args.count} presheaves, all comparisons exact, "
           f"{time.monotonic() - t0:.2f}s")
 
 

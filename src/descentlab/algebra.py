@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from .complexes import ChainMap, Complex, HomologySpace
 from .errors import InputError, ShapeMismatch
-from .linalg import SparseMatrix, add_into, rank
+from .linalg import SparseMatrix, accumulate, add_into, rank
 from .presheaf import (TOP, CechComplex, CoverPresheaf, TwComplex,
-                       _model_map, _transport, tot, tw, tw_to_tot)
+                       _transport, tot, tw, tw_to_tot)
 from .scalars import QQ
 from .simplex import PolyForm
 
@@ -109,9 +109,7 @@ def tw_include(small: TwComplex, big: TwComplex) -> ChainMap:
     large: form monomials are sent to themselves."""
     if big.weight_cutoff < small.weight_cutoff:
         raise ShapeMismatch("target cutoff is smaller than the source's")
-    return _transport(small, big, [
-        _model_map(ms, mb, lambda key, p=p: PolyForm(p, {key: Fraction(1)}))
-        for p, (ms, mb) in enumerate(zip(small.models, big.models))])
+    return _transport(small, big, lambda p, key: PolyForm(p, {key: Fraction(1)}))
 
 
 def tw_product(small: TwComplex, big: TwComplex, prod,
@@ -168,9 +166,9 @@ def tw_product(small: TwComplex, big: TwComplex, prod,
                 for aout, cw in fvec.items():
                     for locout, cv in piece.items():
                         b = nerve.pos(p, q1 + q2, J1, locout)
-                        r = big.ambient_pos(n, p, i1 + i2, aout, b)
-                        amb[r] = amb.get(r, Fraction(0)) + cw * cv * sign
-    return big.represent(n, {k: v for k, v in amb.items() if v})
+                        accumulate(amb, big.ambient_pos(n, p, i1 + i2, aout, b),
+                                   cw * cv * sign)
+    return big.represent(n, amb)
 
 
 # ---------------------------------------------------------------------------

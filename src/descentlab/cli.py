@@ -231,6 +231,13 @@ _DEFAULT_COVER_JOB = {
 }
 
 
+def _json_list(x, field):
+    """x if it is a JSON list, else an InputError that names field."""
+    if type(x) is list:
+        return x
+    raise InputError(f"{field} must be a JSON list, not {json.dumps(x)}")
+
+
 def _cmd_covers_check(job):
     data = (_load_json(job.input) if job.input is not None
             else _DEFAULT_COVER_JOB)
@@ -239,18 +246,20 @@ def _cmd_covers_check(job):
         if pairs < 0:
             raise InputError(f"pairs is {pairs}; it must be at least 0")
         # before any name is built, so a huge pairs costs nothing
-        if len(data["grid"]) != 2 * pairs:
+        axes = _json_list(data["grid"], "grid")
+        if len(axes) != 2 * pairs:
             raise InputError("grid must have one range per symplectic "
                              f"variable: {2 * pairs} for pairs = {pairs}, "
-                             f"not {len(data['grid'])}")
+                             f"not {len(axes)}")
         names = symplectic_names(pairs)
-        seqs = [[parse_poly(s, names) for s in seq]
-                for seq in data["sequences"]]
-        cutters = [parse_poly(s, names) for s in data["sets"]]
+        seqs = [[parse_poly(s, names) for s in _json_list(seq, f"sequences[{k}]")]
+                for k, seq in enumerate(_json_list(data["sequences"], "sequences"))]
+        cutters = [parse_poly(s, names) for s in _json_list(data["sets"], "sets")]
         ranges = []
-        for r in data["grid"]:
+        for k, r in enumerate(axes):
             try:
-                lo, hi, step = (parse_scalar(QQ, x) for x in r)
+                lo, hi, step = (parse_scalar(QQ, x)
+                                for x in _json_list(r, f"grid[{k}]"))
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise InputError(f"bad grid range {r!r}: {exc}") from exc
             ranges.append((lo, hi, step))
@@ -276,9 +285,10 @@ def _cmd_covers_check(job):
     if smoothing is not None:
         try:
             mode = smoothing["mode"]
-            deltas = [parse_scalar(QQ, d) for d in smoothing["deltas"]]
-            f1s = [parse_poly(s, names) for s in smoothing["f1"]]
-            f2s = [parse_poly(s, names) for s in smoothing["f2"]]
+            deltas = [parse_scalar(QQ, d)
+                      for d in _json_list(smoothing["deltas"], "deltas")]
+            f1s = [parse_poly(s, names) for s in _json_list(smoothing["f1"], "f1")]
+            f2s = [parse_poly(s, names) for s in _json_list(smoothing["f2"], "f2")]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"malformed smoothing block: {exc}") from exc
         gs = build_cover_functions(f1s, f2s, mode, deltas)

@@ -339,6 +339,27 @@ def tensor(A: Complex, B: Complex) -> TensorComplex:
     return TensorComplex(A, B)
 
 
+def tensor_map(tsrc: TensorComplex, ttgt: TensorComplex, f: ChainMap,
+               g: ChainMap) -> ChainMap:
+    """f (x) g : tsrc -> ttgt, for degree-0 f and g (no Koszul signs),
+    written from the factors' rows: in block i of degree n the entry at
+    (ttgt.pos(n, i, a2, b2), tsrc.pos(n, i, a, b)) is f[a2][a] g[b2][b], so
+    an identity factor costs one pass over its rows, not a column scan."""
+    mats = {}
+    for n in tsrc.cx.degrees():
+        m = mats[n] = SparseMatrix(ttgt.cx.dim(n), tsrc.cx.dim(n))
+        for i, j in tsrc.blocks(n):
+            grows = g.mat(j).rows
+            for a2, frow in enumerate(f.mat(i).rows):
+                for a, va in frow.items():
+                    col = tsrc.pos(n, i, a, 0)
+                    for b2, grow in enumerate(grows):
+                        row = m.rows[ttgt.pos(n, i, a2, b2)]
+                        for b, vb in grow.items():
+                            row[col + b] = va * vb
+    return ChainMap(tsrc.cx, ttgt.cx, mats)
+
+
 @dataclass
 class Telescope:
     cone: DirectSum    # cone(kappa - incl); its complex is the telescope

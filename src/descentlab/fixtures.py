@@ -268,8 +268,8 @@ def torus_square_presheaf():
     Values are tensor products of an arc complex with the full circle
     complex; restrictions act on the first factor only.
     """
-    from .complexes import tensor
-    from .presheaf import TOP, CoverPresheaf, _tensor_map, all_subsets
+    from .complexes import tensor, tensor_map
+    from .presheaf import TOP, CoverPresheaf
 
     arcs = {
         1: ((0, 1, 2), ((0, 1), (1, 2))),
@@ -290,10 +290,10 @@ def torus_square_presheaf():
     adjacent = {}
     for src, dst in (((1,), (1, 2)), ((2,), (1, 2))):
         r = graph_restriction(first[src], first[dst])
-        adjacent[(src, dst)] = _tensor_map(tensors[src], tensors[dst], r, idc)
+        adjacent[(src, dst)] = tensor_map(tensors[src], tensors[dst], r, idc)
     for j in (1, 2):
         r = graph_restriction(circle, first[(j,)])
-        adjacent[(TOP, (j,))] = _tensor_map(tensors[TOP], tensors[(j,)], r, idc)
+        adjacent[(TOP, (j,))] = tensor_map(tensors[TOP], tensors[(j,)], r, idc)
     return CoverPresheaf(2, values, adjacent)
 
 

@@ -27,11 +27,11 @@ from itertools import combinations
 
 from .complexes import (ChainMap, Complex, DirectSum, TensorComplex,
                         _first_spelling, betti_numbers, cocone, direct_sum,
-                        is_quasi_iso, json_int, shift)
+                        is_quasi_iso, json_int, shift, tensor_map)
 from .errors import (CosimplicialIdentityFailure, CutoffTooSmall,
                      FunctorialityFailure, InputError, NotAComplex,
                      RingMismatch, ShapeMismatch, UnsupportedRing)
-from .linalg import SparseMatrix, TrackedEchelon, kernel_basis
+from .linalg import SparseMatrix, TrackedEchelon, accumulate, kernel_basis
 from .scalars import QQ
 from .simplex import (InjMap, NCModel, OmegaModel, PolyForm, coface,
                       integration_cochain, whitney)
@@ -271,11 +271,18 @@ class CechComplex:
                     self.cx.diff[p + q].paste(m, self.offset(p + q + 1, p + 1, J2),
                                               self.offset(p + q, p, J), sign)
 
+    def _level_part(self, p, J):
+        """The part of block (p, J), checking that p is J's level |J| - 1."""
+        if p != len(J) - 1:
+            raise ShapeMismatch(f"subset {format_key(J)} is at level {len(J) - 1}, not {p}")
+        return self._part[J]
+
     def offset(self, n, p, J):
         """Where the (p, J) block of degree n starts; None if it is empty."""
+        i = self._level_part(p, J)
         if not self.F.value(J).dim(n - p):
             return None
-        return self._sum.offsets[n][self._part[J]]
+        return self._sum.offsets[n][i]
 
     def blocks(self, n):
         """(p, J, offset, internal degree) of each nonempty block of degree
@@ -290,7 +297,7 @@ class CechComplex:
 
     def component(self, n, vec: dict, p, J) -> dict:
         """Extract the (p, J) component of a degree-n vector."""
-        return self._sum.component(n, vec, self._part[J])
+        return self._sum.component(n, vec, self._level_part(p, J))
 
     def inject(self, n, p, J, ivec: dict) -> dict:
         off = self.offset(n, p, J)
@@ -322,25 +329,6 @@ def cech(F: CoverPresheaf) -> CechComplex:
 
 # ---------------------------------------------------------------------------
 # totalizations
-
-
-def _tensor_map(tsrc: TensorComplex, ttgt: TensorComplex, f: ChainMap,
-                g: ChainMap) -> ChainMap:
-    """f (x) g on tensor complexes, for degree-0 f and g (no Koszul signs)."""
-    mats = {}
-    for n in tsrc.cx.degrees():
-        m = mats[n] = SparseMatrix(ttgt.cx.dim(n), tsrc.cx.dim(n))
-        for i, j in tsrc.blocks(n):
-            fcols = [f.mat(i).column(a) for a in range(tsrc.A.dim(i))]
-            gcols = [g.mat(j).column(b) for b in range(tsrc.B.dim(j))]
-            col = tsrc.pos(n, i, 0, 0)
-            for fa in fcols:
-                for gb in gcols:
-                    for a2, va in fa.items():
-                        for b2, vb in gb.items():
-                            m.rows[ttgt.pos(n, i, a2, b2)][col] = va * vb
-                    col += 1
-    return ChainMap(tsrc.cx, ttgt.cx, mats)
 
 
 def _model_map(m_from, m_to, image) -> ChainMap:
@@ -410,8 +398,8 @@ class EqualizerTotalization:
                     raise ShapeMismatch(
                         f"coface constraint at level {p}, coface {i}: "
                         f"{exc}") from exc
-                legA = _tensor_map(self.tensors[p + 1], cross, pb, id_nerve)
-                legB = _tensor_map(self.tensors[p], cross, id_model, cf)
+                legA = tensor_map(self.tensors[p + 1], cross, pb, id_nerve)
+                legB = tensor_map(self.tensors[p], cross, id_model, cf)
                 constraints.append(self._levels.extract(p + 1, legA) +
                                    self._levels.extract(p, legB).scale(-1))
         self.kernel, self.free, self._echelons = {}, {}, {}
@@ -480,12 +468,6 @@ class EqualizerTotalization:
         tensor level-p nerve basis vector b."""
         return self._levels.offsets[n][p] + self.tensors[p].pos(n, s, a, b)
 
-    def ambient_locate(self, n, index):
-        """(level p, form degree s, model index a, nerve index b) of an
-        ambient degree-n index; the inverse of ambient_pos."""
-        p, loc = self._levels.locate(n, index)
-        return (p,) + self.tensors[p].locate(n, loc)
-
     def unit_tensor(self, n, level_vecs) -> dict:
         """Kernel coordinates of the sum over p of the level-p model's unit
         tensor level_vecs[p], a degree-n vector of nerve level p."""
@@ -493,9 +475,8 @@ class EqualizerTotalization:
         for p, (m, lvl) in enumerate(zip(self.models, level_vecs)):
             for a, u in m.to_vec(0, m.unit()).items():
                 for b, v in lvl.items():
-                    r = self.ambient_pos(n, p, 0, a, b)
-                    amb[r] = amb.get(r, Fraction(0)) + u * v
-        return self.represent(n, {r: v for r, v in amb.items() if v})
+                    accumulate(amb, self.ambient_pos(n, p, 0, a, b), u * v)
+        return self.represent(n, amb)
 
     def augmentation(self) -> ChainMap:
         """Top value -> totalization: each column is the unit tensor the
@@ -518,45 +499,37 @@ class EqualizerTotalization:
 
 
 def _transport(src: EqualizerTotalization, tgt: EqualizerTotalization,
-               maps) -> ChainMap:
+               image) -> ChainMap:
     """A levelwise map of models, tensored with the identity of the nerve,
     as a chain map of totalizations in kernel coordinates.
 
-    ``maps[p]`` is a chain map (``_model_map``) from src's level-p simplex
-    model to tgt's.  They are first checked to be natural: maps[p] after
-    src's pullback along coface i of level p equals tgt's pullback after
-    maps[p+1], for every (p, i).  A levelwise natural map sends the
-    equalizer into the equalizer, so every image lies in tgt's kernel and
-    its coordinates are its entries at tgt's free columns.  Each entry of a
-    src kernel vector is located in src's ambient space as (p, s, a, b),
-    sent through column a of maps[p] in form degree s with the nerve index
-    b kept, and whatever lands at a free column of tgt in (p, s, ., b) is
-    kept.
+    maps[p] sends each basis key k of src's level-p model to image(p, k),
+    an element of tgt's.  They are checked to be natural: maps[p] after
+    src's pullback along coface i of level p is tgt's pullback after
+    maps[p+1].  A natural map sends the equalizer into the equalizer, so
+    each image is in tgt's kernel, with its entries at tgt's free columns
+    as coordinates: in degree n the map is R K, K the matrix of src's
+    kernel vectors as columns and R the free rows of sum_p maps[p] (x) id.
     """
     if src.F is not tgt.F:
         raise ShapeMismatch("totalizations of different presheaves")
+    maps = [_model_map(ms, mt, lambda key, p=p: image(p, key))
+            for p, (ms, mt) in enumerate(zip(src.models, tgt.models))]
     for (p, i), pb in src.pullbacks.items():
         if maps[p].compose(pb) != tgt.pullbacks[(p, i)].compose(maps[p + 1]):
             raise ShapeMismatch(
                 f"level maps do not commute with the pullback along coface "
                 f"{i} at level {p}")
-    columns = {(p, s): f.mat(s).transpose().rows
-               for p, f in enumerate(maps) for s in f.source.degrees()}
+    amb = tgt._levels.collect(src.ambient, {
+        p: src._levels.extract(p, tensor_map(
+            ts, tt, f, ChainMap.identity(ts.B)))
+        for p, (ts, tt, f) in enumerate(zip(src.tensors, tgt.tensors, maps))})
     mats = {}
     for n in src.cx.degrees():
-        at = {c: k for k, c in enumerate(tgt.free.get(n, []))}
-        rows = [{} for _ in at]
-        for j, vec in enumerate(src.kernel[n]):
-            for idx, v in vec.items():
-                p, s, a, b = src.ambient_locate(n, idx)
-                for a2, w in columns[(p, s)][a].items():
-                    k = at.get(tgt.ambient_pos(n, p, s, a2, b))
-                    if k is not None:
-                        row = rows[k]
-                        row[j] = row.get(j, 0) + w * v
-        mats[n] = SparseMatrix(len(at), src.cx.dim(n),
-                               [{j: v for j, v in row.items() if v}
-                                for row in rows])
+        m, kernel = amb.mat(n), src.kernel[n]
+        free = tgt.free.get(n, [])
+        rows = SparseMatrix(len(free), m.ncols, [m.rows[c] for c in free])
+        mats[n] = rows @ SparseMatrix(len(kernel), m.ncols, kernel).transpose()
     return ChainMap(src.cx, tgt.cx, mats)
 
 
@@ -612,17 +585,13 @@ def tw(F: CoverPresheaf, weight_cutoff: int) -> TwComplex:
 
 def tw_to_tot(twc: TwComplex, totc: TotComplex) -> ChainMap:
     """Levelwise elementwise integration, expressed kernel-to-kernel."""
-    return _transport(twc, totc, [
-        _model_map(om, nc, lambda key, p=p: integration_cochain(
-            PolyForm(p, {key: Fraction(1)})))
-        for p, (om, nc) in enumerate(zip(twc.models, totc.models))])
+    return _transport(twc, totc, lambda p, key: integration_cochain(
+        PolyForm(p, {key: Fraction(1)})))
 
 
 def whitney_section(totc: TotComplex, twc: TwComplex) -> ChainMap:
     """The Whitney map levelwise; a right inverse of tw_to_tot on the nose."""
-    return _transport(totc, twc, [
-        _model_map(nc, om, lambda F, p=p: whitney(p, {F: Fraction(1)}))
-        for p, (nc, om) in enumerate(zip(totc.models, twc.models))])
+    return _transport(totc, twc, lambda p, F: whitney(p, {F: Fraction(1)}))
 
 
 # ---------------------------------------------------------------------------

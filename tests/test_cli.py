@@ -917,6 +917,28 @@ def test_covers_check_bundled_job_passes(capsys):
 _BUNDLED_COVERS = cli._DEFAULT_COVER_JOB
 
 
+@pytest.mark.parametrize("edit, field", [
+    ({"grid": [["-2", "2", "1/2"], "021"]}, "grid[1]"),
+    ({"grid": "ab"}, "grid"),
+    ({"sequences": "q1"}, "sequences"),
+    ({"sequences": ["q1 - 1"]}, "sequences[0]"),
+    ({"sets": "q1"}, "sets"),
+    ({"smoothing": {**_BUNDLED_COVERS["smoothing"], "deltas": "12"}}, "deltas"),
+    ({"smoothing": {**_BUNDLED_COVERS["smoothing"], "f1": "q1"}}, "f1"),
+    ({"smoothing": {**_BUNDLED_COVERS["smoothing"], "f2": "p1"}}, "f2"),
+], ids=["grid-axis", "grid", "sequences", "sequence", "sets", "deltas", "f1",
+        "f2"])
+def test_covers_job_refuses_a_string_where_it_reads_a_list(tmp_path, capsys,
+                                                          edit, field):
+    # read character by character, the axis "021" would pass as
+    # ["0", "2", "1"] and "q1" as the sequence ["q", "1"]
+    path = tmp_path / "covers.json"
+    path.write_text(json.dumps({**_BUNDLED_COVERS, **edit}))
+    code, out, err = run_cli(capsys, "covers-check", "--input", str(path))
+    assert code == 2 and not out
+    assert f"{field} must be a JSON list, not " in err
+
+
 @pytest.mark.parametrize("job, check", [
     ({"pairs": 1, "sequences": [["q1^10000"]], "sets": ["q1"],
       "grid": [["-2", "2", "1/2"], ["-2", "2", "1/2"]]},

@@ -33,10 +33,11 @@ from pathlib import Path
 
 import pytest
 
-from descentlab import algebra, presheaf
+from descentlab import presheaf
 from descentlab import fixtures as fx
 from descentlab.algebra import tw_include
-from descentlab.complexes import ChainMap, Complex
+from descentlab import complexes
+from descentlab.complexes import ChainMap, Complex, TensorComplex, tensor_map
 from descentlab.errors import ShapeMismatch
 from descentlab.linalg import SparseMatrix, TrackedEchelon
 from descentlab.linalg import rank as linalg_rank
@@ -172,6 +173,13 @@ def oracle_differential(E, n):
         E.cx.dim(n + 1))
 
 
+def ambient_locate(E, n, index):
+    """(level p, form degree s, model index a, nerve index b) of an ambient
+    degree-n index; the inverse of ambient_pos."""
+    p, loc = E._levels.locate(n, index)
+    return (p,) + E.tensors[p].locate(n, loc)
+
+
 def oracle_transport(src, tgt, maps, n):
     columns = {(p, s): f.mat(s).transpose().rows
                for p, f in enumerate(maps) for s in f.source.degrees()}
@@ -180,7 +188,7 @@ def oracle_transport(src, tgt, maps, n):
     for vec in src.kernel[n]:
         amb = {}
         for idx, v in vec.items():
-            p, s, a, b = src.ambient_locate(n, idx)
+            p, s, a, b = ambient_locate(src, n, idx)
             for a2, w in columns[(p, s)][a].items():
                 r = tgt.ambient_pos(n, p, s, a2, b)
                 amb[r] = amb.get(r, 0) + w * v
@@ -261,6 +269,64 @@ def test_totalizations_match_the_per_vector_oracle(name):
             for n in F.value(TOP).degrees():
                 assert exact_entries(got.mat(n)) == exact_entries(
                     oracle_augmentation(E, n))
+
+
+# ---------------------------------------------------------------------------
+# the tensor of two maps, against the column scan it replaced
+
+
+def column_scan_tensor_map(tsrc, ttgt, f, g):
+    """f (x) g read off one column of each factor per basis element."""
+    mats = {}
+    for n in tsrc.cx.degrees():
+        m = mats[n] = SparseMatrix(ttgt.cx.dim(n), tsrc.cx.dim(n))
+        for i, j in tsrc.blocks(n):
+            fcols = [f.mat(i).column(a) for a in range(tsrc.A.dim(i))]
+            gcols = [g.mat(j).column(b) for b in range(tsrc.B.dim(j))]
+            col = tsrc.pos(n, i, 0, 0)
+            for fa in fcols:
+                for gb in gcols:
+                    for a2, va in fa.items():
+                        for b2, vb in gb.items():
+                            m.rows[ttgt.pos(n, i, a2, b2)][col] = va * vb
+                    col += 1
+    return ChainMap(tsrc.cx, ttgt.cx, mats)
+
+
+def assert_same_entries(got, want):
+    for n in got.source.degrees():
+        assert exact_entries(got.mat(n)) == exact_entries(want.mat(n)), n
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_COVERS))
+def test_constraint_legs_match_the_column_scan(name):
+    F = ORACLE_COVERS[name]()
+    N = F.n_sets
+    for E in (tot(F), tw(F, N), tw(F, N + 1)):
+        for (p, i), pb in E.pullbacks.items():
+            cross = TensorComplex(E.models[p].cx, E.nerve.level(p + 1))
+            legs = [(E.tensors[p + 1], pb,
+                     ChainMap.identity(E.nerve.level(p + 1))),
+                    (E.tensors[p], ChainMap.identity(E.models[p].cx),
+                     E.nerve.coface(p, i))]
+            for tsrc, f, g in legs:
+                assert_same_entries(tensor_map(tsrc, cross, f, g),
+                                 column_scan_tensor_map(tsrc, cross, f, g))
+
+
+def test_torus_square_restrictions_match_the_column_scan(monkeypatch):
+    F = fx.torus_square_presheaf()
+    scans = []
+
+    def scan(*args):
+        scans.append(args)
+        return column_scan_tensor_map(*args)
+
+    monkeypatch.setattr(complexes, "tensor_map", scan)
+    G = fx.torus_square_presheaf()
+    assert len(scans) == len(F.adjacent) == len(G.adjacent)
+    for arrow, f in F.adjacent.items():
+        assert_same_entries(f, G.adjacent[arrow])
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +538,7 @@ def dehomogenize(p, key):
 
 
 def to_reduced(W, R):
-    return _transport(W, R, [
-        _model_map(om, rm, lambda key, p=p: dehomogenize(p, key))
-        for p, (om, rm) in enumerate(zip(W.models, R.models))])
+    return _transport(W, R, dehomogenize)
 
 
 def assert_isomorphism(f):
@@ -503,23 +567,17 @@ def test_the_barycentric_basis_is_a_change_of_basis(name):
     T, W, R = tot(F), tw(F, N), ReducedTw(F, N)
     iso = to_reduced(W, R)
     assert_isomorphism(iso)
-    reduced_integration = _transport(R, T, [
-        _model_map(rm, nc, lambda key, p=p: reduced_integration_cochain(
-            ReducedForm(p, {key: Fraction(1)})))
-        for p, (rm, nc) in enumerate(zip(R.models, T.models))])
+    reduced_integration = _transport(R, T, lambda p, key: (
+        reduced_integration_cochain(ReducedForm(p, {key: Fraction(1)}))))
     assert reduced_integration.compose(iso) == tw_to_tot(W, T)
-    reduced_section = _transport(T, R, [
-        _model_map(nc, rm, lambda G, p=p: reduced_whitney(p, G))
-        for p, (nc, rm) in enumerate(zip(T.models, R.models))])
+    reduced_section = _transport(T, R, reduced_whitney)
     assert iso.compose(whitney_section(T, W)) == reduced_section
     if include:
         W1, R1 = tw(F, N + 1), ReducedTw(F, N + 1)
         iso1 = to_reduced(W1, R1)
         assert_isomorphism(iso1)
-        reduced_include = _transport(R, R1, [
-            _model_map(rs, rb, lambda key, p=p: ReducedForm(
-                p, {key: Fraction(1)}))
-            for p, (rs, rb) in enumerate(zip(R.models, R1.models))])
+        reduced_include = _transport(R, R1, lambda p, key: ReducedForm(
+            p, {key: Fraction(1)}))
         assert iso1.compose(tw_include(W, W1)) == reduced_include.compose(iso)
 
 
@@ -580,7 +638,6 @@ def test_a_mutated_level_map_fails_the_naturality_certificate(
         return f
 
     monkeypatch.setattr(presheaf, "_model_map", mutated)
-    monkeypatch.setattr(algebra, "_model_map", mutated)
     with pytest.raises(ShapeMismatch, match="coface . at level [01]"):
         build(W, T, W1)
 

@@ -331,9 +331,16 @@ def test_cech_offset_is_none_for_an_empty_block():
     assert C.offset(2, 1, (1, 2)) is None
 
 
+def ambient_locate(E, n, index):
+    """(level p, form degree s, model index a, nerve index b) of an ambient
+    degree-n index, read off the level sum and the level's tensor."""
+    p, loc = E._levels.locate(n, index)
+    return (p,) + E.tensors[p].locate(n, loc)
+
+
 def test_ambient_pos_inverts_ambient_locate():
     T = tot(fx.random_presheaf(random.Random(3), 3)[0])
     for n in T.ambient.degrees():
         for index in range(T.ambient.dim(n)):
-            p, s, a, b = T.ambient_locate(n, index)
+            p, s, a, b = ambient_locate(T, n, index)
             assert T.ambient_pos(n, p, s, a, b) == index

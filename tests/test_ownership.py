@@ -194,3 +194,35 @@ def test_purity_rank_is_read_only_through_its_owner(path):
         elif isinstance(node, ast.alias):
             named.add(node.name)
     assert named & PURITY_PATH == set()
+
+
+# SparseMatrix.column scans every row of its matrix.  A tensor of maps is
+# written from its factors' rows (complexes.tensor_map); the two callers
+# left are the tensor differential and the homology boundaries, which the
+# benchmark's wrap target linalg:SparseMatrix.column still needs reached.
+COLUMN_CALLERS = {("complexes.py", "TensorComplex.__init__"),
+                  ("complexes.py", "HomologySpace.__init__")}
+
+
+def _column_callers(path):
+    """(module, enclosing Class.function) of each ``.column(...)`` call."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) \
+                    and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "column":
+                found.add((path.name, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_column_scans_live_only_where_they_are_pinned():
+    callers = set().union(*map(_column_callers, PACKAGE.glob("*.py")))
+    assert callers <= COLUMN_CALLERS

@@ -16,7 +16,8 @@ from descentlab.complexes import (ChainMap, Complex, betti_numbers, cocone,
                                   novikov_q_expansion_map, rank, shift,
                                   telescope, telescope_comparison)
 from descentlab.errors import (CutoffTooSmall, FunctorialityFailure,
-                               InputError, UnknownFixture, UnsupportedRing)
+                               InputError, ShapeMismatch, UnknownFixture,
+                               UnsupportedRing)
 from descentlab.linalg import SparseMatrix
 from descentlab.presheaf import (TOP, CechComplex, CoverPresheaf, Nerve,
                                  _is_permutation, all_subsets, arrows, cech,
@@ -253,6 +254,18 @@ def test_cech_component_inject_inverse():
     vec = C.inject(1, 0, (1,), {0: Fraction(5)})
     assert C.component(1, vec, 0, (1,)) == {0: Fraction(5)}
     assert C.component(1, vec, 1, (1, 2)) == {}
+
+
+@pytest.mark.parametrize("call", [
+    lambda C: C.offset(1, 1, (1,)),
+    lambda C: C.component(1, {0: 5}, 1, (1,)),
+    lambda C: C.inject(1, 1, (1,), {0: 1}),
+], ids=["offset", "component", "inject"])
+def test_cech_refuses_a_level_that_does_not_match_its_subset(call):
+    # {1} is at level 0, so no block of degree 1 is (1, {1})
+    C = cech(fx.triangle_three_edge_presheaf())
+    with pytest.raises(ShapeMismatch, match="subset 1 is at level 0, not 1"):
+        call(C)
 
 
 def test_cech_augmentation_is_quasi_iso():
