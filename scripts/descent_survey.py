@@ -15,7 +15,7 @@ import time
 from descentlab.complexes import betti_numbers, is_quasi_iso
 from descentlab.fixtures import random_presheaf
 from descentlab.linalg import SparseMatrix
-from descentlab.presheaf import cech, tot, tw, tw_to_tot, whitney_section
+from descentlab.presheaf import tot, tw, tw_to_tot, whitney_section
 
 
 def survey_one(args, seed: int):
@@ -26,7 +26,7 @@ def survey_one(args, seed: int):
     F, expected = random_presheaf(rng, n_sets, max_dim=args.max_dim,
                                   width=args.width)
     T = tot(F)
-    C = cech(F)
+    C = T.cech
     iso = T.to_cech()
     cech_betti = {n: b for n, b in betti_numbers(C.cx).items() if b}
     expected = {n: b for n, b in expected.items() if b}

@@ -190,17 +190,23 @@ class DirectSum:
         hi = offs[i + 1] if i + 1 < len(offs) else self.cx.dim(n)
         return {k - lo: v for k, v in vec.items() if lo <= k < hi}
 
+    def between(self, source: "DirectSum", maps: dict) -> ChainMap:
+        """The sum over (i, j) of iota_i o maps[(i, j)] o pi_j, for
+        maps[(i, j)] : part j of source -> part i; one matrix per degree of
+        source, each block pasted once at the two sums' offsets."""
+        mats = {}
+        for n in source.cx.degrees():
+            m = mats[n] = SparseMatrix(self.cx.dim(n), source.cx.dim(n))
+            for (i, j), f in maps.items():
+                blk = f.mat(n)
+                if blk.nrows:
+                    m.paste(blk, self.offsets[n][i], source.offsets[n][j])
+        return ChainMap(source.cx, self.cx, mats)
+
     def collect(self, source: Complex, maps: dict) -> ChainMap:
         """The sum over i of iota_i o maps[i], for maps[i] : source -> part i;
         zero into each part that maps does not name."""
-        mats = {}
-        for n in source.degrees():
-            m = mats[n] = SparseMatrix(self.cx.dim(n), source.dim(n))
-            for i, f in maps.items():
-                blk = f.mat(n)
-                if blk.nrows:
-                    m.paste(blk, self.offsets[n][i], 0)
-        return ChainMap(source, self.cx, mats)
+        return self.between(_one_part(source), {(i, 0): f for i, f in maps.items()})
 
     def inject(self, i, f: ChainMap) -> ChainMap:
         """iota_i o f, for f landing in part i."""
@@ -209,16 +215,16 @@ class DirectSum:
     def fold(self, target: Complex, maps: dict) -> ChainMap:
         """The sum over i of maps[i] o pi_i, for maps[i] : part i -> target;
         zero on each part that maps does not name."""
-        mats = {}
-        for n in self.cx.degrees():
-            m = mats[n] = SparseMatrix(target.dim(n), self.cx.dim(n))
-            for i, f in maps.items():
-                m.paste(f.mat(n), 0, self.offsets[n][i])
-        return ChainMap(self.cx, target, mats)
+        return _one_part(target).between(self, {(0, i): f for i, f in maps.items()})
 
     def extract(self, i, f: ChainMap) -> ChainMap:
         """f o pi_i, for f leaving part i."""
         return self.fold(f.target, {i: f})
+
+
+def _one_part(cx: Complex) -> DirectSum:
+    """cx as the sum of itself alone."""
+    return DirectSum(cx, {n: [0] for n in cx.degrees()})
 
 
 def direct_sum(parts) -> DirectSum:
@@ -390,10 +396,9 @@ def telescope(terms, maps) -> Telescope:
         g = ChainMap.zero(Complex(tail.cx.ring, {}, {}, support=(lo, lo)), tail.cx)
     else:
         head = direct_sum(terms[:-1])
-        kappa = tail.collect(head.cx, {i + 1: head.extract(i, maps[i])
-                                       for i in range(L - 1)})
-        incl = tail.collect(head.cx, {i: head.extract(i, ChainMap.identity(terms[i]))
-                                      for i in range(L - 1)})
+        kappa = tail.between(head, {(i + 1, i): maps[i] for i in range(L - 1)})
+        incl = tail.between(head, {(i, i): ChainMap.identity(terms[i])
+                                   for i in range(L - 1)})
         g = ChainMap(head.cx, tail.cx,
                      {n: kappa.mat(n) - incl.mat(n) for n in head.cx.degrees()})
     mc = cone(g)

@@ -78,21 +78,17 @@ def chain_map_space(A: Complex, B: Complex):
     index = {u: i for i, u in enumerate(unknowns)}
     eqs = []
     for n in A.degrees():
-        dB, dA = B.d(n), A.d(n)
+        dB, dA_cols = B.d(n), A.d(n).transpose().rows
         for r in range(B.dim(n + 1)):
             for c in range(A.dim(n)):
                 eq = {}
                 for k, v in dB.rows[r].items():  # d_B f term
-                    eq[index[(n, k, c)]] = eq.get(index[(n, k, c)], Fraction(0)) + v
-                for k in range(A.dim(n + 1)):  # f d_A term
-                    v = dA.get(k, c)
-                    if v and (n + 1, r, k) in index:
-                        i = index[(n + 1, r, k)]
-                        eq[i] = eq.get(i, Fraction(0)) - v
-                eq = {i: v for i, v in eq.items() if v}
+                    accumulate(eq, index[(n, k, c)], v)
+                for k, v in dA_cols[c].items():  # f d_A term
+                    accumulate(eq, index[(n + 1, r, k)], -v)
                 if eq:
                     eqs.append(eq)
-    m = SparseMatrix(len(eqs), len(unknowns), [dict(e) for e in eqs])
+    m = SparseMatrix(len(eqs), len(unknowns), eqs)
     basis = []
     for vec in kernel_basis(m):
         basis.append({unknowns[i]: v for i, v in vec.items()})
@@ -176,7 +172,7 @@ def graph_cover_presheaf(pieces: dict, top_cells=None):
     intersections.  If top_cells is given, a top value (the union complex or
     any supplied ambient complex data) is attached with restriction maps.
     """
-    from .presheaf import TOP, CoverPresheaf, all_subsets, arrows
+    from .presheaf import TOP, CoverPresheaf, all_subsets
 
     n = len(pieces)
     cells = {}
@@ -190,12 +186,8 @@ def graph_cover_presheaf(pieces: dict, top_cells=None):
     values = {J: graph_cochains(*cells[J]) for J in all_subsets(n)}
     if top_cells is not None:
         values[TOP] = graph_cochains(*top_cells)
-    adjacent = {(J, J2): graph_restriction(values[J], values[J2])
-                 for J, _, J2 in arrows(n)}
-    if top_cells is not None:
-        for j in range(1, n + 1):
-            adjacent[(TOP, (j,))] = graph_restriction(values[TOP], values[(j,)])
-    return CoverPresheaf(n, values, adjacent)
+    return CoverPresheaf.generated(
+        n, values, lambda src, dst: graph_restriction(values[src], values[dst]))
 
 
 CIRCLE_VERTS = (0, 1, 2)
@@ -238,28 +230,20 @@ def disjoint_failure_presheaf():
 
     pt = graph_cochains((0,), ())
     empty = graph_cochains((), ())
-    ident = SparseMatrix.identity(1)
     values = {(1,): pt, (2,): pt, (1, 2): empty, TOP: pt}
-    adjacent = {
-        ((1,), (1, 2)): ChainMap(pt, empty, {0: SparseMatrix(0, 1)}),
-        ((2,), (1, 2)): ChainMap(pt, empty, {0: SparseMatrix(0, 1)}),
-        (TOP, (1,)): ChainMap(pt, pt, {0: ident}),
-        (TOP, (2,)): ChainMap(pt, pt, {0: ident}),
-    }
-    return CoverPresheaf(2, values, adjacent)
+    return CoverPresheaf.generated(2, values, lambda src, dst: ChainMap(
+        pt, values[dst], {0: SparseMatrix.identity(1) if src == TOP
+                          else SparseMatrix(0, 1)}))
 
 
 def constant_presheaf(n_sets: int, cx: Complex):
     """Every subset and the top get the same complex, identities everywhere."""
-    from .presheaf import TOP, CoverPresheaf, all_subsets, arrows
+    from .presheaf import TOP, CoverPresheaf, all_subsets
 
     values = {J: cx for J in all_subsets(n_sets)}
     values[TOP] = cx
-    adjacent = {(J, J2): ChainMap.identity(cx)
-                 for J, _, J2 in arrows(n_sets)}
-    for j in range(1, n_sets + 1):
-        adjacent[(TOP, (j,))] = ChainMap.identity(cx)
-    return CoverPresheaf(n_sets, values, adjacent)
+    return CoverPresheaf.generated(n_sets, values,
+                                   lambda src, dst: ChainMap.identity(cx))
 
 
 def torus_square_presheaf():
@@ -287,14 +271,8 @@ def torus_square_presheaf():
     tensors = {k: tensor(cx, circle) for k, cx in first.items()}
     values = {k: t.cx for k, t in tensors.items()}
     idc = ChainMap.identity(circle)
-    adjacent = {}
-    for src, dst in (((1,), (1, 2)), ((2,), (1, 2))):
-        r = graph_restriction(first[src], first[dst])
-        adjacent[(src, dst)] = tensor_map(tensors[src], tensors[dst], r, idc)
-    for j in (1, 2):
-        r = graph_restriction(circle, first[(j,)])
-        adjacent[(TOP, (j,))] = tensor_map(tensors[TOP], tensors[(j,)], r, idc)
-    return CoverPresheaf(2, values, adjacent)
+    return CoverPresheaf.generated(2, values, lambda src, dst: tensor_map(
+        tensors[src], tensors[dst], graph_restriction(first[src], first[dst]), idc))
 
 
 def triangle_pipeline_data():
@@ -336,7 +314,7 @@ def random_presheaf(rng: random.Random, n_sets: int, max_dim=3, width=3):
     each degree, so nothing about the projection structure is visible in the
     matrices.  Returns (presheaf, expected total betti).
     """
-    from .presheaf import TOP, CoverPresheaf, all_subsets, arrows
+    from .presheaf import TOP, CoverPresheaf, all_subsets
 
     supports = all_subsets(n_sets)
     blocks = {}
@@ -380,9 +358,8 @@ def random_presheaf(rng: random.Random, n_sets: int, max_dim=3, width=3):
         ds_d, ss_d, u_d, uinv_d = sums[dst]
         srccx, dstcx = gauges[src], gauges[dst]
         # the summands of dst, each carried from its slot in src to its own
-        keep = ds_d.collect(ds_s.cx, {
-            k: ds_s.extract(ss_s.index(S), ChainMap.identity(blocks[S]))
-            for k, S in enumerate(ss_d)})
+        keep = ds_d.between(ds_s, {(k, ss_s.index(S)): ChainMap.identity(blocks[S])
+                                   for k, S in enumerate(ss_d)})
         mats = {}
         for n in srccx.degrees():
             m = keep.mat(n)
@@ -391,11 +368,7 @@ def random_presheaf(rng: random.Random, n_sets: int, max_dim=3, width=3):
             mats[n] = m
         return ChainMap(srccx, dstcx, mats)
 
-    values = {key: gauges[key] for key in keys}
-    adjacent = {(J, J2): projection(J, J2) for J, _, J2 in arrows(n_sets)}
-    for j in range(1, n_sets + 1):
-        adjacent[(TOP, (j,))] = projection(TOP, (j,))
-    return CoverPresheaf(n_sets, values, adjacent), expected
+    return CoverPresheaf.generated(n_sets, gauges, projection), expected
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,17 @@ class CoverPresheaf:
         if check:
             self.validate()
 
+    @classmethod
+    def generated(cls, n_sets: int, values: dict, step) -> "CoverPresheaf":
+        """The presheaf whose one-step restriction src -> dst is step(src,
+        dst): over arrows(n_sets) in order, then top -> {j}, j ascending,
+        when values has a top."""
+        adjacent = {(J, J2): step(J, J2) for J, _, J2 in arrows(n_sets)}
+        if TOP in values:
+            for j in range(1, n_sets + 1):
+                adjacent[(TOP, (j,))] = step(TOP, (j,))
+        return cls(n_sets, values, adjacent)
+
     @property
     def has_top(self):
         return TOP in self.values
@@ -213,12 +224,11 @@ class Nerve:
         the component into J' (|J'| = q+1) restricts from the subset of J'
         picked out by the image of f."""
         p, q = f.p, f.q
-        parts = {}
+        blocks = {}
         for k2, J2 in enumerate(self.level_subsets[q]):
             J1 = tuple(sorted(J2[v] for v in f.verts))
-            k1 = self.level_subsets[p].index(J1)
-            parts[k2] = self._sums[p].extract(k1, self.F.res(J1, J2))
-        return self._sums[q].collect(self.level(p), parts)
+            blocks[(k2, self.level_subsets[p].index(J1))] = self.F.res(J1, J2)
+        return self._sums[q].between(self._sums[p], blocks)
 
     def coface(self, p, i) -> ChainMap:
         return self.dmap(coface(p, i))
@@ -308,12 +318,6 @@ class CechComplex:
         F({j})."""
         return self._sum.collect(next(iter(maps.values())).source,
                                  {self._part[(j,)]: f for j, f in maps.items()})
-
-    def fold(self, target: Complex, maps: dict) -> ChainMap:
-        """The map Cech -> target whose component out of block J is maps[J]
-        : F(J)[|J| - 1] -> target (zero on every block that maps does not
-        name); the dual of into_singletons."""
-        return self._sum.fold(target, {self._part[J]: f for J, f in maps.items()})
 
     def augmentation(self) -> ChainMap:
         """F(top) -> Cech, restricting into the singleton components."""
@@ -520,9 +524,8 @@ def _transport(src: EqualizerTotalization, tgt: EqualizerTotalization,
             raise ShapeMismatch(
                 f"level maps do not commute with the pullback along coface "
                 f"{i} at level {p}")
-    amb = tgt._levels.collect(src.ambient, {
-        p: src._levels.extract(p, tensor_map(
-            ts, tt, f, ChainMap.identity(ts.B)))
+    amb = tgt._levels.between(src._levels, {
+        (p, p): tensor_map(ts, tt, f, ChainMap.identity(ts.B))
         for p, (ts, tt, f) in enumerate(zip(src.tensors, tgt.tensors, maps))})
     mats = {}
     for n in src.cx.degrees():
@@ -712,23 +715,28 @@ def induction_pipeline(F: CoverPresheaf, G: CoverPresheaf, aug_rest: ChainMap,
     G is a two-set cover presheaf whose first value is F({1}), whose second
     value maps by aug_rest into Cech(F without the first set), and whose
     intersection value maps by aug_int into Cech(intersections with 1).  The
-    middle map theta : Cech(G) -> cocone(phi) is one fold over the blocks
-    {1}, {2} and {1,2} of Cech(G), each sent into its slot of the cocone; we
-    check it is a chain map and that it carries the augmentation of Cech(G)
-    to the augmentation of Cech(F) under psi.
+    middle map theta : Cech(G) -> cocone(phi) is one map between sums: the
+    blocks {1}, {2} and {1,2} of Cech(G) go into the cocone's parts F({1}),
+    Cech(F without 1) and Cech(intersections with 1)[1]; we check it is a
+    chain map and that it carries the augmentation of Cech(G) to the
+    augmentation of Cech(F) under psi.
     """
     if G.n_sets != 2:
         raise InputError("the coarse cover must have exactly two sets")
     dec = inclusion_exclusion(F)
     cG = CechComplex(G)
-    cc, A = dec.cocone, dec.A
+    cc = dec.cocone
     # aug_int lifted by one, G({1,2})[1] -> Cech(intersections with 1)[1]
     lifted = ChainMap(shift(aug_int.source, 1), shift(aug_int.target, 1),
                       {n + 1: m for n, m in aug_int.mats.items()})
-    theta = cG.fold(cc.cx, {
-        (1,): cc.inject(0, A.inject(0, ChainMap.identity(F.value((1,))))),
-        (2,): cc.inject(0, A.inject(1, aug_rest)),
-        (1, 2): cc.inject(1, lifted)})
+    # the cocone read as F({1}) (+) Cech(F without 1) (+) Cech(FI)[1]
+    first = F.value((1,))
+    parts = DirectSum(cc.cx, {n: [0, first.dim(n), offs[1]]
+                              for n, offs in cc.offsets.items()})
+    theta = parts.between(cG._sum, {
+        (0, cG._part[(1,)]): ChainMap.identity(first),
+        (1, cG._part[(2,)]): aug_rest,
+        (2, cG._part[(1, 2)]): lifted})
     theta_ok = True
     try:
         theta.validate()

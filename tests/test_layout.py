@@ -1,10 +1,11 @@
 """Block layout of direct sums and tensor products.
 
 ``DirectSum`` and ``TensorComplex`` own where each block sits in each
-degree; everything else asks them through ``locate``/``pos``/``collect``/
-``fold``/``inject``/``extract``.  Cones, cocones and telescopes are direct
-sums too.  These tests check the layout against identity-matrix inclusions
-and projections built here from the part dimensions alone.
+degree; everything else asks them through ``locate``/``pos``/
+``between``/``collect``/``fold``/``inject``/``extract``.  Cones, cocones and
+telescopes are direct sums too.  These tests check the layout against
+identity-matrix inclusions and projections built here from the part
+dimensions alone.
 """
 
 import random
@@ -180,6 +181,32 @@ def test_inject_extract_are_identity_composites(seed):
             want = want + g.mat(n) @ projection(parts, ds.cx, i, n)
         assert got.mat(n) == want
         assert zero.mat(n).is_zero()
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_between_sums_the_block_composites(seed):
+    """A map between two sums, placed once per block, is the sum of the
+    composites iota_i o f o pi_j; each composite is checked against the
+    identity-matrix inclusion and projection too."""
+    rng = random.Random(seed)
+    tparts, sparts = random_parts(rng), random_parts(rng)
+    ds, src = direct_sum(tparts), direct_sum(sparts)
+    blocks = {(i, j): random_map(rng, q, p)
+              for i, p in enumerate(tparts) for j, q in enumerate(sparts)
+              if rng.random() < 0.3}
+    blocks[(1, 1)] = random_map(rng, sparts[1], tparts[1])   # the empty parts
+    for maps in (blocks, {}):
+        got = ds.between(src, maps)
+        assert (got.source, got.target) == (src.cx, ds.cx)
+        for n in src.cx.degrees():
+            want = SparseMatrix(ds.cx.dim(n), src.cx.dim(n))
+            for (i, j), f in maps.items():
+                composite = ds.inject(i, src.extract(j, f)).mat(n)
+                assert composite == (inclusion(tparts, ds.cx, i, n) @ f.mat(n)
+                                     @ projection(sparts, src.cx, j, n))
+                want = want + composite
+            assert got.mat(n) == want
 
 
 @given(seeds)

@@ -226,3 +226,56 @@ def _column_callers(path):
 def test_column_scans_live_only_where_they_are_pinned():
     callers = set().union(*map(_column_callers, PACKAGE.glob("*.py")))
     assert callers <= COLUMN_CALLERS
+
+
+# A map between direct sums is placed from its blocks by DirectSum.between,
+# each block pasted once at the two sums' offsets; collect and fold are its
+# one-part cases.  A block that is itself an inject or extract is pasted
+# into a full-width map first and then pasted again.
+PLACERS = {"collect", "fold", "between"}
+
+
+def _method_calls(node, names):
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute) and call.func.attr in names]
+
+
+def _map_values(tree):
+    """The map arguments of each collect/fold/between call in a function,
+    with what the function assigns to one that is passed by name (``x =
+    ...`` or ``x[k] = ...``)."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        assigned = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Subscript):
+                        target = target.value
+                    if isinstance(target, ast.Name):
+                        assigned.setdefault(target.id, []).append(node.value)
+        for call in _method_calls(fn, PLACERS):
+            for value in [*call.args[1:], *(k.value for k in call.keywords)]:
+                yield value
+                if isinstance(value, ast.Name):
+                    yield from assigned.get(value.id, [])
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_block_is_placed_twice(path):
+    nested = [(inner.lineno, inner.func.attr)
+              for value in _map_values(ast.parse(path.read_text()))
+              for inner in _method_calls(value, {"inject", "extract"})]
+    assert nested == []
+
+
+def test_direct_sum_has_one_paste_loop():
+    tree = ast.parse((PACKAGE / "complexes.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "DirectSum")
+    assert len(_method_calls(cls, {"paste"})) == 1
+    methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+    for name in ("collect", "fold"):
+        calls = _method_calls(methods[name], PLACERS | {"paste"})
+        assert [call.func.attr for call in calls] == ["between"]

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descentlab import fixtures as fx
-from descentlab.complexes import (ChainMap, Complex, betti_numbers, cocone,
-                                  direct_sum, homology, homology_map,
-                                  is_quasi_iso, novikov_q_expansion_complex,
+from descentlab import presheaf
+from descentlab.complexes import (ChainMap, Complex, DirectSum,
+                                  betti_numbers, cocone, direct_sum, homology,
+                                  homology_map, is_quasi_iso,
+                                  novikov_q_expansion_complex,
                                   novikov_q_expansion_map, rank, shift,
                                   telescope, telescope_comparison)
 from descentlab.errors import (CutoffTooSmall, FunctorialityFailure,
@@ -716,22 +718,30 @@ def paste_loop_theta(F, G, aug_rest, aug_int):
     return ChainMap(cG.cx, dec.cocone.cx, mats)
 
 
-def test_theta_is_one_fold_equal_to_the_paste_loop(monkeypatch):
+def test_theta_is_one_between_equal_to_the_paste_loop(monkeypatch):
     F, G, aug_rest, aug_int = fx.triangle_pipeline_data()
-    folds = []
-    fold = CechComplex.fold
+    decs, built = [], []
+    decompose, between = presheaf.inclusion_exclusion, DirectSum.between
 
-    def recorded(self, target, maps):
-        folds.append(fold(self, target, maps))
-        return folds[-1]
+    def kept(F):
+        decs.append(decompose(F))
+        return decs[-1]
 
-    monkeypatch.setattr(CechComplex, "fold", recorded)
+    def recorded(self, source, maps):
+        built.append(between(self, source, maps))
+        return built[-1]
+
+    monkeypatch.setattr(presheaf, "inclusion_exclusion", kept)
+    monkeypatch.setattr(DirectSum, "between", recorded)
     zero = ChainMap.zero(aug_int.source, aug_int.target)
     for rest, inter in [(aug_rest, aug_int), (aug_rest.scale(2), aug_int),
                         (aug_rest, zero)]:
-        folds.clear()
+        decs.clear()
+        built.clear()
         induction_pipeline(F, G, rest, inter)
-        [theta] = folds
+        [dec] = decs
+        # the one map into the cocone is theta
+        [theta] = [f for f in built if f.target is dec.cocone.cx]
         want = paste_loop_theta(F, G, rest, inter)
         assert theta.source == want.source and theta.target == want.target
         for n in want.source.degrees():

@@ -1,5 +1,6 @@
 """Each demo under scripts/ runs to completion on small arguments."""
 
+import argparse
 import importlib.util
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from descentlab import complexes
+from descentlab import complexes, presheaf
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -98,3 +99,23 @@ def test_telescope_demo_builds_each_telescope_once(capsys, monkeypatch, den,
     monkeypatch.setattr(demo, "telescope", counted)
     demo.run_job(demo.TelescopeJob(den, exponent, length))
     assert calls == built
+
+
+def test_survey_builds_one_cech_complex_per_seed(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "descent_survey", ROOT / "scripts" / "descent_survey.py")
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    built = []
+    init = presheaf.CechComplex.__init__
+
+    def counted(self, F):
+        built.append(F)
+        init(self, F)
+
+    monkeypatch.setattr(presheaf.CechComplex, "__init__", counted)
+    args = argparse.Namespace(max_sets=3, max_dim=3, width=3)
+    for seed in range(3):
+        built.clear()
+        survey.survey_one(args, seed)
+        assert len(built) == 1
