@@ -1,9 +1,11 @@
 """Exercise the odd Laplacian on polyvector fields and show a worked bracket.
 
-Runs the axiom battery (square zero, derived bracket vs the classical
-formula, Leibniz, optionally Jacobi) over all monomial instances up to
-the degree bound, then prints one derived-bracket computation next to
-its closed-form value.
+Runs the axiom battery (the operator squares to zero, the derived bracket
+is graded antisymmetric and satisfies the Leibniz rule, the operator is a
+derivation of its bracket, optionally Jacobi) over all monomial instances
+up to the degree bound.  Then it prints one derived-bracket computation
+next to the classical Schouten formula; only this worked example compares
+the two.
 
     python3 scripts/bv_bracket_demo.py --max-degree 3
 """

@@ -85,8 +85,8 @@ def cech_cup(C: CechComplex, prod, n1, x: dict, n2, y: dict):
             p2 = p - p1
             q1, q2 = n1 - p1, n2 - p2
             J1, J2 = K[:p1 + 1], K[p1:]
-            xc = C.component(n1, x, p1, J1)
-            yc = C.component(n2, y, p2, J2)
+            xc = C.component(n1, x, J1)
+            yc = C.component(n2, y, J2)
             if not xc or not yc:
                 continue
             rx = F.res(J1, K).mat(q1).matvec(xc)
@@ -147,14 +147,14 @@ def tw_product(small: TwComplex, big: TwComplex, prod,
             i1, a1, b1 = tensor.locate(n1, col1)
             q1 = n1 - i1
             J1, loc1 = nerve.locate(p, q1, b1)
-            w1 = model_s.from_vec(i1, {a1: Fraction(1)})
+            w1 = PolyForm(p, {model_s.basis(i1)[a1]: Fraction(1)})
             for col2, c2 in lv2.items():
                 i2, a2, b2 = tensor.locate(n2, col2)
                 q2 = n2 - i2
                 J2, loc2 = nerve.locate(p, q2, b2)
                 if J1 != J2:
                     continue
-                w2 = model_s.from_vec(i2, {a2: Fraction(1)})
+                w2 = PolyForm(p, {model_s.basis(i2)[a2]: Fraction(1)})
                 wprod = w1.wedge(w2)
                 if wprod.is_zero():
                     continue
@@ -165,7 +165,7 @@ def tw_product(small: TwComplex, big: TwComplex, prod,
                 fvec = model_b.to_vec(i1 + i2, wprod)
                 for aout, cw in fvec.items():
                     for locout, cv in piece.items():
-                        b = nerve.pos(p, q1 + q2, J1, locout)
+                        b = nerve.pos(q1 + q2, J1, locout)
                         accumulate(amb, big.ambient_pos(n, p, i1 + i2, aout, b),
                                    cw * cv * sign)
     return big.represent(n, amb)

@@ -337,8 +337,7 @@ def _cmd_telescope(job):
             return {}, [_check("telescope-stabilization", nz == nzl,
                                telescope_betti=_betti_json(nz),
                                last_term_betti=_betti_json(nzl))], None
-        rep = homology(tel.cx)
-        return {}, [_check("telescope-table", True, **rep.to_json())], None
+        return {}, [_homology_check("telescope-table", tel.cx, None)], None
     den = job.novikov_den if job.novikov_den is not None else 1
     exp = job.novikov_e if job.novikov_e is not None else Fraction(3)
     length = job.weight_cutoff if job.weight_cutoff is not None else 4

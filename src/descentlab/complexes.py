@@ -208,10 +208,6 @@ class DirectSum:
         zero into each part that maps does not name."""
         return self.between(_one_part(source), {(i, 0): f for i, f in maps.items()})
 
-    def inject(self, i, f: ChainMap) -> ChainMap:
-        """iota_i o f, for f landing in part i."""
-        return self.collect(f.source, {i: f})
-
     def fold(self, target: Complex, maps: dict) -> ChainMap:
         """The sum over i of maps[i] o pi_i, for maps[i] : part i -> target;
         zero on each part that maps does not name."""
@@ -260,7 +256,7 @@ def cone(f: ChainMap) -> DirectSum:
 
     The direct sum C[-1] (+) D, so degree n is C^{n+1} (+) D^n, with -f
     pasted into its differential: d(c, x) = (-d_C c, d_D x - f(c)).  The
-    canonical maps are inject(1, id_D) and extract(0, id_{C[-1]}).
+    canonical maps are collect(D, {1: id_D}) and extract(0, id_{C[-1]}).
     """
     ds = direct_sum([shift(f.source, -1), f.target])
     for n, m in ds.cx.diff.items():

@@ -107,9 +107,6 @@ class SparseMatrix:
             for c, v in row.items():
                 yield r, c, v
 
-    def get(self, r, c, default=0):
-        return self.rows[r].get(c, default)
-
     def is_zero(self) -> bool:
         return all(not row for row in self.rows)
 

@@ -214,9 +214,10 @@ class Nerve:
         k, loc = self._sums[p].locate(degree, index)
         return self.level_subsets[p][k], loc
 
-    def pos(self, p, degree, J, loc):
-        """The level-p coordinate of F(J)'s loc-th basis vector; inverse of
-        locate."""
+    def pos(self, degree, J, loc):
+        """The coordinate of F(J)'s loc-th basis vector in level |J| - 1;
+        inverse of locate."""
+        p = len(J) - 1
         return self._sums[p].offsets[degree][self.level_subsets[p].index(J)] + loc
 
     def dmap(self, f: InjMap) -> ChainMap:
@@ -278,39 +279,33 @@ class CechComplex:
             sign = -1 if J2.index(j) % 2 else 1
             for q, m in F.res(J, J2).mats.items():
                 if m.nrows and m.ncols:
-                    self.cx.diff[p + q].paste(m, self.offset(p + q + 1, p + 1, J2),
-                                              self.offset(p + q, p, J), sign)
+                    self.cx.diff[p + q].paste(m, self.offset(p + q + 1, J2),
+                                              self.offset(p + q, J), sign)
 
-    def _level_part(self, p, J):
-        """The part of block (p, J), checking that p is J's level |J| - 1."""
-        if p != len(J) - 1:
-            raise ShapeMismatch(f"subset {format_key(J)} is at level {len(J) - 1}, not {p}")
-        return self._part[J]
-
-    def offset(self, n, p, J):
-        """Where the (p, J) block of degree n starts; None if it is empty."""
-        i = self._level_part(p, J)
-        if not self.F.value(J).dim(n - p):
+    def offset(self, n, J):
+        """Where the block of J (at level |J| - 1) starts in degree n; None
+        if it is empty."""
+        if not self.F.value(J).dim(n - len(J) + 1):
             return None
-        return self._sum.offsets[n][i]
+        return self._sum.offsets[n][self._part[J]]
 
     def blocks(self, n):
         """(p, J, offset, internal degree) of each nonempty block of degree
         n, in the order of the sum."""
         out = []
         for J in self._part:
-            p = len(J) - 1
-            off = self.offset(n, p, J)
+            off = self.offset(n, J)
             if off is not None:
+                p = len(J) - 1
                 out.append((p, J, off, n - p))
         return out
 
-    def component(self, n, vec: dict, p, J) -> dict:
-        """Extract the (p, J) component of a degree-n vector."""
-        return self._sum.component(n, vec, self._level_part(p, J))
+    def component(self, n, vec: dict, J) -> dict:
+        """Extract the J component of a degree-n vector."""
+        return self._sum.component(n, vec, self._part[J])
 
-    def inject(self, n, p, J, ivec: dict) -> dict:
-        off = self.offset(n, p, J)
+    def inject(self, n, J, ivec: dict) -> dict:
+        off = self.offset(n, J)
         return {off + i: v for i, v in ivec.items()}
 
     def into_singletons(self, maps: dict) -> ChainMap:
@@ -513,7 +508,10 @@ def _transport(src: EqualizerTotalization, tgt: EqualizerTotalization,
     maps[p+1].  A natural map sends the equalizer into the equalizer, so
     each image is in tgt's kernel, with its entries at tgt's free columns
     as coordinates: in degree n the map is R K, K the matrix of src's
-    kernel vectors as columns and R the free rows of sum_p maps[p] (x) id.
+    kernel vectors as columns and R the rows of sum_p maps[p] (x) id at
+    tgt's free columns, and only those.  The free column at model basis
+    vector a2 (form degree s) tensor nerve basis vector b of level p is
+    row a2 of maps[p] in degree s, each entry a placed at (s, a, b).
     """
     if src.F is not tgt.F:
         raise ShapeMismatch("totalizations of different presheaves")
@@ -524,15 +522,17 @@ def _transport(src: EqualizerTotalization, tgt: EqualizerTotalization,
             raise ShapeMismatch(
                 f"level maps do not commute with the pullback along coface "
                 f"{i} at level {p}")
-    amb = tgt._levels.between(src._levels, {
-        (p, p): tensor_map(ts, tt, f, ChainMap.identity(ts.B))
-        for p, (ts, tt, f) in enumerate(zip(src.tensors, tgt.tensors, maps))})
     mats = {}
     for n in src.cx.degrees():
-        m, kernel = amb.mat(n), src.kernel[n]
-        free = tgt.free.get(n, [])
-        rows = SparseMatrix(len(free), m.ncols, [m.rows[c] for c in free])
-        mats[n] = rows @ SparseMatrix(len(kernel), m.ncols, kernel).transpose()
+        rows = []
+        for c in tgt.free.get(n, []):
+            p, loc = tgt._levels.locate(n, c)
+            s, a2, b = tgt.tensors[p].locate(n, loc)
+            rows.append({src.ambient_pos(n, p, s, a, b): v
+                         for a, v in maps[p].mat(s).rows[a2].items()})
+        width, kernel = src.ambient.dim(n), src.kernel[n]
+        mats[n] = (SparseMatrix(len(rows), width, rows) @
+                   SparseMatrix(len(kernel), width, kernel).transpose())
     return ChainMap(src.cx, tgt.cx, mats)
 
 
@@ -546,23 +546,20 @@ class TotComplex(EqualizerTotalization):
 
     def to_cech(self) -> ChainMap:
         """Evaluate at the top face of each level; sign-free by the
-        forms-first tensor ordering."""
+        forms-first tensor ordering.  Of each kernel vector only the entries
+        it holds are read, and those at (top face, b) are kept."""
+        tops = [model.index(p, range(p + 1))
+                for p, model in enumerate(self.models)]
         mats = {}
         for n in self.cx.degrees():
             m = SparseMatrix(self.cech.cx.dim(n), self.cx.dim(n))
             for j, vec in enumerate(self.kernel[n]):
-                for p in range(self.F.n_sets):
-                    comp = self.level_component(n, vec, p)
-                    if not comp:
-                        continue
-                    t = self.tensors[p]
-                    top_idx = self.models[p].index(p, range(p + 1))
-                    for b in range(self.nerve.level(p).dim(n - p)):
-                        v = comp.get(t.pos(n, p, top_idx, b))
-                        if v is None:
-                            continue
-                        J, loc = self.nerve.locate(p, n - p, b)
-                        m.rows[self.cech.offset(n, p, J) + loc][j] = v
+                for p, top in enumerate(tops):
+                    for col, v in self.level_component(n, vec, p).items():
+                        s, a, b = self.tensors[p].locate(n, col)
+                        if s == p and a == top:
+                            J, loc = self.nerve.locate(p, n - p, b)
+                            m.rows[self.cech.offset(n, J) + loc][j] = v
             mats[n] = m
         return ChainMap(self.cx, self.cech.cx, mats)
 
@@ -656,7 +653,7 @@ def _cech_map(src: CechComplex, tgt: CechComplex, key, lift=0,
     for n in source.degrees():
         m = mats[n] = SparseMatrix(tgt.cx.dim(n), source.dim(n))
         for p, J, off, q in src.blocks(n - lift):
-            at = tgt.offset(n, p + lift, key(J))
+            at = tgt.offset(n, key(J))
             if at is not None:
                 m.paste(SparseMatrix.identity(src.F.value(J).dim(q))
                         if block is None else block(J, q), at, off)

@@ -389,9 +389,6 @@ class OmegaModel(_SimplexModel):
                 accumulate(out, index[key], c * m)
         return out
 
-    def from_vec(self, n, vec: dict) -> PolyForm:
-        return PolyForm(self.p, {self._basis[n][i]: c for i, c in vec.items()})
-
 
 def _exps(nvars: int, total: int):
     """All exponent tuples of nvars >= 1 variables with sum exactly total,

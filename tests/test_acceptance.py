@@ -287,11 +287,11 @@ def test_07_products():
         # stored chain-level non-commutativity witness
         Cc = cech(Fc)
         ppc = point_product(Fc)
-        wx = Cc.inject(0, 0, (1,), {0: Fraction(1)})
-        wy = Cc.inject(1, 1, (1, 2), {0: Fraction(1)})
+        wx = Cc.inject(0, (1,), {0: Fraction(1)})
+        wy = Cc.inject(1, (1, 2), {0: Fraction(1)})
         fwd = cech_cup(Cc, ppc, 0, wx, 1, wy)
         rev = cech_cup(Cc, ppc, 1, wy, 0, wx)
-        assert fwd == Cc.inject(1, 1, (1, 2), {0: Fraction(1)}) and rev == {}, \
+        assert fwd == Cc.inject(1, (1, 2), {0: Fraction(1)}) and rev == {}, \
             f"witness changed: fwd={fwd}, rev={rev}"
 
         # homology products agree through the comparison maps

@@ -58,7 +58,7 @@ def tw_unit(W):
     units."""
     nerve = W.nerve
     return W.unit_tensor(0, [
-        {nerve.pos(p, 0, J, loc): v
+        {nerve.pos(0, J, loc): v
          for J in js for loc, v in graph_unit(W.F, J).items()}
         for p, js in enumerate(nerve.level_subsets)])
 
@@ -119,9 +119,9 @@ def test_cup_noncommutativity_witness():
     F = fx.constant_presheaf(2, single("Q", 0, 1))
     C = cech(F)
     pp = point_product(F)
-    x = C.inject(0, 0, (1,), {0: Fraction(1)})
-    y = C.inject(1, 1, (1, 2), {0: Fraction(1)})
-    assert cech_cup(C, pp, 0, x, 1, y) == C.inject(1, 1, (1, 2), {0: Fraction(1)})
+    x = C.inject(0, (1,), {0: Fraction(1)})
+    y = C.inject(1, (1, 2), {0: Fraction(1)})
+    assert cech_cup(C, pp, 0, x, 1, y) == C.inject(1, (1, 2), {0: Fraction(1)})
     assert cech_cup(C, pp, 1, y, 0, x) == {}
 
 

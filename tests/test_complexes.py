@@ -73,8 +73,8 @@ class TestShift:
     def test_shift_sign(self):
         d0 = SparseMatrix.from_entries(1, 1, [(0, 0, Fraction(5))])
         c = Complex(QQ, {0: 1, 1: 1}, {0: d0})
-        assert shift(c, 1).d(1).get(0, 0) == -5
-        assert shift(c, 2).d(2).get(0, 0) == 5
+        assert shift(c, 1).d(1).rows[0].get(0, 0) == -5
+        assert shift(c, 2).d(2).rows[0].get(0, 0) == 5
 
 
 class TestConeCocone:
@@ -88,7 +88,7 @@ class TestConeCocone:
         f.validate()
         mc = cone(f)
         mc.cx.validate()
-        mc.inject(1, ChainMap.identity(B)).validate()
+        mc.collect(B, {1: ChainMap.identity(B)}).validate()
         mc.extract(0, ChainMap.identity(shift(A, -1))).validate()
         hc = betti_numbers(mc.cx)
         ha, hb = betti_numbers(A), betti_numbers(B)
@@ -139,7 +139,8 @@ class TestTensor:
 
 def summed_telescope(terms, maps) -> Telescope:
     """The oracle: kappa - incl and the collapse onto C_L as sums of
-    full-size inject o extract pieces, one piece per part."""
+    full-size iota o extract pieces (one-part collects), one piece per
+    part."""
     L = len(terms)
     tail = direct_sum(terms)
     if L == 1:
@@ -147,8 +148,9 @@ def summed_telescope(terms, maps) -> Telescope:
         g = ChainMap.zero(Complex(tail.cx.ring, {}, {}, support=(lo, lo)), tail.cx)
     else:
         head = direct_sum(terms[:-1])
-        kappa = [tail.inject(i + 1, head.extract(i, maps[i])) for i in range(L - 1)]
-        incl = [tail.inject(i, head.extract(i, ChainMap.identity(terms[i])))
+        kappa = [tail.collect(head.cx, {i + 1: head.extract(i, maps[i])})
+                 for i in range(L - 1)]
+        incl = [tail.collect(head.cx, {i: head.extract(i, ChainMap.identity(terms[i]))})
                 for i in range(L - 1)]
         mats = {}
         for n in head.cx.degrees():

@@ -271,6 +271,29 @@ def test_totalizations_match_the_per_vector_oracle(name):
                     oracle_augmentation(E, n))
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_COVERS))
+def test_transports_write_only_the_free_rows(name, monkeypatch):
+    # _transport writes the rows at the target's free columns from the level
+    # maps and the layouts; it builds no ambient map between the level sums
+    F = ORACLE_COVERS[name]()
+    N = F.n_sets
+    T, W, W1 = tot(F), tw(F, N), tw(F, N + 1)
+    calls = [lambda: tw_to_tot(W, T), lambda: whitney_section(T, W),
+             lambda: tw_include(W, W1)]
+    wants = [call() for call in calls]
+
+    def refuse(*args):
+        raise AssertionError("an ambient map was built")
+
+    monkeypatch.setattr(complexes.DirectSum, "between", refuse)
+    monkeypatch.setattr(complexes, "tensor_map", refuse)
+    monkeypatch.setattr(presheaf, "tensor_map", refuse)
+    for call, want in zip(calls, wants):
+        got = call()
+        for n in got.source.degrees():
+            assert exact_entries(got.mat(n)) == exact_entries(want.mat(n))
+
+
 # ---------------------------------------------------------------------------
 # the tensor of two maps, against the column scan it replaced
 

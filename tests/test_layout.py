@@ -2,7 +2,7 @@
 
 ``DirectSum`` and ``TensorComplex`` own where each block sits in each
 degree; everything else asks them through ``locate``/``pos``/
-``between``/``collect``/``fold``/``inject``/``extract``.  Cones, cocones and
+``between``/``collect``/``fold``/``extract``.  Cones, cocones and
 telescopes are direct sums too.  These tests check the layout against
 identity-matrix inclusions and projections built here from the part
 dimensions alone.
@@ -150,7 +150,7 @@ def test_inject_extract_are_identity_composites(seed):
     other = gappy(rng)
     for i, p in enumerate(parts):
         f = random_map(rng, other, p)
-        got = ds.inject(i, f)
+        got = ds.collect(f.source, {i: f})
         assert (got.source, got.target) == (other, ds.cx)
         for n in other.degrees():
             assert got.mat(n) == inclusion(parts, ds.cx, i, n) @ f.mat(n)
@@ -202,7 +202,7 @@ def test_between_sums_the_block_composites(seed):
         for n in src.cx.degrees():
             want = SparseMatrix(ds.cx.dim(n), src.cx.dim(n))
             for (i, j), f in maps.items():
-                composite = ds.inject(i, src.extract(j, f)).mat(n)
+                composite = ds.collect(src.cx, {i: src.extract(j, f)}).mat(n)
                 assert composite == (inclusion(tparts, ds.cx, i, n) @ f.mat(n)
                                      @ projection(sparts, src.cx, j, n))
                 want = want + composite
@@ -222,7 +222,7 @@ def test_component_reads_back_each_part(seed):
         cols = both.mat(n).transpose().rows
         for i, f in fs.items():
             wants = f.mat(n).transpose().rows
-            alone = ds.inject(i, f).mat(n).transpose().rows
+            alone = ds.collect(f.source, {i: f}).mat(n).transpose().rows
             for vec, one, want in zip(cols, alone, wants):
                 assert ds.component(n, vec, i) == want
                 assert ds.component(n, one, i) == want
@@ -263,7 +263,7 @@ def test_cone_is_a_direct_sum(seed):
         assert mc.offsets[n] == [0, C.dim(n + 1)]
     check_two_part_layout(mc)
     parts = [shift(C, -1), D]
-    from_target = mc.inject(1, ChainMap.identity(D))
+    from_target = mc.collect(D, {1: ChainMap.identity(D)})
     to_shifted_source = mc.extract(0, ChainMap.identity(parts[0]))
     from_target.validate()
     to_shifted_source.validate()
@@ -324,7 +324,7 @@ def test_nerve_pos_inverts_locate():
             for index in range(level.dim(q)):
                 J, loc = nerve.locate(p, q, index)
                 assert loc < F.value(J).dim(q)
-                assert nerve.pos(p, q, J, loc) == index
+                assert nerve.pos(q, J, loc) == index
 
 
 @pytest.mark.parametrize("F", [
@@ -334,7 +334,7 @@ def test_nerve_pos_inverts_locate():
 ], ids=["random-N3", "random-N4", "three-edge"])
 def test_coface_is_the_sum_of_its_restrictions(F):
     # each component J2 of level p + 1 restricts from the J1 that coface i
-    # picks out, assembled here one full-size inject(extract(...)) at a time
+    # picks out, assembled here one full-size collect of an extract at a time
     nerve = Nerve(F)
     sums = [direct_sum([F.value(J) for J in js]) for js in nerve.level_subsets]
     for p in range(nerve.n_levels - 1):
@@ -343,8 +343,8 @@ def test_coface_is_the_sum_of_its_restrictions(F):
             for k2, J2 in enumerate(nerve.level_subsets[p + 1]):
                 J1 = J2[:i] + J2[i + 1:]
                 k1 = nerve.level_subsets[p].index(J1)
-                want = want + sums[p + 1].inject(
-                    k2, sums[p].extract(k1, F.res(J1, J2)))
+                want = want + sums[p + 1].collect(
+                    sums[p].cx, {k2: sums[p].extract(k1, F.res(J1, J2))})
             assert nerve.coface(p, i) == want
 
 
@@ -353,9 +353,9 @@ def test_cech_offset_is_none_for_an_empty_block():
     C = CechComplex(F)
     for n in C.cx.degrees():
         for p, J, off, q in C.blocks(n):
-            assert C.offset(n, p, J) == off
+            assert C.offset(n, J) == off
     # pairwise overlaps of the three edges are points: nothing in degree 1
-    assert C.offset(2, 1, (1, 2)) is None
+    assert C.offset(2, (1, 2)) is None
 
 
 def ambient_locate(E, n, index):

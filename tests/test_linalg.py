@@ -131,9 +131,9 @@ class TestSparseMatrix:
         big = SparseMatrix(4, 4)
         big.paste(a, 1, 2, Fraction(2))
         for r, c, v in a.entries():
-            assert big.get(r + 1, c + 2) == 2 * v
+            assert big.rows[r + 1].get(c + 2) == 2 * v
         at = a.transpose()
-        assert all(at.get(c, r) == v for r, c, v in a.entries())
+        assert all(at.rows[c].get(r) == v for r, c, v in a.entries())
 
     def test_paste_stores_no_zero_novikov_entry(self):
         ring = NovikovRing(1, Fraction(3))
