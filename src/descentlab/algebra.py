@@ -254,31 +254,31 @@ def p1_polyvector_presheaf(window: int) -> CoverPresheaf:
     # chart 1 sits inside the overlap as written
     m0 = SparseMatrix.from_entries(
         overlap.dim(0), D + 1,
-        [(fun_col(k), k, Fraction(1)) for k in range(D + 1)])
+        [(fun_col(k), k, 1) for k in range(D + 1)])
     m1 = SparseMatrix.from_entries(
         overlap.dim(1), D + 1,
-        [(fld_col(k), k, Fraction(1)) for k in range(D + 1)
+        [(fld_col(k), k, 1) for k in range(D + 1)
          if fld_lo <= k <= fld_hi])
     r1 = ChainMap(c1, overlap, {0: m0, 1: m1})
     # chart 2: y^k -> x^(-k),  y^k dy -> -x^(2-k) dx
     m0 = SparseMatrix.from_entries(
         overlap.dim(0), D + 1,
-        [(fun_col(-k), k, Fraction(1)) for k in range(D + 1)])
+        [(fun_col(-k), k, 1) for k in range(D + 1)])
     m1 = SparseMatrix.from_entries(
         overlap.dim(1), D + 1,
-        [(fld_col(2 - k), k, Fraction(-1)) for k in range(D + 1)
+        [(fld_col(2 - k), k, -1) for k in range(D + 1)
          if fld_lo <= 2 - k <= fld_hi])
     r2 = ChainMap(c2, overlap, {0: m0, 1: m1})
     # global sections into the charts
     t1 = ChainMap(top, c1, {
-        0: SparseMatrix.from_entries(D + 1, 1, [(0, 0, Fraction(1))]),
+        0: SparseMatrix.from_entries(D + 1, 1, [(0, 0, 1)]),
         1: SparseMatrix.from_entries(D + 1, 3,
-                                     [(k, k, Fraction(1)) for k in range(3)]),
+                                     [(k, k, 1) for k in range(3)]),
     })
     t2 = ChainMap(top, c2, {
-        0: SparseMatrix.from_entries(D + 1, 1, [(0, 0, Fraction(1))]),
+        0: SparseMatrix.from_entries(D + 1, 1, [(0, 0, 1)]),
         1: SparseMatrix.from_entries(D + 1, 3,
-                                     [(2 - k, k, Fraction(-1))
+                                     [(2 - k, k, -1)
                                       for k in range(3)]),
     })
     values = {(1,): c1, (2,): c2, (1, 2): overlap, TOP: top}

@@ -21,7 +21,7 @@ from operator import itemgetter
 from .errors import (InputError, NotAComplex, RingMismatch, ShapeMismatch,
                      UnsupportedRing)
 from .linalg import (SparseMatrix, TrackedEchelon, accumulate, add_into,
-                     kernel_basis, rank)
+                     kernel_basis, rank, whole)
 from .scalars import (QQ, NovikovElem, NovikovRing, divide_by_u,
                       format_novikov, format_rational, parse_novikov,
                       u_terms, unit_inverse, valuation)
@@ -755,19 +755,21 @@ def _is_digits(text):
 
 
 def parse_scalar(ring, s):
-    """A JSON entry as a scalar of ring.  Over Q an int, or a str spelled
+    """A JSON entry as a scalar of ring.  Over Q the value is that of
+    Fraction(str(s)), with its exceptions, in canonical form (an int when
+    it is integral, see ``linalg.whole``).  An int, or a str spelled
     -?digits or -?digits/digits, is read by int(); anything else goes
     through Fraction(str(s)), so a float is read as its decimal."""
     if ring != QQ:
         return parse_novikov(ring, str(s))
     if type(s) is int:
-        return Fraction(s)
+        return s
     if type(s) is str:
         num, slash, den = s.partition("/")
         if _is_digits(num[1:] if num[:1] == "-" else num) and (
                 not slash or _is_digits(den)):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-    return Fraction(str(s))
+            return whole(Fraction(int(num), int(den))) if slash else int(num)
+    return whole(Fraction(str(s)))
 
 
 def complex_to_json(c: Complex):

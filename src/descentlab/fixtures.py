@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .complexes import ChainMap, Complex, change_basis, direct_sum, single
 from .errors import UnknownFixture
-from .linalg import SparseMatrix, accumulate, add_into, kernel_basis
+from .linalg import SparseMatrix, accumulate, add_into, kernel_basis, whole
 from .scalars import QQ
 
 
@@ -24,7 +24,7 @@ def random_unimodular(rng: random.Random, n: int):
         return u, uinv
     for _ in range(2 * n):
         i, j = rng.sample(range(n), 2)
-        s = Fraction(rng.choice([-2, -1, 1, 2]))
+        s = rng.choice([-2, -1, 1, 2])
         # row op on u: row_i += s * row_j ; inverse gets the column op
         add_into(u.rows[i], u.rows[j], s)
         for row in uinv.rows:
@@ -47,7 +47,7 @@ def random_complex(rng: random.Random, lo=0, hi=2, max_cells=3, twist=True):
             betti[n] += 1
     for n in range(lo, hi):
         for _ in range(rng.randrange(max_cells)):
-            d = SparseMatrix.from_entries(1, 1, [(0, 0, Fraction(1))])
+            d = SparseMatrix.from_entries(1, 1, [(0, 0, 1)])
             parts.append(Complex(QQ, {n: 1, n + 1: 1}, {n: d}))
     if not parts:
         parts.append(single(QQ, lo, 1))
@@ -100,11 +100,13 @@ def random_chain_map(rng: random.Random, A: Complex, B: Complex) -> ChainMap:
     basis = chain_map_space(A, B)
     mats = {n: SparseMatrix(B.dim(n), A.dim(n)) for n in A.degrees()}
     for b in basis:
-        s = Fraction(rng.randint(-2, 2))
+        s = rng.randint(-2, 2)
         if not s:
             continue
         for (n, r, c), v in b.items():
             accumulate(mats[n].rows[r], c, v * s)
+    for m in mats.values():     # a sum of Fractions can come out integral
+        m.rows = [{c: whole(v) for c, v in row.items()} for row in m.rows]
     return ChainMap(A, B, mats)
 
 
@@ -144,8 +146,8 @@ def graph_cochains(verts, edges) -> Complex:
     vidx = {v: i for i, v in enumerate(verts)}
     entries = []
     for r, (a, b) in enumerate(edges):
-        entries.append((r, vidx[a], Fraction(-1)))
-        entries.append((r, vidx[b], Fraction(1)))
+        entries.append((r, vidx[a], -1))
+        entries.append((r, vidx[b], 1))
     d0 = SparseMatrix.from_entries(len(edges), len(verts), entries)
     return Complex(QQ, {0: len(verts), 1: len(edges)}, {0: d0},
                    labels={0: list(verts), 1: list(edges)}, support=(0, 1))
@@ -160,7 +162,7 @@ def graph_restriction(big: Complex, small: Complex) -> ChainMap:
         pos = {c: i for i, c in enumerate(cells_big)}
         entries = []
         for r, cell in enumerate(cells_small):
-            entries.append((r, pos[cell], Fraction(1)))
+            entries.append((r, pos[cell], 1))
         mats[n] = SparseMatrix.from_entries(len(cells_small), len(cells_big), entries)
     return ChainMap(big, small, mats)
 

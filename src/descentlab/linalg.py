@@ -6,11 +6,18 @@ falsy, so ``not x`` is the package's one zero test.  This module owns
 dict-vector accumulation: ``accumulate`` and ``add_into`` are the one "add,
 drop the key if the sum cancels" step, for callers in every layer.
 
+A rational scalar has one canonical form, spelled by ``whole``: an int
+when it is integral, else a Fraction with denominator > 1.  It reads ints
+and Fractions alike, and writes products (``@``, ``matvec``), RREF rows,
+kernel vectors, ``represent``'s coordinates and identities in that form;
+sums (``accumulate``, ``paste``, ``+``) keep what their terms' arithmetic
+gives.
+
 Matrices keep one dict per row.  Structural operations (multiply, add,
 blocks) work over any coefficient ring whose elements support +, * and
-unary -; a product over Q runs on integer rows, with one Fraction per
-output entry.  Elimination (rank, RREF, kernels) requires field scalars,
-i.e. Fractions.
+unary -; a product over Q runs on integer rows, and builds a Fraction only
+for an output entry that is not integral.  Elimination (rank, RREF,
+kernels) requires rational scalars, ints or Fractions.
 
 Pivots during elimination are chosen Markowitz-style, preferring entries
 whose row and column are sparsest, which keeps fill-in tolerable on the
@@ -19,14 +26,14 @@ primitive integer rows (fraction-free, with the gcd divided out after each
 combination, as in Bareiss, Math. Comp. 22, 1968); its pivots and outputs
 are those of elimination over Fractions.  ``rank`` is the pivot count of the
 forward pass; only ``rref`` (and so ``kernel_basis``) back-substitutes and
-turns the pivot rows into Fractions.
+divides each pivot row by its pivot, keeping a unit-pivot row's integers.
 
 ``TrackedEchelon`` (coordinates of vectors in inserted generators) is
 fraction-free too: each pivot stores a primitive integer vector and its
 coordinates as an integer dict over one positive integer denominator, a
 vector is reduced as a*x - b*V with the gcd of the pivot entries divided
-out, and ``represent`` turns the coordinates into Fractions only in its
-result.
+out, and ``represent`` divides the coordinates by their denominator only
+in its result.
 """
 
 from __future__ import annotations
@@ -36,6 +43,12 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import ShapeMismatch
+
+
+def whole(q):
+    """The canonical form of a rational q (an int or a Fraction): an int
+    when q is integral, else q itself, whose denominator is then > 1."""
+    return q.numerator if q.denominator == 1 else q
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +110,9 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n):
-        m, one = cls(n, n), Fraction(1)
+        m = cls(n, n)
         for i in range(n):
-            m.rows[i][i] = one
+            m.rows[i][i] = 1
         return m
 
     def entries(self):
@@ -157,11 +170,13 @@ class SparseMatrix:
                     u = acc.get(c)
                     u = v * w if u is None else u + v * w
                     acc[c] = u
-            out.rows[r] = {c: u for c, u in acc.items() if u}
+            out.rows[r] = {c: whole(u) if type(u) is Fraction else u
+                           for c, u in acc.items() if u}
         return out
 
     def matvec(self, vec: dict) -> dict:
-        """Apply to a column vector given as dict col -> scalar."""
+        """Apply to a column vector given as dict col -> scalar; a rational
+        output entry is in canonical form."""
         acc = {}
         for r, row in enumerate(self.rows):
             s = None
@@ -170,7 +185,7 @@ class SparseMatrix:
                 if w is not None:
                     s = v * w if s is None else s + v * w
             if s:
-                acc[r] = s
+                acc[r] = whole(s) if type(s) is Fraction else s
         return acc
 
     def column(self, c) -> dict:
@@ -207,38 +222,55 @@ class SparseMatrix:
 
 
 def _matmul_q(lrows, orows, out) -> bool:
-    """Fill out's rows with the product of two Fraction matrices, on ints:
-    each left row scaled by its denominators' lcm, each right column by its
-    lcm over the rows read, one Fraction(sum, row lcm * column lcm) for each
-    output entry, and rows in the generic loop's key order.  False, with
-    nothing written, when an entry read is not a Fraction."""
+    """Fill out's rows with the product of two rational matrices (ints and
+    Fractions), on ints: each left row scaled by its denominators' lcm,
+    each right column by its lcm over the rows read, each output entry the
+    integer sum over row lcm * column lcm in canonical form (see ``whole``),
+    and rows in the generic loop's key order.  A row or column of ints is
+    read as it is.  False, with nothing written, when an entry read is
+    neither an int nor a Fraction."""
     left, col_den = [], {}
     for row in lrows:
-        den = 1
+        den, ints = 1, True
         for v in row.values():
-            if type(v) is not Fraction:
-                return False
-            if v.denominator != 1:
-                den = lcm(den, v.denominator)
-        left.append((den, {k: v.numerator * (den // v.denominator)
-                           for k, v in row.items()}))
+            if type(v) is not int:
+                if type(v) is not Fraction:
+                    return False
+                ints = False
+                if v.denominator != 1:
+                    den = lcm(den, v.denominator)
+        left.append((den, row if ints else
+                     {k: v.numerator * (den // v.denominator)
+                      for k, v in row.items()}))
     read = {k: orows[k] for _, row in left for k in row}
+    ints = True
     for orow in read.values():
         for c, w in orow.items():
-            if type(w) is not Fraction:
-                return False
-            if w.denominator != 1:
-                col_den[c] = lcm(col_den.get(c, 1), w.denominator)
-    read = {k: {c: w.numerator * (col_den.get(c, 1) // w.denominator)
-                for c, w in orow.items()} for k, orow in read.items()}
+            if type(w) is not int:
+                if type(w) is not Fraction:
+                    return False
+                ints = False
+                if w.denominator != 1:
+                    col_den[c] = lcm(col_den.get(c, 1), w.denominator)
+    if not ints:
+        read = {k: {c: w.numerator * (col_den.get(c, 1) // w.denominator)
+                    for c, w in orow.items()} for k, orow in read.items()}
     for r, (den, row) in enumerate(left):
         acc = {}
         for k, v in row.items():
             for c, w in read[k].items():
                 acc[c] = acc.get(c, 0) + v * w
-        out.rows[r] = {c: Fraction(u, den * col_den.get(c, 1))
-                       for c, u in acc.items() if u}
+        if den == 1 and not col_den:
+            out.rows[r] = {c: u for c, u in acc.items() if u}
+        else:
+            out.rows[r] = {c: _quotient(u, den * col_den.get(c, 1))
+                           for c, u in acc.items() if u}
     return True
+
+
+def _quotient(u: int, d: int):
+    """u / d for ints, d != 0, in canonical form."""
+    return u if d == 1 else whole(Fraction(u, d))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +368,10 @@ def _forward(rows):
 
 
 def _back_substitute(found):
-    """The RREF from _forward's pivots: (col, row dict of Fractions) sorted
-    by column, each row 1 at its own pivot and 0 at every other pivot
-    column, as Fraction Gauss-Jordan elimination would produce it.
+    """The RREF from _forward's pivots: (col, row dict of canonical
+    rationals) sorted by column, each row 1 at its own pivot and 0 at every
+    other pivot column, as Fraction Gauss-Jordan elimination would produce
+    it.  A unit-pivot row's integers are handed back as they are.
 
     A pivot row holds no earlier pivot column, and the later pivot rows it
     holds are already reduced when it is reached (newest first), so one
@@ -366,8 +399,9 @@ def _back_substitute(found):
     pivots = []
     for pc, row in found:
         pv = row[pc]
-        pivots.append((pc, {c: Fraction(v) for c, v in row.items()} if pv == 1
-                       else {c: Fraction(v, pv) for c, v in row.items()}))
+        if pv != 1:
+            row = {c: whole(Fraction(v, pv)) for c, v in row.items()}
+        pivots.append((pc, row))
     pivots.sort(key=lambda t: t[0])
     return pivots
 
@@ -393,7 +427,7 @@ def kernel_basis(mat: SparseMatrix):
     """
     pivots = rref(mat)
     pivot_cols = {c for c, _ in pivots}
-    basis = {j: {j: Fraction(1)} for j in range(mat.ncols) if j not in pivot_cols}
+    basis = {j: {j: 1} for j in range(mat.ncols) if j not in pivot_cols}
     for c, row in pivots:
         for j, v in row.items():
             if j != c:
@@ -415,8 +449,8 @@ class TrackedEchelon:
     with the gcd of V[p] and x[p] divided out of a and b, as in ``_cancel``.
     Every stored and reduced vector is a nonzero multiple of the one
     Fraction elimination would hold, so the pivots, the support and the key
-    order are those of Fraction elimination; ``represent`` builds one
-    Fraction per output coordinate.
+    order are those of Fraction elimination; ``represent`` divides once per
+    output coordinate, in canonical form.
     """
 
     def __init__(self):
@@ -510,4 +544,4 @@ class TrackedEchelon:
         if p is not None:
             return None
         den *= scale * mu
-        return {k: Fraction(v, den) for k, v in coords.items()}
+        return {k: whole(Fraction(v, den)) for k, v in coords.items()}

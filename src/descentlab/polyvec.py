@@ -12,7 +12,7 @@ monomial dict; `simplex.PolyForm` shares it with Fraction coefficients, and
 from fractions import Fraction
 
 from .errors import AxiomFailure, ShapeMismatch
-from .linalg import accumulate, add_into
+from .linalg import accumulate, add_into, whole
 
 
 def _merge_odd(xs, ys):
@@ -344,9 +344,7 @@ def bv_axiom_check(nvars=2, max_degree=3, delta=None, jacobi=True):
         got = deltas.get(key)
         if got is None:
             image = delta(Polyvector.monomial(nvars, *key)).terms
-            got = deltas[key] = {
-                k: c.numerator if c.denominator == 1 else c
-                for k, c in image.items()}
+            got = deltas[key] = {k: whole(c) for k, c in image.items()}
         return got
 
     def w_key(ka, kb):

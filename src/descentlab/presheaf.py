@@ -31,7 +31,8 @@ from .complexes import (ChainMap, Complex, DirectSum, TensorComplex,
 from .errors import (CosimplicialIdentityFailure, CutoffTooSmall,
                      FunctorialityFailure, InputError, NotAComplex,
                      RingMismatch, ShapeMismatch, UnsupportedRing)
-from .linalg import SparseMatrix, TrackedEchelon, accumulate, kernel_basis
+from .linalg import (SparseMatrix, TrackedEchelon, accumulate, kernel_basis,
+                     whole)
 from .scalars import QQ
 from .simplex import (InjMap, NCModel, OmegaModel, PolyForm, coface,
                       integration_cochain, whitney)
@@ -338,7 +339,7 @@ def _model_map(m_from, m_to, image) -> ChainMap:
         entries = []
         for col, key in enumerate(m_from.basis(s)):
             for r, v in m_to.to_vec(s, image(key)).items():
-                entries.append((r, col, v))
+                entries.append((r, col, whole(v)))
         mats[s] = SparseMatrix.from_entries(
             len(m_to.basis(s)), len(m_from.basis(s)), entries)
     return ChainMap(m_from.cx, m_to.cx, mats)

@@ -1,7 +1,8 @@
 """Exact coefficient arithmetic.
 
-Two coefficient rings are supported everywhere: the rationals (plain
-``fractions.Fraction``) and the truncated Novikov ring Λ = Q[u]/(u^m),
+Two coefficient rings are supported everywhere: the rationals (an int
+when integral, else a ``fractions.Fraction``; ``linalg.whole`` spells that
+form) and the truncated Novikov ring Λ = Q[u]/(u^m),
 u = T^(1/den), where m counts the powers T^(k/den) below a rational cutoff.
 An element holds ``terms``, {k: nonzero Fraction} with int keys 0 <= k < m.
 ``NovikovRing.elem`` is the one place that reads a T-exponent and checks that
@@ -42,7 +43,11 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-def format_rational(q: Fraction) -> str:
+def format_rational(q) -> str:
+    """The printed form of a rational: 'p' when it is integral, else
+    'p/q'; an int is printed as it is, with no Fraction built."""
+    if type(q) is int:
+        return str(q)
     q = as_fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 

@@ -21,7 +21,7 @@ from math import factorial, prod
 
 from .complexes import Complex
 from .errors import ShapeMismatch
-from .linalg import SparseMatrix, accumulate
+from .linalg import SparseMatrix, accumulate, whole
 from .polyvec import Polyvector, _merge_odd
 from .scalars import QQ
 
@@ -116,7 +116,7 @@ class _SimplexModel:
         diff = {}
         for n in range(p):
             index = self._index[n + 1]
-            entries = [(index[k2], col, Fraction(c))
+            entries = [(index[k2], col, whole(c))
                        for col, k in enumerate(self._basis[n])
                        for k2, c in d_on(k)]
             diff[n] = SparseMatrix.from_entries(dims[n + 1], dims[n], entries)

@@ -20,6 +20,7 @@ from descentlab.fixtures import (novikov_telescope_terms, random_chain_map,
                                  random_unimodular)
 from descentlab.linalg import SparseMatrix, rank
 from descentlab.scalars import QQ, NovikovRing
+from test_linalg import canonical
 
 
 def strip(betti):
@@ -341,10 +342,9 @@ class TestQuasiIso:
 
 def _read(parse, s):
     try:
-        value = parse(s)
+        return parse(s)
     except (ValueError, ZeroDivisionError) as exc:
         return type(exc), str(exc)
-    return type(value), value
 
 
 @pytest.mark.parametrize("s", ["+3", " 3 ", "007", "-0", "1_000", "1e3",
@@ -353,9 +353,11 @@ def _read(parse, s):
                                "1/2/3"])
 def test_parse_scalar_reads_as_fraction_of_its_text(s):
     # int() reads only an int and -?digits(/digits)?; every other entry
-    # keeps Fraction(str(s)), its value and its exception with its message
-    assert _read(lambda t: parse_scalar(QQ, t), s) == \
-        _read(lambda t: Fraction(str(t)), s)
+    # keeps Fraction(str(s))'s value and its exception with its message,
+    # and a value is in canonical form
+    got = _read(lambda t: parse_scalar(QQ, t), s)
+    assert got == _read(lambda t: Fraction(str(t)), s)
+    assert type(got) is tuple or canonical(got)
 
 
 class TestSerde:

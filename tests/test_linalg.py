@@ -25,6 +25,12 @@ def scalar_is_zero(x) -> bool:
     return x == 0
 
 
+def canonical(q) -> bool:
+    """q is a rational in canonical form: an int (never a bool) when it is
+    integral, else a Fraction with denominator > 1."""
+    return type(q) is int or (type(q) is Fraction and q.denominator > 1)
+
+
 def vec_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for i, v in b.items():
@@ -395,13 +401,14 @@ class TestEliminationOracle:
             want = oracle_rref(m)
             got = rref(m)
             assert got == want
-            assert all(type(v) is Fraction for _, row in got for v in row.values())
+            assert all(canonical(v) for _, row in got for v in row.values())
             assert m.rows == before     # rref does not consume the input
             assert rank(m) == len(want)
             assert m.rows == before     # nor does rank
             ker = kernel_basis(m)
             assert [list(v.items()) for v in ker] == \
                 [list(v.items()) for v in oracle_kernel_basis(m, want)]
+            assert all(canonical(x) for v in ker for x in v.values())
             assert m.rows == before     # nor does kernel_basis
 
 
@@ -449,9 +456,15 @@ class TestTrackedEchelonGeneric:
 # products over Q on integers against the Fraction loop
 #
 # The oracle is the ring-generic product: a plain triple loop over the left
-# row, its entries' right rows and their entries, summing Fractions and
-# dropping zero sums.  SparseMatrix.__matmul__ must give the same rows with
-# the same key order, whatever the denominators.
+# row, its entries' right rows and their entries, summing Fractions (an int
+# entry is read as one) and dropping zero sums.  SparseMatrix.__matmul__
+# must give the same rows with the same key order, whatever the
+# denominators, each rational entry in canonical form and every other
+# entry of the oracle's type.
+
+
+def _as_fraction(x):
+    return x if isinstance(x, NovikovElem) else Fraction(x)
 
 
 def oracle_matmul(a, b):
@@ -459,7 +472,9 @@ def oracle_matmul(a, b):
     for row in a.rows:
         acc = {}
         for k, v in row.items():
+            v = _as_fraction(v)
             for c, w in b.rows[k].items():
+                w = _as_fraction(w)
                 acc[c] = acc[c] + v * w if c in acc else v * w
         out.append({c: u for c, u in acc.items() if not scalar_is_zero(u)})
     return out
@@ -471,17 +486,18 @@ def assert_generic_product(a, b):
     assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols)
     assert prod.rows == want
     assert [list(row) for row in prod.rows] == [list(row) for row in want]
-    assert [[type(v) for v in row.values()] for row in prod.rows] == \
-        [[type(v) for v in row.values()] for row in want]
+    for row, wrow in zip(prod.rows, want):
+        for v, w in zip(row.values(), wrow.values()):
+            assert canonical(v) if type(w) is Fraction else type(v) is type(w)
     return prod
 
 
 # coprime denominators up to 10^6 (two primes, a power of 2, one of 3, and
-# 10^6 itself), then any denominator in range
+# 10^6 itself), then any denominator in range; or an int
 RATIONALS = st.builds(
     Fraction, st.integers(-10**6, 10**6).filter(bool),
     st.sampled_from([1, 999983, 999979, 2**19, 3**12, 10**6])
-    | st.integers(1, 10**6))
+    | st.integers(1, 10**6)) | st.integers(-10**6, 10**6).filter(bool)
 
 
 @st.composite
@@ -518,7 +534,7 @@ class TestIntegerProduct:
     def test_matches_the_fraction_loop(self, pair):
         a, b = pair
         prod = assert_generic_product(a, b)
-        assert all(type(v) is Fraction and v != 0
+        assert all(canonical(v) and v != 0
                    for row in prod.rows for v in row.values())
 
     def test_cancelling_sums_are_absent(self):

@@ -121,6 +121,76 @@ def test_poly_hot_path_has_no_float():
     assert faults == []
 
 
+# Rational matrices are exact: no int / int may reach a float in the Q
+# product, the elimination or the JSON reader, and what they write is in
+# the canonical form of linalg.whole (an int when integral).
+Q_EXACT_ROOTS = ["_matmul_q", "_forward", "_back_substitute", "kernel_basis",
+                 "parse_scalar"]
+
+
+def test_rational_matrix_path_has_no_float():
+    """The roots, followed through the functions of linalg.py and
+    complexes.py they call by name, hold no true division and no float()
+    call."""
+    functions = {}
+    for name in ("linalg.py", "complexes.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        functions.update({node.name: node for node in tree.body
+                          if isinstance(node, ast.FunctionDef)})
+    seen, todo, faults = set(), list(Q_EXACT_ROOTS), []
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                    and isinstance(node.op, ast.Div):
+                faults.append((name, node.lineno, "/"))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "float":
+                    faults.append((name, node.lineno, "float()"))
+                elif node.func.id in functions:
+                    todo.append(node.func.id)
+    assert {"whole", "_quotient", "_cancel", "_divide_content",
+            "_integer_multiple", "rref"} <= seen
+    assert faults == []
+
+
+def test_rational_matrices_are_written_in_canonical_form():
+    """On the equivalence oracle's covers, every entry of each tot and tw
+    differential, of each kernel_basis vector and of each rref row is an
+    int when integral, else a Fraction with denominator > 1; so is every
+    entry of a seeded random chain map (a sum of Fractions)."""
+    import random
+
+    from test_equivalence import ORACLE_COVERS
+    from test_linalg import canonical
+
+    from descentlab.fixtures import random_chain_map, random_complex
+    from descentlab.linalg import kernel_basis, rref
+    from descentlab.presheaf import tot, tw
+
+    for seed in range(10):
+        rng = random.Random(seed)
+        A, B = random_complex(rng)[0], random_complex(rng)[0]
+        f = random_chain_map(rng, A, B)
+        assert all(canonical(v) for n in A.degrees()
+                   for _, _, v in f.mat(n).entries()), seed
+
+    for name, make in sorted(ORACLE_COVERS.items()):
+        F = make()
+        for E in (tot(F), tw(F, F.n_sets), tw(F, F.n_sets + 1)):
+            for n in E.ambient.degrees():
+                d = E.cx.d(n)
+                written = [v for _, _, v in d.entries()]
+                for vec in [*E.kernel[n], *kernel_basis(d)]:
+                    written.extend(vec.values())
+                for _, row in rref(d):
+                    written.extend(row.values())
+                assert all(canonical(v) for v in written), (name, n)
+
+
 # TrackedEchelon eliminates on integers: its reduction and its insertion
 # divide nothing and build no Fraction; only represent's result does.
 ECHELON_ROOTS = ["TrackedEchelon._reduce", "TrackedEchelon.add",
