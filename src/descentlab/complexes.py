@@ -824,6 +824,15 @@ def _by_degree(table):
             for k, v in table.items()}
 
 
+def _matrix_from_json(ring, triples, nrows: int, ncols: int, field: str):
+    """The nrows x ncols matrix of JSON [row, column, scalar] triples, an
+    entry given twice summed.  Every index and scalar is read before
+    ``SparseMatrix.from_entries`` refuses a position outside the shape."""
+    return SparseMatrix.from_entries(nrows, ncols, [
+        (json_int(r, f"{field} row"), json_int(c, f"{field} column"),
+         parse_scalar(ring, v)) for r, c, v in triples])
+
+
 def complex_from_json(obj) -> Complex:
     """Load a complex and validate it: support, dimensions, shapes, and
     d^2 = 0.
@@ -840,11 +849,9 @@ def complex_from_json(obj) -> Complex:
                 for n, d in _by_degree(obj["dims"]).items()}
         triples_at = _by_degree(obj.get("diff", {}))
         _check_shape(lo, hi, dims, [n for n, t in triples_at.items() if t])
-        diff = {}
-        for n, triples in triples_at.items():
-            entries = [(json_int(r, "diff row"), json_int(col, "diff column"),
-                        parse_scalar(ring, v)) for r, col, v in triples]
-            diff[n] = SparseMatrix.from_entries(dims.get(n + 1, 0), dims.get(n, 0), entries)
+        diff = {n: _matrix_from_json(ring, triples, dims.get(n + 1, 0),
+                                     dims.get(n, 0), "diff")
+                for n, triples in triples_at.items()}
     except (KeyError, ValueError, TypeError, ZeroDivisionError,
             AttributeError) as exc:
         raise InputError(f"malformed complex description: {exc!r}") from exc
@@ -868,11 +875,9 @@ def chain_map_from_json(source: Complex, target: Complex, obj) -> ChainMap:
         s = json_int(obj.get("shift", 0), "shift")
         if s:
             raise InputError(f"shift is {s}, not 0: a chain map has degree 0")
-        mats = {}
-        for n, triples in _by_degree(obj.get("mats", {})).items():
-            entries = [(json_int(r, "mats row"), json_int(c, "mats column"),
-                        parse_scalar(source.ring, v)) for r, c, v in triples]
-            mats[n] = SparseMatrix.from_entries(target.dim(n), source.dim(n), entries)
+        mats = {n: _matrix_from_json(source.ring, triples, target.dim(n),
+                                     source.dim(n), "mats")
+                for n, triples in _by_degree(obj.get("mats", {})).items()}
     except (KeyError, ValueError, TypeError, ZeroDivisionError,
             AttributeError) as exc:
         raise InputError(f"malformed chain map description: {exc!r}") from exc

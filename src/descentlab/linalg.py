@@ -15,9 +15,10 @@ gives.
 
 Matrices keep one dict per row.  Structural operations (multiply, add,
 blocks) work over any coefficient ring whose elements support +, * and
-unary -; a product over Q runs on integer rows, and builds a Fraction only
-for an output entry that is not integral.  Elimination (rank, RREF,
-kernels) requires rational scalars, ints or Fractions.
+unary -; the product is one loop for every ring, multiplying entries as
+they are stored, so integral matrices multiply on ints and a Fraction is
+built only where a factor holds one.  Elimination (rank, RREF, kernels)
+requires rational scalars, ints or Fractions.
 
 Pivots during elimination are chosen Markowitz-style, preferring entries
 whose row and column are sparsest, which keeps fill-in tolerable on the
@@ -157,22 +158,23 @@ class SparseMatrix:
         return SparseMatrix(self.nrows, self.ncols, rows)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        """One loop over every ring: each left row's entries read the right
+        rows they index, zero sums are dropped, and a Fraction output entry
+        is written in canonical form.  An int factor costs no type pass and
+        no rescaled copy, and a factor with no entry multiplies nothing."""
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        out = SparseMatrix(self.nrows, other.ncols)
         orows = other.rows
-        if _matmul_q(self.rows, orows, out):
-            return out
-        for r, row in enumerate(self.rows):
+        rows = []
+        for row in self.rows:
             acc = {}
             for k, v in row.items():
                 for c, w in orows[k].items():
                     u = acc.get(c)
-                    u = v * w if u is None else u + v * w
-                    acc[c] = u
-            out.rows[r] = {c: whole(u) if type(u) is Fraction else u
-                           for c, u in acc.items() if u}
-        return out
+                    acc[c] = v * w if u is None else u + v * w
+            rows.append({c: whole(u) if type(u) is Fraction else u
+                         for c, u in acc.items() if u})
+        return SparseMatrix(self.nrows, other.ncols, rows)
 
     def matvec(self, vec: dict) -> dict:
         """Apply to a column vector given as dict col -> scalar; a rational
@@ -219,58 +221,6 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
-
-
-def _matmul_q(lrows, orows, out) -> bool:
-    """Fill out's rows with the product of two rational matrices (ints and
-    Fractions), on ints: each left row scaled by its denominators' lcm,
-    each right column by its lcm over the rows read, each output entry the
-    integer sum over row lcm * column lcm in canonical form (see ``whole``),
-    and rows in the generic loop's key order.  A row or column of ints is
-    read as it is.  False, with nothing written, when an entry read is
-    neither an int nor a Fraction."""
-    left, col_den = [], {}
-    for row in lrows:
-        den, ints = 1, True
-        for v in row.values():
-            if type(v) is not int:
-                if type(v) is not Fraction:
-                    return False
-                ints = False
-                if v.denominator != 1:
-                    den = lcm(den, v.denominator)
-        left.append((den, row if ints else
-                     {k: v.numerator * (den // v.denominator)
-                      for k, v in row.items()}))
-    read = {k: orows[k] for _, row in left for k in row}
-    ints = True
-    for orow in read.values():
-        for c, w in orow.items():
-            if type(w) is not int:
-                if type(w) is not Fraction:
-                    return False
-                ints = False
-                if w.denominator != 1:
-                    col_den[c] = lcm(col_den.get(c, 1), w.denominator)
-    if not ints:
-        read = {k: {c: w.numerator * (col_den.get(c, 1) // w.denominator)
-                    for c, w in orow.items()} for k, orow in read.items()}
-    for r, (den, row) in enumerate(left):
-        acc = {}
-        for k, v in row.items():
-            for c, w in read[k].items():
-                acc[c] = acc.get(c, 0) + v * w
-        if den == 1 and not col_den:
-            out.rows[r] = {c: u for c, u in acc.items() if u}
-        else:
-            out.rows[r] = {c: _quotient(u, den * col_den.get(c, 1))
-                           for c, u in acc.items() if u}
-    return True
-
-
-def _quotient(u: int, d: int):
-    """u / d for ints, d != 0, in canonical form."""
-    return u if d == 1 else whole(Fraction(u, d))
 
 
 # ---------------------------------------------------------------------------

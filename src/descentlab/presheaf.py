@@ -152,7 +152,8 @@ class CoverPresheaf:
         return f
 
     def validate(self):
-        """Chain-map checks on generators, diamond and top-triangle commutation.
+        """Chain-map checks on generators (each from F(J) to F(K), not to a
+        complex of the same dimensions), diamond and top-triangle commutation.
 
         The top triangles (one per arrow J -> Jj) are checked on the
         singleton pairs {k} -> {j,k} <- {j}, k ascending, then j < k
@@ -166,8 +167,11 @@ class CoverPresheaf:
         n = self.n_sets
         step = self._step
         for (src, dst), f in self.adjacent.items():
-            if f.source is not self.value(src) and f.source != self.value(src):
-                raise InputError(f"restriction {format_key(src)}->{format_key(dst)} has wrong source")
+            for end, cx, key in (("source", f.source, src),
+                                 ("target", f.target, dst)):
+                if cx is not self.value(key) and cx != self.value(key):
+                    raise InputError(f"restriction {format_key(src)}->"
+                                     f"{format_key(dst)} has wrong {end}")
             f.validate()
         for J in all_subsets(n):
             rest = [j for j in range(1, n + 1) if j not in J]

@@ -128,22 +128,23 @@ class _SimplexModel:
 
 class NCModel(_SimplexModel):
     """The normalized-cochain complex of the p-simplex over Q, with basis
-    indexing."""
+    indexing.  Its cochains are written in canonical ints (see
+    ``linalg.whole``)."""
 
     def __init__(self, p: int):
         super().__init__(p, lambda n: list(combinations(range(p + 1), n + 1)),
-                         lambda F: nc_d_on(p, {F: Fraction(1)}).items())
+                         lambda F: nc_d_on(p, {F: 1}).items())
 
     def index(self, n, F):
         return self._index[n][tuple(F)]
 
     def unit(self) -> dict:
         """The constant cochain 1: the sum of the vertices."""
-        return {(v,): Fraction(1) for v in range(self.p + 1)}
+        return {(v,): 1 for v in range(self.p + 1)}
 
     def pullback(self, f: InjMap, F) -> dict:
         """The pullback along f of the basis cochain delta_F."""
-        return nc_pullback(f, {F: Fraction(1)})
+        return nc_pullback(f, {F: 1})
 
     def to_vec(self, n, x: dict) -> dict:
         out = {}

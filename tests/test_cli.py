@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -17,8 +18,9 @@ from descentlab.complexes import (ChainMap, Complex, betti_numbers,
 from descentlab.errors import AxiomFailure
 from descentlab.involutive import Poly
 from descentlab.linalg import SparseMatrix
-from descentlab.presheaf import (presheaf_from_json, presheaf_to_json,
-                                 verify_descent)
+from descentlab.presheaf import (presheaf_from_json, presheaf_to_json, tot,
+                                 tw, tw_to_tot, verify_descent,
+                                 whitney_section)
 from descentlab.scalars import QQ
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -1036,3 +1038,96 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert code == 0
     # the bundled triangle has two sets, the default cutoff
     assert json.loads(out)["options"] == {"weight_cutoff": 2}
+
+
+# ---------------------------------------------------------------------------
+# totalization-iso and integration-quasi-iso are read off structure first;
+# they must agree with the cone, and fall back to it when the structure
+# does not settle the verdict
+
+VERDICT_COVERS = [(name, lambda name=name: fx.emit_fixture(name))
+                  for name in ("triangle-boundary", "three-edge",
+                               "torus-square", "disjoint")]
+VERDICT_COVERS += [(f"random-N{N}-seed{seed}",
+                    lambda N=N, seed=seed: fx.random_presheaf(
+                        random.Random(seed), N)[0])
+                   for N in (2, 3, 4) for seed in range(6)]
+
+
+@pytest.fixture
+def cones(monkeypatch):
+    """The list of cones built while the test runs, one entry each."""
+    built = []
+    make = complexes.cone
+
+    def counted(f):
+        built.append(f)
+        return make(f)
+
+    monkeypatch.setattr(complexes, "cone", counted)
+    return built
+
+
+@pytest.mark.parametrize("make", [m for _, m in VERDICT_COVERS],
+                         ids=[name for name, _ in VERDICT_COVERS])
+def test_structural_verdicts_equal_the_cone(make, cones):
+    """On each cover and the cutoffs N and N + 1, both verdicts equal
+    is_quasi_iso's, and the cone is built only where the structure fails,
+    so the structural test alone agrees with the cone."""
+    F = make()
+    T = tot(F)
+    tb = betti_numbers(T.cx)
+    to_cech = T.to_cech()
+    verdicts = [(cli._iso_verdict(to_cech), None, to_cech)]
+    for cutoff in (F.n_sets, F.n_sets + 1):
+        W = tw(F, cutoff)
+        integ, section = tw_to_tot(W, T), whitney_section(T, W)
+        assert section.validate()     # _split_verdict needs a chain map
+        exact = all(integ.mat(n) @ section.mat(n)
+                    == SparseMatrix.identity(T.cx.dim(n))
+                    for n in T.cx.degrees())
+        assert exact
+        ok, witness = cli._split_verdict(integ, exact, betti_numbers(W.cx), tb)
+        verdicts.append((ok, witness, integ))
+    assert cones == []
+    for ok, witness, f in verdicts:
+        cert = complexes.is_quasi_iso(f)
+        assert ok == cert.ok and witness == cert.witness_degree
+
+
+def test_a_split_projection_is_decided_by_the_cone(cones):
+    # Q (+) Q -> Q with zero differentials has the right inverse x -> (x, 0)
+    # and is onto in homology, but not a quasi-isomorphism
+    proj = ChainMap(single(dim=2), single(), {0: SparseMatrix(1, 2, [{0: 1}])})
+    section = SparseMatrix(2, 1, [{0: 1}, {}])
+    exact = proj.mat(0) @ section == SparseMatrix.identity(1)
+    assert exact
+    got = cli._split_verdict(proj, exact, betti_numbers(proj.source),
+                             betti_numbers(proj.target))
+    assert len(cones) == 1
+    assert cli._iso_verdict(proj) is False and len(cones) == 2
+    cert = complexes.is_quasi_iso(proj)
+    assert got == (cert.ok, cert.witness_degree) == (False, -1)
+
+
+def test_equal_betti_numbers_without_an_exact_section_are_not_enough(cones):
+    zero = ChainMap.zero(single(), single())
+    b = betti_numbers(single())
+    assert cli._split_verdict(zero, False, b, b) == (False, -1)
+    assert len(cones) == 1
+
+
+def test_a_square_singular_quasi_iso_is_decided_by_the_cone(cones):
+    # the zero map of the acyclic Q -1-> Q is square and of rank 0 in each
+    # degree, and a quasi-isomorphism
+    c = Complex(QQ, {0: 1, 1: 1}, {0: SparseMatrix(1, 1, [{0: 1}])})
+    zero = ChainMap.zero(c, c)
+    assert cli._iso_verdict(zero) is True and len(cones) == 1
+    got = cli._split_verdict(zero, False, betti_numbers(c), betti_numbers(c))
+    assert got == (True, None) and len(cones) == 2
+
+
+def test_a_passing_bundled_compare_builds_no_cone(capsys, cones):
+    code, out, _ = run_cli(capsys, "compare")
+    assert code == 0 and json.loads(out)["ok"]
+    assert cones == []

@@ -11,10 +11,12 @@ from descentlab.complexes import (ChainMap, Complex, HomologySpace,
                                   chain_map_to_json, change_basis, cocone,
                                   complex_from_json, complex_to_json, cone,
                                   direct_sum, homology, homology_map,
-                                  is_quasi_iso, parse_scalar, shift, single,
+                                  _matrix_from_json, is_quasi_iso,
+                                  parse_scalar, shift, single,
                                   Telescope, telescope,
                                   telescope_comparison, tensor)
-from descentlab.errors import NotAComplex, ShapeMismatch, UnsupportedRing
+from descentlab.errors import (InputError, NotAComplex, ShapeMismatch,
+                               UnsupportedRing)
 from descentlab.fixtures import (novikov_telescope_terms, random_chain_map,
                                  random_complex, random_stabilizing_diagram,
                                  random_unimodular)
@@ -358,6 +360,26 @@ def test_parse_scalar_reads_as_fraction_of_its_text(s):
     got = _read(lambda t: parse_scalar(QQ, t), s)
     assert got == _read(lambda t: Fraction(str(t)), s)
     assert type(got) is tuple or canonical(got)
+
+
+def test_matrix_reader_sums_entries_in_canonical_form():
+    m = _matrix_from_json(QQ, [[0, 0, "1"], [1, 1, "-2"], [0, 0, "-1"],
+                               [1, 0, "3/4"], [0, 1, 2], [1, 1, "-0"],
+                               [0, 1, "007"], [1, 1, "2"]], 2, 2, "diff")
+    assert m.rows == [{1: 9}, {0: Fraction(3, 4)}]
+    assert all(canonical(v) for row in m.rows for v in row.values())
+
+
+def test_matrix_reader_reads_every_entry_before_the_bounds():
+    # a bad scalar after a position outside the shape is what is reported
+    with pytest.raises(ValueError, match="'x'"):
+        _matrix_from_json(QQ, [[2, 0, "1"], [0, 0, "x"]], 2, 2, "diff")
+    with pytest.raises(ShapeMismatch, match=r"^entry \(0,5\) outside 2x2$"):
+        _matrix_from_json(QQ, [[0, 0, "1"], [0, 5, "1"]], 2, 2, "diff")
+    with pytest.raises(InputError, match="^diff row must be an integer, not 0.5$"):
+        _matrix_from_json(QQ, [[0.5, 0, "1"]], 2, 2, "diff")
+    with pytest.raises(InputError, match="^mats column must be an integer, not true$"):
+        _matrix_from_json(QQ, [[0, True, "1"]], 2, 2, "mats")
 
 
 class TestSerde:

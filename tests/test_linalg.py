@@ -550,6 +550,19 @@ class TestIntegerProduct:
             prod = assert_generic_product(SparseMatrix(m, n), SparseMatrix(n, p))
             assert prod.rows == [{} for _ in range(m)]
 
+    def test_a_factor_with_no_entry_gives_the_zero_matrix(self):
+        full = SparseMatrix(2, 2, [{1: Fraction(1, 3), 0: 2}, {0: -1}])
+        for a, b in [(SparseMatrix(3, 2), full), (full, SparseMatrix(2, 4))]:
+            prod = assert_generic_product(a, b)
+            assert prod.rows == [{} for _ in range(a.nrows)]
+
+    def test_a_fraction_the_left_factor_never_reads_is_not_built(self):
+        a = SparseMatrix(2, 3, [{2: 3, 0: -1}, {}])
+        b = SparseMatrix(3, 2, [{1: 2}, {0: Fraction(1, 7)}, {0: 5, 1: 4}])
+        prod = assert_generic_product(a, b)
+        assert prod.rows == [{0: 15, 1: 10}, {}]
+        assert all(type(v) is int for v in prod.rows[0].values())
+
     def test_novikov_in_either_factor_takes_the_generic_loop(self):
         ring = NovikovRing(2, Fraction(3))
         for side in (0, 1):

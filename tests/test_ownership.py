@@ -124,19 +124,25 @@ def test_poly_hot_path_has_no_float():
 # Rational matrices are exact: no int / int may reach a float in the Q
 # product, the elimination or the JSON reader, and what they write is in
 # the canonical form of linalg.whole (an int when integral).
-Q_EXACT_ROOTS = ["_matmul_q", "_forward", "_back_substitute", "kernel_basis",
-                 "parse_scalar"]
+Q_EXACT_ROOTS = ["SparseMatrix.__matmul__", "_forward", "_back_substitute",
+                 "kernel_basis", "parse_scalar"]
 
 
 def test_rational_matrix_path_has_no_float():
-    """The roots, followed through the functions of linalg.py and
-    complexes.py they call by name, hold no true division and no float()
-    call."""
+    """The roots (the product method of SparseMatrix among them), followed
+    through the functions of linalg.py and complexes.py they call by name,
+    hold no true division and no float() call."""
     functions = {}
     for name in ("linalg.py", "complexes.py"):
         tree = ast.parse((PACKAGE / name).read_text())
         functions.update({node.name: node for node in tree.body
                           if isinstance(node, ast.FunctionDef)})
+        functions.update({f"{node.name}.{item.name}": item
+                          for node in tree.body
+                          if isinstance(node, ast.ClassDef)
+                          and node.name == "SparseMatrix"
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef)})
     seen, todo, faults = set(), list(Q_EXACT_ROOTS), []
     while todo:
         name = todo.pop()
@@ -152,16 +158,17 @@ def test_rational_matrix_path_has_no_float():
                     faults.append((name, node.lineno, "float()"))
                 elif node.func.id in functions:
                     todo.append(node.func.id)
-    assert {"whole", "_quotient", "_cancel", "_divide_content",
+    assert {"SparseMatrix.__matmul__", "whole", "_cancel", "_divide_content",
             "_integer_multiple", "rref"} <= seen
     assert faults == []
 
 
 def test_rational_matrices_are_written_in_canonical_form():
     """On the equivalence oracle's covers, every entry of each tot and tw
-    differential, of each kernel_basis vector and of each rref row is an
-    int when integral, else a Fraction with denominator > 1; so is every
-    entry of a seeded random chain map (a sum of Fractions)."""
+    differential, of each kernel_basis vector, of each rref row and of each
+    column of tot's augmentation is an int when integral, else a Fraction
+    with denominator > 1; so is every entry of a seeded random chain map
+    (a sum of Fractions)."""
     import random
 
     from test_equivalence import ORACLE_COVERS
@@ -170,6 +177,7 @@ def test_rational_matrices_are_written_in_canonical_form():
     from descentlab.fixtures import random_chain_map, random_complex
     from descentlab.linalg import kernel_basis, rref
     from descentlab.presheaf import tot, tw
+    from descentlab.simplex import NCModel, coface
 
     for seed in range(10):
         rng = random.Random(seed)
@@ -180,7 +188,8 @@ def test_rational_matrices_are_written_in_canonical_form():
 
     for name, make in sorted(ORACLE_COVERS.items()):
         F = make()
-        for E in (tot(F), tw(F, F.n_sets), tw(F, F.n_sets + 1)):
+        T = tot(F)
+        for E in (T, tw(F, F.n_sets), tw(F, F.n_sets + 1)):
             for n in E.ambient.degrees():
                 d = E.cx.d(n)
                 written = [v for _, _, v in d.entries()]
@@ -189,6 +198,20 @@ def test_rational_matrices_are_written_in_canonical_form():
                 for _, row in rref(d):
                     written.extend(row.values())
                 assert all(canonical(v) for v in written), (name, n)
+        if F.has_top:
+            aug = T.augmentation()
+            assert all(canonical(v) for n in aug.source.degrees()
+                       for _, _, v in aug.mat(n).entries()), name
+
+    # the NC cochains behind those columns: the unit and each basis
+    # cochain's pullback along a coface hold ints, not integral Fractions
+    for p in range(4):
+        nc, above = NCModel(p), NCModel(p + 1)
+        cochains = [nc.unit()] + [
+            above.pullback(coface(p, i), key)
+            for i in range(p + 2) for n in range(p + 2)
+            for key in above.basis(n)]
+        assert all(type(v) is int for x in cochains for v in x.values()), p
 
 
 # TrackedEchelon eliminates on integers: its reduction and its insertion

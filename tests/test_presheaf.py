@@ -18,8 +18,8 @@ from descentlab.complexes import (ChainMap, Complex, DirectSum,
                                   novikov_q_expansion_map, rank, shift,
                                   telescope, telescope_comparison)
 from descentlab.errors import (CutoffTooSmall, FunctorialityFailure,
-                               InputError, ShapeMismatch, UnknownFixture,
-                               UnsupportedRing)
+                               InputError, NotAComplex, ShapeMismatch,
+                               UnknownFixture, UnsupportedRing)
 from descentlab.linalg import SparseMatrix
 from descentlab.presheaf import (TOP, CechComplex, CoverPresheaf, Nerve,
                                  _is_permutation, all_subsets, arrows, cech,
@@ -29,7 +29,7 @@ from descentlab.presheaf import (TOP, CechComplex, CoverPresheaf, Nerve,
                                  parse_key, presheaf_from_json,
                                  presheaf_to_json, tot, tw, tw_to_tot,
                                  verify_descent, whitney_section)
-from descentlab.scalars import NovikovRing
+from descentlab.scalars import QQ, NovikovRing
 
 
 def nz(betti):
@@ -83,6 +83,25 @@ def test_broken_top_triangle_is_caught():
     with pytest.raises(FunctorialityFailure) as exc:
         CoverPresheaf(2, dict(F.values), bad)
     assert exc.value.witness is not None
+
+
+def test_a_generator_into_a_lookalike_of_its_target_is_refused():
+    # A = (Q -0-> Q), B = (Q -1-> Q); {1} -> {1,2} is the identity in
+    # degree 0 into B' = (Q -0-> Q), a chain map A -> B' but not A -> B
+    def two_term(x):
+        return Complex(QQ, {0: 1, 1: 1},
+                       {0: SparseMatrix(1, 1, [{0: x} if x else {}])})
+
+    A, B = two_term(0), two_term(1)
+    step = ChainMap(A, two_term(0), {0: SparseMatrix.identity(1)})
+    values = {(1,): A, (2,): B, (1, 2): B}
+    adjacent = {((1,), (1, 2)): step,
+                ((2,), (1, 2)): ChainMap.identity(B)}
+    F = CoverPresheaf(2, values, adjacent, check=False)
+    with pytest.raises(NotAComplex):
+        cech(F).cx.validate()
+    with pytest.raises(InputError, match=r"^restriction 1->1,2 has wrong target$"):
+        F.validate()
 
 
 def test_broken_diamond_is_caught():
